@@ -50,6 +50,16 @@ class DatasetConfig:
     n_f: int = 5
     seed: int = 7
 
+    def validate(self) -> "DatasetConfig":
+        # the train split takes n_eta // 2 draws, so it needs two or more
+        for name, low in (("n_eta", 2), ("n_f", 1)):
+            value = getattr(self, name)
+            if (not isinstance(value, int) or isinstance(value, bool)
+                    or value < low):
+                raise ConfigError(f"dataset.{name} must be an integer "
+                                  f">= {low}, got {value!r}")
+        return self
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -83,6 +93,7 @@ class RunConfig:
 
     def validate(self) -> "RunConfig":
         self.problem.validate()
+        self.dataset.validate()
         self.model.validate()
         if self.model.n != self.problem.n:
             raise ConfigError(
@@ -144,12 +155,11 @@ class SampleSet:
         return self.f.shape[1]
 
     def max_residual(self) -> float:
-        worst = 0.0
-        for i in range(self.n_eta):
-            for j in range(self.n_f):
-                worst = max(worst, self.problem.residual(
-                    self.eta[i], self.f[i, j], self.u[i, j]))
-        return worst
+        """Largest relative residual over every (eta, f) pair, NaN if any
+        is NaN; each draw's sources share one operator."""
+        per_draw = [np.max(self.problem.residual_batch(eta, fs, us))
+                    for eta, fs, us in zip(self.eta, self.f, self.u)]
+        return float(np.max(per_draw, initial=0.0))
 
 
 def _eta_seed(base: int, i: int) -> int:
@@ -196,16 +206,17 @@ def generate_dataset(cfg: RunConfig, out_dir, threads: int = 1) -> dict:
 
     n_train = n_eta // 2
     splits = {"train": slice(0, n_train), "test": slice(n_train, n_eta)}
-    worst = 0.0
+    residuals = []
     for name, sl in splits.items():
         ss = SampleSet(problem=cfg.problem, split=name, eta=etas[sl],
                        f=fs[sl], u=us[sl], eta_seeds=seeds[sl],
                        retries=retries[sl])
-        worst = max(worst, ss.max_residual())
+        residuals.append(ss.max_residual())
         write_tensors(out / f"{name}.nstf", {
             "eta": ss.eta, "f": ss.f, "u": ss.u,
             "eta_seeds": ss.eta_seeds, "retries": ss.retries})
-    if worst > RESIDUAL_TOL:
+    worst = float(np.max(residuals))
+    if not worst <= RESIDUAL_TOL:
         raise DataError(f"generation residual {worst:.3e} above tolerance")
 
     summary = {
@@ -235,7 +246,7 @@ def load_sampleset(data_dir, split: str, check: bool = False) -> SampleSet:
                    retries=tensors["retries"])
     if check:
         worst = ss.max_residual()
-        if worst > RESIDUAL_TOL:
+        if not worst <= RESIDUAL_TOL:
             raise DataError(
                 f"{split} split fails residual check: {worst:.3e}")
     return ss
@@ -330,15 +341,18 @@ def train(mdl: MetaModel, train_set: SampleSet, test_set: SampleSet,
           tcfg: TrainConfig) -> Metrics:
     """Nadam minimization of the mean squared solution error.
 
-    Each step draws `batch_size` (eta, f) pairs; their etas are evaluated
-    as one batched forward with a mask selecting the drawn pairs, so the
-    eta ConvNets run once per distinct parameter draw.
+    Each step takes the next `batch_fraction` of the (eta, f) pairs in a
+    per-epoch permutation and runs the model on exactly those pairs: the
+    eta ConvNets and the f path once per drawn pair, so an eta drawn
+    twice in one step is evaluated twice.
     """
     if tcfg.max_epochs < 1 or tcfg.batch_fraction <= 0:
         raise ConfigError("need max_epochs >= 1 and batch_fraction > 0")
     rng = np.random.default_rng(tcfg.seed)
-    n_eta, n_f = train_set.n_eta, train_set.n_f
-    n_samples = n_eta * n_f
+    n_f = train_set.n_f
+    n_samples = train_set.n_eta * n_f
+    if n_samples == 0:
+        raise ConfigError("the train split holds no (eta, f) pairs")
     bs = max(1, round(tcfg.batch_fraction * n_samples))
     state = net.NadamState(learning_rate=tcfg.learning_rate)
     loss_hist, train_hist, test_hist = [], [], []
@@ -352,16 +366,10 @@ def train(mdl: MetaModel, train_set: SampleSet, test_set: SampleSet,
         loss_sum = 0.0
         for lo in range(0, n_samples, bs):
             sel = perm[lo:lo + bs]
-            i_idx = sel // n_f
-            j_idx = sel % n_f
-            uniq = np.unique(i_idx)
-            rows = np.searchsorted(uniq, i_idx)
-            mask = np.zeros((uniq.size, n_f))
-            mask[rows, j_idx] = 1.0
-            u_hat, tape = mdl.forward_with_tape(train_set.eta[uniq],
-                                                train_set.f[uniq])
-            mshape = mask.shape + (1,) * (u_hat.ndim - 2)
-            diff = (u_hat - train_set.u[uniq]) * mask.reshape(mshape)
+            i_idx, j_idx = np.divmod(sel, n_f)
+            u_hat, tape = mdl.forward_with_tape(
+                train_set.eta[i_idx], train_set.f[i_idx, j_idx][:, None])
+            diff = u_hat - train_set.u[i_idx, j_idx][:, None]
             with np.errstate(over="ignore"):  # inf loss = divergence signal
                 loss = float((diff ** 2).sum() / sel.size)
             if not np.isfinite(loss):

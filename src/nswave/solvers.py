@@ -241,17 +241,29 @@ class ProblemSpec:
     def residual(self, eta: np.ndarray, f: np.ndarray,
                  u: np.ndarray) -> float:
         """Relative residual of one sample under this problem's operator."""
+        return float(self.residual_batch(eta, f[None], u[None])[0])
+
+    def residual_batch(self, eta: np.ndarray, fs: np.ndarray,
+                       us: np.ndarray) -> np.ndarray:
+        """Relative residual of every source of one draw, all checked
+        against one operator (or one transfer kernel) built at eta.
+
+        Transfer: |u - K(eta u) - K f| / |K f|; elliptic: |L u - f| / |f|,
+        with f projected to zero mean for the divergence form.
+        """
+        fv = np.asarray(fs, dtype=float).reshape(fs.shape[0], -1)
+        uv = np.asarray(us, dtype=float).reshape(us.shape[0], -1)
         if self.kind == "rte":
             kern = self.kernel(eta)
-            rhs = kern @ f.reshape(-1)
-            lhs = u.reshape(-1) - kern @ (eta.reshape(-1) * u.reshape(-1))
-            return float(np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs))
-        op = self.operator(eta)
-        fv = f.reshape(-1)
-        if self.kind == "divergence":
-            fv = fv - fv.mean()
-        r = op @ u.reshape(-1) - fv
-        return float(np.linalg.norm(r) / np.linalg.norm(fv))
+            rhs = fv @ kern.T
+            lhs = uv - (uv * eta.reshape(-1)) @ kern.T
+        else:
+            if self.kind == "divergence":
+                fv = fv - fv.mean(axis=1, keepdims=True)
+            rhs = fv
+            lhs = (self.operator(eta) @ uv.T).T
+        return (np.linalg.norm(lhs - rhs, axis=1)
+                / np.linalg.norm(rhs, axis=1))
 
     def reference_matrix(self, eta: np.ndarray) -> np.ndarray:
         """Dense solution operator at eta (column solves)."""
@@ -271,59 +283,46 @@ class ProblemSpec:
 
 # -- elliptic operators ---------------------------------------------------------------
 
-def _periodic_laplacian(n: int) -> sp.spmatrix:
-    main = -2.0 * np.ones(n)
-    off = np.ones(n - 1)
-    lap = sp.diags([off, main, off], [-1, 0, 1], format="lil")
-    lap[0, n - 1] += 1.0
-    lap[n - 1, 0] += 1.0
-    return lap.tocsr()
+def _periodic_stencil(center: np.ndarray, neighbours: list) -> sp.csr_matrix:
+    """CSR matrix of a periodic nearest-neighbour stencil on center's grid.
+
+    Row k holds center[k] on the diagonal, and neighbours[2a][k] and
+    neighbours[2a + 1][k] at the nodes one step up and one step down
+    axis a (wrapping around).  Coincident entries (n = 2) are summed.
+    """
+    nn = center.size
+    idx = np.arange(nn).reshape(center.shape)
+    cols = [idx] + [np.roll(idx, -step, axis=ax)
+                    for ax in range(center.ndim) for step in (1, -1)]
+    vals = [center] + list(neighbours)
+    return sp.csr_matrix(
+        (np.concatenate([v.reshape(-1) for v in vals]),
+         (np.tile(idx.reshape(-1), len(cols)),
+          np.concatenate([c.reshape(-1) for c in cols]))),
+        shape=(nn, nn))
 
 
 def schrodinger_matrix(eta: np.ndarray, h: float) -> sp.spmatrix:
     """(-Laplace_h + diag(eta)) with the periodic 3-point/5-point stencil."""
     if np.any(eta <= 0):
         raise DomainError("schrodinger form needs eta > 0")
-    if eta.ndim == 1:
-        lap = _periodic_laplacian(eta.shape[0])
-        return (-lap / h ** 2 + sp.diags(eta)).tocsr()
-    n = eta.shape[0]
-    lap1 = _periodic_laplacian(n)
-    eye = sp.identity(n, format="csr")
-    lap2 = sp.kron(lap1, eye) + sp.kron(eye, lap1)
-    return (-lap2 / h ** 2 + sp.diags(eta.reshape(-1))).tocsr()
+    off = np.full(eta.shape, -1.0 / h ** 2)
+    return _periodic_stencil(2.0 * eta.ndim / h ** 2 + eta,
+                             [off] * (2 * eta.ndim))
 
 
 def divergence_matrix(eta: np.ndarray, h: float) -> sp.spmatrix:
     """Conservative -div(eta grad .) with arithmetic-mean face coefficients."""
     if np.any(eta <= 0):
         raise DomainError("divergence form needs eta > 0")
-    if eta.ndim == 1:
-        n = eta.shape[0]
-        e_half = 0.5 * (eta + np.roll(eta, -1))     # eta_{j+1/2}
-        e_prev = np.roll(e_half, 1)                  # eta_{j-1/2}
-        j = np.arange(n)
-        rows = np.concatenate([j, j, j])
-        cols = np.concatenate([j, (j + 1) % n, (j - 1) % n])
-        vals = np.concatenate([(e_half + e_prev), -e_half, -e_prev]) / h ** 2
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    n = eta.shape[0]
-    nn = n * n
-    ex = 0.5 * (eta + np.roll(eta, -1, axis=0))    # face (i+1/2, j)
-    ey = 0.5 * (eta + np.roll(eta, -1, axis=1))    # face (i, j+1/2)
-    ex_p = np.roll(ex, 1, axis=0)
-    ey_p = np.roll(ey, 1, axis=1)
-    idx = np.arange(nn).reshape(n, n)
-    rows = np.concatenate([idx.reshape(-1)] * 5)
-    cols = np.concatenate([idx.reshape(-1),
-                           np.roll(idx, -1, axis=0).reshape(-1),
-                           np.roll(idx, 1, axis=0).reshape(-1),
-                           np.roll(idx, -1, axis=1).reshape(-1),
-                           np.roll(idx, 1, axis=1).reshape(-1)])
-    vals = np.concatenate([(ex + ex_p + ey + ey_p).reshape(-1),
-                           -ex.reshape(-1), -ex_p.reshape(-1),
-                           -ey.reshape(-1), -ey_p.reshape(-1)]) / h ** 2
-    return sp.csr_matrix((vals, (rows, cols)), shape=(nn, nn))
+    center = 0.0
+    neighbours = []
+    for ax in range(eta.ndim):
+        up = 0.5 * (eta + np.roll(eta, -1, axis=ax))   # face k+1/2 on ax
+        down = np.roll(up, 1, axis=ax)                 # face k-1/2 on ax
+        center = center + up + down
+        neighbours += [-up / h ** 2, -down / h ** 2]
+    return _periodic_stencil(center / h ** 2, neighbours)
 
 
 def _solve_sparse_batch(op: sp.spmatrix, fs: np.ndarray) -> np.ndarray:

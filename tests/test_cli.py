@@ -87,6 +87,19 @@ def test_config_error_exit_codes(tmp_path, micro_config):
                      "--set", "model.unknown=3"]) == cli.EXIT_CONFIG
 
 
+@pytest.mark.parametrize("override", [
+    "dataset.n_eta=1", "dataset.n_eta=0", "dataset.n_f=0",
+    "dataset.n_eta=2.5", "dataset.n_f=true"])
+def test_degenerate_dataset_is_a_config_error(micro_config, tmp_path,
+                                              capsys, override):
+    rc = cli.main(["gen-data", "--config", str(micro_config),
+                   "--out", str(tmp_path / "d"), "--set", override])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_data_error_exit_code(micro_config, tmp_path):
     assert cli.main(["train", "--config", str(micro_config),
                      "--data", str(tmp_path / "missing"),

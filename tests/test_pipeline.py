@@ -138,6 +138,31 @@ def test_reload_residual_check_catches_corruption(tmp_path):
     pl.load_sampleset(tmp_path, "train", check=False)
 
 
+RTE = {
+    "problem": {"kind": "rte", "n": 32, "interior": 28, "eta_coarse": 4,
+                "eta_scale": 1.0, "eta_max": 5.0, "f_coarse": 4},
+    "dataset": {"n_eta": 6, "n_f": 3, "seed": 2},
+    "model": {"n": 32, "levels": 2, "alpha": 2, "depth": 2, "nb": 1, "p": 2,
+              "padding": "zero", "symmetric": False, "seed": 0},
+    "training": DESK["training"],
+}
+
+
+@pytest.mark.parametrize("value", [1e-3, np.nan])
+def test_reload_check_catches_one_bad_source_of_a_middle_draw(tmp_path,
+                                                              value):
+    """One operator per draw still certifies every source of it."""
+    cfg = pl.RunConfig.from_dict(RTE)
+    pl.generate_dataset(cfg, tmp_path)
+    pl.load_sampleset(tmp_path, "train", check=True)
+    tensors = container.read_tensors(tmp_path / "train.nstf")
+    assert tensors["u"].shape[:2] == (3, 3)
+    tensors["u"][1, 2, 16] += value
+    container.write_tensors(tmp_path / "train.nstf", tensors)
+    with pytest.raises(DataError):
+        pl.load_sampleset(tmp_path, "train", check=True)
+
+
 # -- metrics and evaluation ---------------------------------------------------------
 
 def test_metrics_roundtrip(tmp_path):
@@ -263,6 +288,60 @@ def test_train_runs_and_metrics_are_consistent(tmp_path):
     assert len(metrics.test_error_history) == 3
     assert metrics.test_error == pl.evaluate(mdl, te)
     assert metrics.train_error == pl.evaluate(mdl, tr)
+
+
+def test_train_step_matches_per_pair_reference(monkeypatch):
+    """One full-batch step draws every eta three times; its loss and
+    gradients equal the sum over the drawn pairs, each pair run through
+    the model on its own."""
+    cfg = pl.RunConfig.from_dict(DESK)
+    spec = cfg.problem
+    eta = np.stack([spec.sample_eta(i) for i in range(2)])
+    f = np.stack([[spec.sample_f(10 * i + j) for j in range(3)]
+                  for i in range(2)])
+    u = np.stack([spec.solve_batch(e, fs) for e, fs in zip(eta, f)])
+    ss = pl.SampleSet(problem=spec, split="train", eta=eta, f=f, u=u,
+                      eta_seeds=np.zeros(2), retries=np.zeros(2))
+    grads = []
+    step = net.nadam_step
+
+    def record(params, g, state):
+        grads.append({k: v.copy() for k, v in g.items()})
+        return step(params, g, state)
+
+    monkeypatch.setattr(net, "nadam_step", record)
+    tcfg = pl.TrainConfig(batch_fraction=1.0, max_epochs=1, seed=3)
+    metrics = pl.train(MetaModel(cfg.model), ss, ss, tcfg)
+    assert len(grads) == 1
+
+    ref = MetaModel(cfg.model)
+    n_pairs = 6
+    loss = 0.0
+    ref_grads = {k: np.zeros_like(v) for k, v in ref.gradients().items()}
+    for i in range(2):
+        for j in range(3):
+            u_hat, tape = ref.forward_with_tape(eta[i], f[i, j])
+            diff = u_hat - u[i, j]
+            loss += float((diff ** 2).sum()) / n_pairs
+            ref.zero_grads()
+            ref.backward(tape, 2.0 * diff / n_pairs)
+            for k, v in ref.gradients().items():
+                ref_grads[k] += v
+    assert metrics.loss_history[0] == pytest.approx(loss, rel=1e-12)
+    assert grads[0].keys() == ref_grads.keys()
+    for k, v in ref_grads.items():
+        scale = max(np.max(np.abs(v)), 1e-300)
+        assert np.max(np.abs(grads[0][k] - v)) <= 1e-12 * scale, k
+
+
+def test_train_rejects_empty_split():
+    cfg = pl.RunConfig.from_dict(DESK)
+    empty = pl.SampleSet(problem=cfg.problem, split="train",
+                         eta=np.zeros((0, 32)), f=np.zeros((0, 3, 32)),
+                         u=np.zeros((0, 3, 32)), eta_seeds=np.zeros(0),
+                         retries=np.zeros(0))
+    with pytest.raises(ConfigError):
+        pl.train(MetaModel(cfg.model), empty, empty, cfg.training)
 
 
 def test_training_determinism_bitwise(tmp_path):

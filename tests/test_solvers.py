@@ -394,6 +394,63 @@ def test_power_iteration_spectral_radius_matches_dense(monkeypatch):
     assert power == pytest.approx(dense, rel=1e-6)
 
 
+# -- operator assembly and residual certification ---------------------------------
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (64,), (3, 3), (16, 16)])
+def test_schrodinger_matrix_equals_dense_stencil(shape):
+    rng = np.random.default_rng(4)
+    eta = np.exp(rng.standard_normal(shape)) + 0.1
+    h = 1.0 / shape[0]
+    nn = eta.size
+    eye = np.eye(nn).reshape((nn,) + shape)
+    lap = sum(np.roll(eye, 1, ax) - 2.0 * eye + np.roll(eye, -1, ax)
+              for ax in range(1, eta.ndim + 1))
+    dense = -lap.reshape(nn, nn) / h ** 2 + np.diag(eta.reshape(-1))
+    assert np.array_equal(sv.schrodinger_matrix(eta, h).toarray(), dense)
+
+
+def _pair_residual(spec, eta, f, u):
+    """The relative residual of one pair, written out with its own
+    operator or kernel."""
+    if spec.kind == "rte":
+        kern = spec.kernel(eta)
+        rhs = kern @ f.reshape(-1)
+        lhs = u.reshape(-1) - kern @ (eta.reshape(-1) * u.reshape(-1))
+        return np.linalg.norm(lhs - rhs) / np.linalg.norm(rhs)
+    fv = f.reshape(-1)
+    if spec.kind == "divergence":
+        fv = fv - fv.mean()
+    r = spec.operator(eta) @ u.reshape(-1) - fv
+    return np.linalg.norm(r) / np.linalg.norm(fv)
+
+
+@pytest.mark.parametrize("spec", [
+    sv.ProblemSpec(kind="schrodinger", n=32, eta_coarse=4),
+    sv.ProblemSpec(kind="schrodinger", dim=2, n=8, eta_coarse=4),
+    sv.ProblemSpec(kind="divergence", n=32, eta_coarse=4, eta_scale=0.2,
+                   eta_shift=0.5),
+    SPEC_1D,
+], ids=["schrodinger1d", "schrodinger2d", "divergence1d", "rte1d"])
+def test_residual_batch_matches_single_pair_formula(spec):
+    eta = spec.sample_eta(11)
+    fs = np.stack([spec.sample_f(20 + j) for j in range(4)])
+    us = spec.solve_batch(eta, fs)
+    if spec.kind == "divergence":
+        # the check projects a source mean away, as the solve does
+        fs = fs + np.arange(4.0).reshape((4,) + (1,) * eta.ndim)
+    assert np.max(spec.residual_batch(eta, fs, us)) < 1e-10
+    # perturbed solutions: residuals well above rounding, one per source
+    rng = np.random.default_rng(0)
+    us = us + 1e-3 * np.abs(us).max() * rng.standard_normal(us.shape)
+    batch = spec.residual_batch(eta, fs, us)
+    ref = np.array([_pair_residual(spec, eta, f, u) for f, u in zip(fs, us)])
+    assert batch.shape == (4,)
+    assert np.all(ref > 1e-4)
+    assert np.max(np.abs(batch - ref) / ref) < 1e-12
+    single = np.array([spec.residual(eta, f, u) for f, u in zip(fs, us)])
+    assert np.max(np.abs(single - ref) / ref) < 1e-12
+
+
 # -- perturbative expansion of the elliptic solution operator ------------------
 
 def test_perturbative_linearization_second_order():
