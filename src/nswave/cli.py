@@ -64,6 +64,7 @@ def _cmd_train(args) -> int:
     train_set = pipeline.load_sampleset(args.data, "train")
     test_set = pipeline.load_sampleset(args.data, "test")
     mdl = MetaModel(cfg.model)
+    pipeline.check_geometry(mdl, train_set.problem)
     metrics = pipeline.train(mdl, train_set, test_set, cfg.training)
     if cfg.training.operator_samples > 0:
         k = min(cfg.training.operator_samples, test_set.n_eta)
@@ -89,6 +90,7 @@ def _cmd_eval(args) -> int:
     results = {}
     train_set = pipeline.load_sampleset(args.data, "train", check=args.check)
     test_set = pipeline.load_sampleset(args.data, "test", check=args.check)
+    pipeline.check_geometry(mdl, test_set.problem)
     results["train_error"] = pipeline.evaluate(mdl, train_set)
     results["test_error"] = pipeline.evaluate(mdl, test_set)
     if args.operator_samples > 0:
@@ -109,6 +111,7 @@ def _cmd_export_op(args) -> int:
     t0 = time.time()
     mdl = pipeline.load_checkpoint(args.model)
     ss = pipeline.load_sampleset(args.data, args.split)
+    pipeline.check_geometry(mdl, ss.problem)
     if not 0 <= args.index < ss.n_eta:
         raise DataError(f"eta index {args.index} outside 0..{ss.n_eta - 1}")
     eta = ss.eta[args.index]

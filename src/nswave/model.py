@@ -55,6 +55,20 @@ class ModelConfig:
     seed: int = 0
 
     def validate(self) -> "ModelConfig":
+        for name in ("n", "levels", "alpha", "depth", "nb", "p", "dim",
+                     "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.symmetric, bool):
+            raise ConfigError(f"symmetric must be true or false, "
+                              f"got {self.symmetric!r}")
+        if (not isinstance(self.init_noise, (int, float))
+                or isinstance(self.init_noise, bool)):
+            raise ConfigError(f"init_noise must be a number, "
+                              f"got {self.init_noise!r}")
+        if self.n < 1:
+            raise ConfigError(f"n must be positive, got {self.n}")
         if self.dim not in (1, 2):
             raise ConfigError(f"dim must be 1 or 2, got {self.dim}")
         if self.levels < 1:
@@ -71,32 +85,60 @@ class ModelConfig:
         return self
 
 
-# -- shifts and their adjoints -------------------------------------------------
+# -- halo-padded shifts and their adjoint --------------------------------------
+#
+# An array padded once along its spatial axes by a halo as wide as the widest
+# offset (periodic wrap or zeros) serves every shift as a sliced view:
+# shift_o(x)[k] = x[k + o] = xp[k + o + width].  The adjoint accumulates into
+# a padded buffer the same way and folds the halo back.
 
-def _shift(x: np.ndarray, o: int, axis: int, padding: str) -> np.ndarray:
-    """out[k] = x[k + o] along `axis` (periodic wrap or zero fill)."""
-    if o == 0:
-        return x
-    if padding == PERIODIC:
-        return np.roll(x, -o, axis=axis)
-    out = np.zeros_like(x)
-    n = x.shape[axis]
-    src = [slice(None)] * x.ndim
-    dst = [slice(None)] * x.ndim
-    if o > 0:
-        dst[axis] = slice(0, n - o)
-        src[axis] = slice(o, n)
-    else:
-        dst[axis] = slice(-o, n)
-        src[axis] = slice(0, n + o)
-    out[tuple(dst)] = x[tuple(src)]
-    return out
+def _axis_slice(x: np.ndarray, axis: int, lo: int, hi: int) -> np.ndarray:
+    sl = [slice(None)] * x.ndim
+    sl[axis] = slice(lo, hi)
+    return x[tuple(sl)]
 
 
-def _shift_nd(x: np.ndarray, off, axes, padding: str) -> np.ndarray:
-    for o, ax in zip(off, axes):
-        x = _shift(x, int(o), ax, padding)
+def _pad_halo(x: np.ndarray, width: int, axes, padding: str) -> np.ndarray:
+    for ax in axes:
+        n = x.shape[ax]
+        if padding == PERIODIC:
+            lo = _axis_slice(x, ax, n - width, n)
+            hi = _axis_slice(x, ax, 0, width)
+        else:
+            shape = list(x.shape)
+            shape[ax] = width
+            lo = hi = np.zeros(shape)
+        x = np.concatenate((lo, x, hi), axis=ax)
     return x
+
+
+def _halo_view(xp: np.ndarray, off, width: int, axes) -> np.ndarray:
+    """View of a halo-padded array shifted by `off` (one entry per axis)."""
+    sl = [slice(None)] * xp.ndim
+    for o, ax in zip(off, axes):
+        sl[ax] = slice(width + o, width + o + xp.shape[ax] - 2 * width)
+    return xp[tuple(sl)]
+
+
+def _offset_rows(offsets: np.ndarray):
+    """Offsets as rows of Python ints (one per axis), and the widest."""
+    rows = offsets.reshape(len(offsets), -1)
+    return rows.tolist(), int(np.abs(rows).max())
+
+
+def _fold_halo(gp: np.ndarray, width: int, axes, padding: str) -> np.ndarray:
+    """Adjoint of `_pad_halo`: periodic halos add into the cells they wrap
+    (width <= n, which canonical offsets guarantee); zero halos drop."""
+    for ax in axes:
+        n = gp.shape[ax] - 2 * width
+        core = _axis_slice(gp, ax, width, width + n)
+        if padding == PERIODIC and width:
+            _axis_slice(core, ax, n - width, n)[...] += \
+                _axis_slice(gp, ax, 0, width)
+            _axis_slice(core, ax, 0, width)[...] += \
+                _axis_slice(gp, ax, width + n, 2 * width + n)
+        gp = core
+    return gp
 
 
 def _neg_index(offsets: np.ndarray, size: int) -> np.ndarray:
@@ -213,13 +255,12 @@ def _join_columns(layout: LevelLayout, grads: dict, lead: tuple) -> np.ndarray:
 
 def _transpose_block(arr: np.ndarray, layout: LevelLayout, key,
                      spatial_axes) -> np.ndarray:
-    """Banded transpose reindex: diag o of B^T is diag -o of B rolled by o."""
-    offs = layout.offsets[key]
-    neg = layout.neg[key]
+    """Banded transpose reindex: diag o of B^T is diag -o of B shifted by o."""
+    offs, width = _offset_rows(layout.offsets[key])
+    xp = _pad_halo(arr[..., layout.neg[key]], width, spatial_axes, PERIODIC)
     out = np.empty_like(arr)
-    for t in range(len(offs)):
-        o = np.atleast_1d(offs[t])
-        out[..., t] = _shift_nd(arr[..., neg[t]], o, spatial_axes, PERIODIC)
+    for t, o in enumerate(offs):
+        out[..., t] = _halo_view(xp, o, width, spatial_axes)[..., t]
     return out
 
 
@@ -550,6 +591,19 @@ class MetaModel:
 
     # -- band multiply ----------------------------------------------------------
 
+    def _band_terms(self, blocks: dict, lay: LevelLayout, coarsest: bool):
+        """(key, output part, input part, offsets, block array) of each
+        block the level applies, and the halo width its offsets need."""
+        terms, width = [], 0
+        for key, arr in blocks.items():
+            if key in ("d4", (3, 3)) and not coarsest:
+                continue
+            i, j = _BLOCKS_1D[key] if self.cfg.dim == 1 else key
+            offs, w = _offset_rows(lay.offsets[key])
+            terms.append((key, i, j, offs, arr))
+            width = max(width, w)
+        return terms, width
+
     def _band_matvec(self, blocks: dict, lay: LevelLayout, d, v,
                      coarsest: bool):
         """(w parts, s) from (d parts, v) via the per-channel banded blocks.
@@ -559,21 +613,19 @@ class MetaModel:
         """
         dim = self.cfg.dim
         axes = (2,) if dim == 1 else (2, 3)
-        pad = self.cfg.padding
         parts_in = (d, v) if dim == 1 else tuple(d) + (v,)
-        n_out = 2 if dim == 1 else 4
-        outs = [0.0] * n_out
-        for key, arr in blocks.items():
-            i, j = _BLOCKS_1D[key] if dim == 1 else key
-            if key in ("d4", (3, 3)) and not coarsest:
-                continue
-            x = parts_in[j]
-            offs = lay.offsets[key]
-            acc = 0.0
-            for t in range(len(offs)):
-                o = np.atleast_1d(offs[t])
-                coef = arr[..., t]  # (Be, spatial, alpha)
-                acc = acc + coef[:, None] * _shift_nd(x, o, axes, pad)
+        terms, width = self._band_terms(blocks, lay, coarsest)
+        padded = [_pad_halo(x, width, axes, self.cfg.padding)
+                  for x in parts_in]
+        outs = [0.0] * len(parts_in)
+        for _, i, j, offs, arr in terms:
+            xp = padded[j]
+            acc = arr[:, None, ..., 0] * _halo_view(xp, offs[0], width, axes)
+            tmp = np.empty_like(acc)
+            for t in range(1, len(offs)):
+                np.multiply(arr[:, None, ..., t],
+                            _halo_view(xp, offs[t], width, axes), out=tmp)
+                acc += tmp
             outs[i] = outs[i] + acc
         return outs
 
@@ -582,23 +634,22 @@ class MetaModel:
         axes = (2,) if dim == 1 else (2, 3)
         pad = self.cfg.padding
         parts_in = (d, v) if dim == 1 else tuple(d) + (v,)
-        g_parts = [np.zeros_like(np.asarray(p)) for p in parts_in]
+        terms, width = self._band_terms(blocks, lay, coarsest)
+        padded = [_pad_halo(x, width, axes, pad) for x in parts_in]
+        g_padded = [np.zeros_like(xp) for xp in padded]
         g_blocks = {}
-        for key, arr in blocks.items():
-            i, j = _BLOCKS_1D[key] if dim == 1 else key
-            if key in ("d4", (3, 3)) and not coarsest:
-                continue
-            x = parts_in[j]
-            offs = lay.offsets[key]
-            g_arr = np.zeros_like(arr)
+        for key, i, j, offs, arr in terms:
+            xp, gp = padded[j], g_padded[j]
             go = gouts[i]
-            for t in range(len(offs)):
-                o = np.atleast_1d(offs[t])
-                xs = _shift_nd(x, o, axes, pad)
-                g_arr[..., t] = np.sum(go * xs, axis=1)
-                coef = arr[..., t]
-                g_parts[j] += _shift_nd(coef[:, None] * go, -o, axes, pad)
+            g_arr = np.empty_like(arr)
+            tmp = np.empty(go.shape)
+            for t, o in enumerate(offs):
+                xs = _halo_view(xp, o, width, axes)
+                g_arr[..., t] = np.sum(np.multiply(go, xs, out=tmp), axis=1)
+                _halo_view(gp, o, width, axes)[...] += np.multiply(
+                    arr[:, None, ..., t], go, out=tmp)
             g_blocks[key] = g_arr
+        g_parts = [_fold_halo(gp, width, axes, pad) for gp in g_padded]
         if dim == 1:
             return g_blocks, g_parts[0], g_parts[1]
         return g_blocks, g_parts[:3], g_parts[3]
@@ -838,15 +889,31 @@ def _tile_channels(arr: np.ndarray, alpha: int) -> np.ndarray:
     return np.repeat(arr[..., None, :], alpha, axis=-2)[None]
 
 
+#: unit sources pushed through the f path per export pass; it bounds the
+#: pass's working set, which grows linearly with it
+EXPORT_PASS = 64
+
+
 def export_operator(mdl: MetaModel, eta: np.ndarray,
                     collection: list | None = None) -> np.ndarray:
     """Dense matrix of the learned operator at eta: columns are responses
-    to unit sources (exact, because the f path is linear)."""
-    n = mdl.cfg.n
-    if mdl.cfg.dim == 1:
-        u = mdl.forward(eta, np.eye(n), collection=collection)
-        return np.ascontiguousarray(u.T)
-    nn = n * n
-    basis = np.eye(nn).reshape(nn, n, n)
-    u = mdl.forward(eta, basis, collection=collection)
-    return np.ascontiguousarray(u.reshape(nn, nn).T)
+    to unit sources (exact, because the f path is linear).
+
+    The collection is computed once (unless given), and the unit sources
+    run through the f path in passes of `EXPORT_PASS`, each writing its
+    columns into the preallocated (N, N) result; memory stays bounded by
+    one pass whatever the grid size.
+    """
+    if collection is None:
+        collection = mdl.collection(eta)
+    spatial = mdl._expect_spatial()
+    nn = int(np.prod(spatial))
+    g = np.empty((nn, nn))
+    for lo in range(0, nn, EXPORT_PASS):
+        hi = min(lo + EXPORT_PASS, nn)
+        basis = np.zeros((hi - lo, nn))
+        basis[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
+        u = mdl.forward(eta, basis.reshape((hi - lo,) + spatial),
+                        collection=collection)
+        g[:, lo:hi] = u.reshape(hi - lo, nn).T
+    return g

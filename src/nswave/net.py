@@ -174,35 +174,43 @@ class Conv2d:
         return (self.stride * np.arange(n // self.stride)[:, None]
                 + self.base_offset + np.arange(self.width)[None, :])
 
+    def _flat_taps(self, i1: np.ndarray, i2: np.ndarray, n1: int, n2: int):
+        """Flat (N1', N2', w, w) indices into the N1*N2 grid, and the mask
+        of taps that fall outside it (None when periodic)."""
+        i1 = i1[:, None, :, None]
+        i2 = i2[None, :, None, :]
+        if self.padding == PERIODIC:
+            return (i1 % n1) * n2 + i2 % n2, None
+        outside = (i1 < 0) | (i1 >= n1) | (i2 < 0) | (i2 >= n2)
+        flat = np.clip(i1, 0, n1 - 1) * n2 + np.clip(i2, 0, n2 - 1)
+        return flat, outside
+
     def forward(self, x: np.ndarray):
         if x.ndim != 4 or x.shape[3] != self.weight.shape[2]:
             raise ShapeError(
                 f"expected (B, N1, N2, {self.weight.shape[2]}), got {x.shape}")
-        n1, n2 = x.shape[1], x.shape[2]
+        b, n1, n2, cin = x.shape
         i1 = self._axis_idx(n1)
         i2 = self._axis_idx(n2)
-        if self.padding == PERIODIC:
-            taps = x[:, i1 % n1, :, :][:, :, :, i2 % n2, :]
-            valid = None
-        else:
-            v1 = (i1 >= 0) & (i1 < n1)
-            v2 = (i2 >= 0) & (i2 < n2)
-            taps = x[:, np.clip(i1, 0, n1 - 1), :, :]
-            taps = taps[:, :, :, np.clip(i2, 0, n2 - 1), :]
-            valid = v1[:, :, None, None] & v2[None, None, :, :]
-            taps = np.where(valid[None, :, :, :, :, None], taps, 0.0)
-        # taps: (B, N1', w, N2', w, Cin) -> (B, N1', N2', w, w, Cin)
-        taps = taps.transpose(0, 1, 3, 2, 4, 5)
-        z = np.tensordot(taps, self.weight, axes=([3, 4, 5], [0, 1, 2]))
+        flat, outside = self._flat_taps(i1, i2, n1, n2)
+        # one gather gives C-contiguous (B, N1', N2', w, w, Cin) taps, so
+        # the conv is one matmul with no copy of the tap tensor
+        taps = np.take(x.reshape(b, n1 * n2, cin), flat, axis=1)
+        if outside is not None:
+            taps[:, outside] = 0.0
+        cout = self.weight.shape[3]
+        z = taps.reshape(-1, self.width ** 2 * cin) \
+            @ self.weight.reshape(-1, cout)
+        z = z.reshape(taps.shape[:3] + (cout,))
         if self.bias is not None:
             z = z + self.bias
         y, saved = _act_forward(z, self.activation)
-        return y, (taps, i1, i2, valid, saved, x.shape)
+        return y, (taps, i1, i2, saved, x.shape)
 
     def backward(self, gy: np.ndarray, cache):
         if cache is None:
             raise StateError("backward called without a forward cache")
-        taps, i1, i2, valid, saved, x_shape = cache
+        taps, i1, i2, saved, x_shape = cache
         gz = _act_backward(gy, self.activation, saved)
         self.gw += np.tensordot(taps, gz, axes=([0, 1, 2], [0, 1, 2]))
         if self.bias is not None:

@@ -411,13 +411,36 @@ def save_checkpoint(mdl: MetaModel, out_dir) -> None:
         json.dump(mdl.describe(), fh, indent=2, sort_keys=True)
 
 
+def _checkpoint_config(desc, path) -> ModelConfig:
+    """The ModelConfig a checkpoint's model.json describes, read strictly:
+    every field present, no unknown key, and values `validate` accepts."""
+    if not isinstance(desc, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    desc = {k: v for k, v in desc.items()
+            if k not in ("parameter_count", "iwt_tied")}
+    missing = {f.name for f in dataclasses.fields(ModelConfig)} - set(desc)
+    if missing:
+        raise DataError(f"{path}: missing ModelConfig keys {sorted(missing)}")
+    try:
+        return _from_dict(ModelConfig, desc).validate()
+    except ConfigError as exc:
+        raise DataError(f"{path}: {exc}") from exc
+
+
+def check_geometry(mdl: MetaModel, problem: ProblemSpec) -> None:
+    """DataError unless the model's grid (n, dim) is the dataset's."""
+    have = (mdl.cfg.n, mdl.cfg.dim)
+    want = (problem.n, problem.dim)
+    if have != want:
+        raise DataError(f"model grid n={have[0]}, dim={have[1]} does not "
+                        f"match the dataset's n={want[0]}, dim={want[1]}")
+
+
 def load_checkpoint(ckpt_dir) -> MetaModel:
     ckpt_dir = Path(ckpt_dir)
     with open(ckpt_dir / "model.json") as fh:
         desc = json.load(fh)
-    desc.pop("parameter_count", None)
-    desc.pop("iwt_tied", None)
-    mdl = MetaModel(ModelConfig(**desc))
+    mdl = MetaModel(_checkpoint_config(desc, ckpt_dir / "model.json"))
     tensors = read_tensors(ckpt_dir / "model.nstf")
     params = mdl.parameters()
     if set(tensors) != set(params):

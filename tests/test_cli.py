@@ -146,3 +146,86 @@ def test_shipped_presets_parse():
     for preset in presets:
         cfg = pl.load_config(preset)
         assert cfg.model.n == cfg.problem.n
+
+
+# -- malformed artifacts exit 3 without a traceback ----------------------------
+
+@pytest.fixture()
+def data_and_ckpt(micro_config, tmp_path):
+    """A micro dataset and an untrained checkpoint that fits it."""
+    from nswave import model, pipeline
+    data = tmp_path / "data"
+    assert cli.main(["gen-data", "--config", str(micro_config),
+                     "--out", str(data)]) == 0
+    ckpt = tmp_path / "ckpt"
+    pipeline.save_checkpoint(model.MetaModel(model.ModelConfig(
+        **MICRO["model"])), ckpt)
+    return data, ckpt
+
+
+def _assert_data_error(rc, capsys):
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("keep", [20, 200])
+def test_truncated_dataset_is_a_data_error(data_and_ckpt, tmp_path, capsys,
+                                           keep):
+    data, ckpt = data_and_ckpt
+    path = data / "test.nstf"
+    path.write_bytes(path.read_bytes()[:keep])
+    rc = cli.main(["eval", "--model", str(ckpt), "--data", str(data),
+                   "--out", str(tmp_path / "ev")])
+    _assert_data_error(rc, capsys)
+
+
+@pytest.mark.parametrize("edit", ["unknown", "missing", "invalid", "type"])
+def test_malformed_model_json_is_a_data_error(data_and_ckpt, tmp_path,
+                                              capsys, edit):
+    data, ckpt = data_and_ckpt
+    desc = json.loads((ckpt / "model.json").read_text())
+    if edit == "unknown":
+        desc["bogus"] = 1
+    elif edit == "missing":
+        del desc["nb"]
+    elif edit == "invalid":
+        desc["p"] = 9
+    else:
+        desc["levels"] = "2"
+    (ckpt / "model.json").write_text(json.dumps(desc))
+    rc = cli.main(["eval", "--model", str(ckpt), "--data", str(data),
+                   "--out", str(tmp_path / "ev")])
+    _assert_data_error(rc, capsys)
+
+
+@pytest.mark.parametrize("model_cfg", [
+    {"dim": 2},                  # same n, other dimension
+    {"n": 64, "levels": 3}])     # same dimension, other grid
+@pytest.mark.parametrize("command", ["eval", "export-op"])
+def test_checkpoint_geometry_must_match_dataset(data_and_ckpt, tmp_path,
+                                                capsys, model_cfg, command):
+    from nswave import model, pipeline
+    data, _ = data_and_ckpt
+    ckpt = tmp_path / "other"
+    pipeline.save_checkpoint(model.MetaModel(model.ModelConfig(
+        **{**MICRO["model"], **model_cfg})), ckpt)
+    out = tmp_path / ("ev" if command == "eval" else "g.nstf")
+    rc = cli.main([command, "--model", str(ckpt), "--data", str(data),
+                   "--out", str(out)])
+    _assert_data_error(rc, capsys)
+    assert not out.exists()
+
+
+def test_training_on_a_dataset_of_another_grid_is_a_data_error(
+        data_and_ckpt, tmp_path, capsys):
+    data, _ = data_and_ckpt
+    raw = json.loads(json.dumps(MICRO))
+    raw["problem"]["n"] = raw["model"]["n"] = 64
+    raw["model"]["levels"] = 3
+    cfg = tmp_path / "n64.json"
+    cfg.write_text(json.dumps(raw))
+    rc = cli.main(["train", "--config", str(cfg), "--data", str(data),
+                   "--out", str(tmp_path / "ck64")])
+    _assert_data_error(rc, capsys)

@@ -5,6 +5,8 @@ from nswave import nsform as nsf
 from nswave import wavelets as wv
 from nswave.errors import InferenceError, ShapeError
 from nswave.model import (
+    _BLOCKS_1D,
+    EXPORT_PASS,
     MetaModel,
     ModelConfig,
     collection_from_nsform,
@@ -197,6 +199,101 @@ def test_export_operator_matches_forward():
     g = export_operator(mdl, eta)
     for f in rng.standard_normal((4, 32)):
         assert np.max(np.abs(g @ f - mdl.forward(eta, f))) < 1e-12
+
+
+def _scrambled_model(cfg, seed):
+    mdl = MetaModel(cfg)
+    rng = np.random.default_rng(seed)
+    for arr in mdl.parameters().values():
+        arr += 0.1 * rng.standard_normal(arr.shape)
+    return mdl
+
+
+@pytest.mark.parametrize("dim,n,levels", [(1, 32, 2), (1, 80, 2),
+                                          (2, 8, 2), (2, 16, 2)])
+@pytest.mark.parametrize("padding", ["periodic", "zero"])
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_export_equals_forward_column_by_column(dim, n, levels, padding,
+                                                symmetric):
+    """Every column of the pass-wise export is the forward response to its
+    unit source; 80 sources leave a remainder after full passes of 64."""
+    cfg = ModelConfig(n=n, levels=levels, alpha=2, depth=1, nb=1, p=2,
+                      padding=padding, symmetric=symmetric, dim=dim, seed=3)
+    mdl = _scrambled_model(cfg, 4)
+    shape = (n,) * dim
+    nn = n ** dim
+    eta = np.random.default_rng(5).standard_normal(shape)
+    g = export_operator(mdl, eta)
+    assert g.shape == (nn, nn)
+    basis = np.eye(nn).reshape((nn,) + shape)
+    u_all = mdl.forward(eta, basis).reshape(nn, nn)  # one batch of sources
+    scale = np.max(np.abs(u_all))
+    assert np.max(np.abs(g - u_all.T)) <= 1e-13 * scale
+    for k in (0, EXPORT_PASS - 1, nn // 2, nn - 1):
+        k = min(k, nn - 1)
+        col = mdl.forward(eta, basis[k]).reshape(nn)
+        assert np.max(np.abs(g[:, k] - col)) <= 1e-13 * scale
+
+
+def _band_reference(blocks, lay, parts, dim, padding, coarsest):
+    """Per-offset shifted products written out with np.roll / zero fill."""
+    axes = tuple(range(2, 2 + dim))
+    outs = [np.zeros_like(p) for p in parts]
+    for key, arr in blocks.items():
+        if key in ("d4", (3, 3)) and not coarsest:
+            continue
+        i, j = _BLOCKS_1D[key] if dim == 1 else key
+        for t, off in enumerate(lay.offsets[key].reshape(
+                len(lay.offsets[key]), -1)):
+            x = parts[j]
+            for o, ax in zip(off, axes):
+                x = np.roll(x, -int(o), axis=ax)
+                if padding == "zero" and o:
+                    m = x.shape[ax]
+                    idx = np.arange(m) + int(o)
+                    keep = ((idx >= 0) & (idx < m)).reshape(
+                        [m if a == ax else 1 for a in range(x.ndim)])
+                    x = np.where(keep, x, 0.0)
+            outs[i] = outs[i] + arr[:, None, ..., t] * x
+    return outs
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
+@pytest.mark.parametrize("padding", ["periodic", "zero"])
+@pytest.mark.parametrize("level", [0, 1])
+def test_band_matvec_matches_reference_and_its_adjoint(dim, n, padding,
+                                                       level):
+    """<B x, y> = <x, B^T y> and <B x, y> = <B, g_B> for random blocks,
+    level 0 including the dense coarse block."""
+    cfg = ModelConfig(n=n, levels=2, alpha=2, depth=1, nb=2, p=1,
+                      padding=padding, dim=dim, seed=0)
+    mdl = MetaModel(cfg)
+    lay = mdl.layouts[level]
+    rng = np.random.default_rng(21 + level)
+    be, bf = 2, 3
+    spatial = (lay.size,) * dim
+    blocks = {key: rng.standard_normal(
+        (be,) + spatial + (cfg.alpha, len(lay.offsets[key])))
+        for key in list(lay.emitted) + list(lay.derived)}
+    n_parts = 2 if dim == 1 else 4
+    parts = [rng.standard_normal((be, bf) + spatial + (cfg.alpha,))
+             for _ in range(n_parts)]
+    gouts = [rng.standard_normal(p.shape) for p in parts]
+    d, v = (parts[0], parts[1]) if dim == 1 else (parts[:3], parts[3])
+    coarsest = level == 0
+    outs = mdl._band_matvec(blocks, lay, d, v, coarsest)
+    ref = _band_reference(blocks, lay, parts, dim, padding, coarsest)
+    for o, r in zip(outs, ref):
+        assert np.max(np.abs(o - r)) <= 1e-13 * np.max(np.abs(r))
+    g_blocks, g_d, g_v = mdl._band_matvec_backward(
+        blocks, lay, d, v, gouts, coarsest)
+    g_parts = [g_d, g_v] if dim == 1 else list(g_d) + [g_v]
+    lhs = sum(np.vdot(o, g) for o, g in zip(outs, gouts))
+    rhs_x = sum(np.vdot(p, g) for p, g in zip(parts, g_parts))
+    rhs_b = sum(np.vdot(blocks[k], g) for k, g in g_blocks.items())
+    assert abs(lhs - rhs_x) <= 1e-12 * abs(lhs)
+    assert abs(lhs - rhs_b) <= 1e-12 * abs(lhs)
+    assert ("d4" in g_blocks or (3, 3) in g_blocks) == coarsest
 
 
 def test_export_runtime_bounded_by_n_forward_passes():

@@ -175,6 +175,27 @@ def test_conv2d_and_pool_gradients():
     assert np.linalg.norm(gx - gfd) / np.linalg.norm(gfd) < 1e-6
 
 
+@pytest.mark.parametrize("padding", ["periodic", "zero"])
+def test_conv2d_strided_gradients_with_negative_offset(padding):
+    rng = np.random.default_rng(43)
+    conv = net.Conv2d(2, 3, 4, stride=2, activation="sigmoid",
+                      padding=padding, base_offset=-2, rng=rng)
+    x = rng.standard_normal((2, 8, 8, 2))
+    tgt = rng.standard_normal((2, 4, 4, 3))
+
+    def loss():
+        y, _ = conv.forward(x)
+        return 0.5 * float(np.sum((y - tgt) ** 2))
+
+    y, cache = conv.forward(x)
+    conv.zero_grads()
+    gx = conv.backward(y - tgt, cache)
+    errs = net.finite_difference_check(loss, conv.params("c"), conv.grads("c"))
+    assert max(errs.values()) < 1e-6
+    gfd = _fd_input_grad(loss, x)
+    assert np.linalg.norm(gx - gfd) / np.linalg.norm(gfd) < 1e-6
+
+
 def test_relu_gradient_passes_through_at_positive_preactivations():
     rng = np.random.default_rng(11)
     relu = net.Conv1d(2, 2, 3, activation="relu", rng=rng)

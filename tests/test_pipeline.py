@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nswave import container, net
 from nswave import nsform as nsf
@@ -62,6 +64,72 @@ def test_container_detects_trailing_garbage(tmp_path):
         fh.write(b"junk")
     with pytest.raises(DataError):
         container.read_tensors(tmp_path / "x.nstf")
+
+
+def _small_container(tmp_path) -> bytes:
+    container.write_tensors(tmp_path / "src.nstf", {
+        "a": np.arange(6.0).reshape(2, 3), "sc": np.array(2.5),
+        "\u00e9": np.ones(1)})
+    return (tmp_path / "src.nstf").read_bytes()
+
+
+def _read_bytes(tmp_path, raw: bytes):
+    path = tmp_path / "cut.nstf"
+    path.write_bytes(raw)
+    return container.read_tensors(path)
+
+
+def test_container_truncated_at_every_offset_is_a_data_error(tmp_path):
+    raw = _small_container(tmp_path)
+    for cut in range(len(raw)):
+        with pytest.raises(DataError):
+            _read_bytes(tmp_path, raw[:cut])
+
+
+def test_container_bit_flips_raise_only_data_error(tmp_path):
+    raw = _small_container(tmp_path)
+    for pos in range(len(raw)):
+        for bit in range(8):
+            bad = bytearray(raw)
+            bad[pos] ^= 1 << bit
+            try:
+                _read_bytes(tmp_path, bytes(bad))
+            except DataError:
+                pass
+
+
+@pytest.mark.parametrize("header", [
+    b"\xff" * 8,                                   # absurd entry count
+    (1).to_bytes(8, "little") + (2).to_bytes(8, "little") + b"\xff\xfe",
+    (1).to_bytes(8, "little") + (1).to_bytes(8, "little") + b"a"
+    + (3).to_bytes(8, "little") + (1 << 32).to_bytes(8, "little") * 3,
+    (1).to_bytes(8, "little") + (1).to_bytes(8, "little") + b"a"
+    + (2).to_bytes(8, "little") + (2 ** 64 - 1).to_bytes(8, "little")
+    + (0).to_bytes(8, "little"),
+    (1).to_bytes(8, "little") + (1).to_bytes(8, "little") + b"a"
+    + (2 ** 62).to_bytes(8, "little")],
+    ids=["count", "utf8", "dims-overflow", "empty-huge", "rank"])
+def test_container_crafted_headers_are_data_errors(tmp_path, header):
+    """Bad UTF-8 name, a dims product past 2**64, an empty shape beyond
+    NumPy's limits, and a rank larger than the file."""
+    with pytest.raises(DataError):
+        _read_bytes(tmp_path, container.MAGIC + header)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 255)),
+                max_size=4),
+       st.integers(0, 10 ** 6))
+def test_container_random_corruption_raises_only_data_error(
+        tmp_path_factory, flips, cut):
+    tmp = tmp_path_factory.mktemp("c")
+    raw = bytearray(_small_container(tmp))
+    for pos, mask in flips:
+        raw[pos % len(raw)] ^= mask
+    try:
+        _read_bytes(tmp, bytes(raw[:cut]))
+    except DataError:
+        pass
 
 
 # -- configuration -----------------------------------------------------------------
