@@ -8,7 +8,7 @@ Four stages, mirroring the fast nonstandard-form matvec:
 2. learnable forward-transform convolutions (window 2p, stride 2, linear,
    no bias) split each scale into detail and smooth channels;
 3. per-channel banded multiplication in coefficient space, with the
-   fourth block zero except at the coarsest level;
+   scaling-to-scaling block zero except at the coarsest level;
 4. learnable inverse-transform convolutions (window p, stride 1) with the
    interleaving reshape, followed by a channel average.
 
@@ -24,19 +24,23 @@ the collection taken from a truncated nonstandard form, the forward pass
 reproduces `nsform.apply` to rounding accuracy; that equivalence is the
 structural anchor of the design.
 
+One code path serves 1D and 2D: grids are (n,)*dim, offsets dim-tuples,
+and a level has 2**dim parts (2D is 1D applied per axis, as in BCR 1991).
 Grid sizes need not be powers of two: any n divisible by 2**levels
 works, which is how the 320-point and 80x80 configurations run.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import nsform
 from .errors import ConfigError, InferenceError, ShapeError
-from .net import PERIODIC, ZERO, AvgPool1d, AvgPool2d, Conv1d, Conv2d
+from .net import PERIODIC, ZERO, AvgPool, Conv
 from .wavelets import WaveletFilter, daubechies_filter
 
 
@@ -122,8 +126,7 @@ def _halo_view(xp: np.ndarray, off, width: int, axes) -> np.ndarray:
 
 def _offset_rows(offsets: np.ndarray):
     """Offsets as rows of Python ints (one per axis), and the widest."""
-    rows = offsets.reshape(len(offsets), -1)
-    return rows.tolist(), int(np.abs(rows).max())
+    return offsets.tolist(), int(np.abs(offsets).max())
 
 
 def _fold_halo(gp: np.ndarray, width: int, axes, padding: str) -> np.ndarray:
@@ -143,40 +146,37 @@ def _fold_halo(gp: np.ndarray, width: int, axes, padding: str) -> np.ndarray:
 
 def _neg_index(offsets: np.ndarray, size: int) -> np.ndarray:
     """Index of the canonically negated offset within `offsets`."""
-    canon = {tuple(np.atleast_1d(o)): t for t, o in enumerate(offsets)}
-    neg = []
-    for o in offsets:
-        o_arr = np.atleast_1d(o)
-        key = tuple(nsform.canonical_offset(int(-c), size) for c in o_arr)
-        neg.append(canon[key])
-    return np.asarray(neg)
+    rows = [tuple(o) for o in offsets.tolist()]
+    index = {o: t for t, o in enumerate(rows)}
+    return np.array([index[tuple(nsform.canonical_offset(-c, size)
+                                 for c in o)] for o in rows])
 
 
 # -- layout --------------------------------------------------------------------
+#
+# A level of the f path has 2**dim parts: the wavelet parts first, then the
+# scaling part (1D: d, v; 2D: d1, d2, d3, v).  Block slot (i, j) maps input
+# part j to output part i; slot (last, last) is the dense coarse block, which
+# only the coarsest level carries.
 
 #: 1D block keys -> (output part, input part) of the 2x2 level matrix
 _BLOCKS_1D = {"d1": (0, 0), "d2": (0, 1), "d3": (1, 0), "d4": (1, 1)}
 
 
-def _block_keys(dim: int, symmetric: bool, coarsest: bool):
-    """(emitted, derived) block keys; `derived` maps key -> transpose source."""
-    if dim == 1:
-        emitted = ["d1", "d2"] if symmetric else ["d1", "d2", "d3"]
-        derived = {"d3": "d2"} if symmetric else {}
-        if coarsest:
-            emitted.append("d4")
+def _block_slots(dim: int, symmetric: bool, coarsest: bool):
+    """(emitted, derived) slots in column order; `derived` maps a slot to
+    its transpose source."""
+    last = (1 << dim) - 1
+    pairs = [(i, j) for i in range(last + 1) for j in range(last + 1)
+             if (i, j) != (last, last)]
+    if symmetric:
+        emitted = [(i, j) for i, j in pairs if i <= j]
+        derived = {(j, i): (i, j) for i, j in pairs if i < j}
     else:
-        if symmetric:
-            emitted = [(i, j) for i in range(4) for j in range(i, 4)
-                       if (i, j) != (3, 3)]
-            derived = {(j, i): (i, j) for i in range(4)
-                       for j in range(i + 1, 4)}
-        else:
-            emitted = list(nsform.BLOCK_SLOTS_2D)
-            derived = {}
-        if coarsest:
-            emitted.append((3, 3))
-    return tuple(emitted), derived
+        emitted, derived = pairs, {}
+    if coarsest:
+        emitted.append((last, last))
+    return emitted, derived
 
 
 @dataclass
@@ -186,70 +186,61 @@ class LevelLayout:
     size: int
     emitted: tuple
     derived: dict
-    offsets: dict       # block key -> (n_off,) or (n_off, 2) offset array
+    offsets: dict       # block key -> (n_off, dim) offset array
     neg: dict           # block key -> offset-negation permutation
-    starts: dict        # emitted block key -> first column
+    columns: dict       # emitted block key -> its slice of columns
     n_columns: int
     alpha: int
+    slots: dict         # block key -> (output part, input part)
     sym_self: tuple = ()  # blocks forced symmetric in symmetric mode
 
 
 def build_layout(cfg: ModelConfig) -> list[LevelLayout]:
     layouts = []
+    last = (1 << cfg.dim) - 1
     for i in range(cfg.levels):
         size = cfg.n >> (cfg.levels - i)
-        coarsest = i == 0
-        emitted, derived = _block_keys(cfg.dim, cfg.symmetric, coarsest)
-        band = nsform.band_offsets(size, cfg.nb)
-        full = nsform.band_offsets(size, None)
-        if cfg.dim == 2:
-            band = np.array([(a, b) for a in band for b in band])
-            full = np.array([(a, b) for a in full for b in full])
-        offsets, neg, starts = {}, {}, {}
-        for key in list(emitted) + list(derived):
-            is_coarse = key in ("d4", (3, 3))
-            offsets[key] = full if is_coarse else band
-            neg[key] = _neg_index(offsets[key], size)
+        emitted, derived = _block_slots(cfg.dim, cfg.symmetric, i == 0)
+        # block keys: the 1D slot names, or the 2D slots themselves
+        names = {s: k for k, s in _BLOCKS_1D.items()} if cfg.dim == 1 else {}
+        key = {s: names.get(s, s) for s in list(emitted) + list(derived)}
+        band, full = (np.array(list(itertools.product(offs, repeat=cfg.dim)))
+                      for offs in (nsform.band_offsets(size, cfg.nb),
+                                   nsform.band_offsets(size, None)))
+        offsets, neg, columns = {}, {}, {}
+        for slot, k in key.items():
+            offsets[k] = full if slot == (last, last) else band
+            neg[k] = _neg_index(offsets[k], size)
         col = 0
-        for key in emitted:
-            starts[key] = col
-            col += cfg.alpha * len(offsets[key])
-        if cfg.symmetric:
-            cands = ("d1", "d4") if cfg.dim == 1 \
-                else ((0, 0), (1, 1), (2, 2), (3, 3))
-            sym_self = tuple(k for k in cands if k in offsets)
-        else:
-            sym_self = ()
-        layouts.append(LevelLayout(size=size, emitted=emitted, derived=derived,
-                                   offsets=offsets, neg=neg, starts=starts,
-                                   n_columns=col, alpha=cfg.alpha,
-                                   sym_self=sym_self))
+        for slot in emitted:
+            width = cfg.alpha * len(offsets[key[slot]])
+            columns[key[slot]] = slice(col, col + width)
+            col += width
+        layouts.append(LevelLayout(
+            size=size, emitted=tuple(key[s] for s in emitted),
+            derived={key[s]: key[t] for s, t in derived.items()},
+            offsets=offsets, neg=neg, columns=columns, n_columns=col,
+            alpha=cfg.alpha, slots={k: s for s, k in key.items()},
+            sym_self=tuple(key[s] for s in emitted
+                           if cfg.symmetric and s[0] == s[1])))
     return layouts
 
 
 def _split_columns(layout: LevelLayout, c_raw: np.ndarray) -> dict:
     """Raw ConvNet output (B, spatial.., n_columns) -> emitted block arrays
     (B, spatial.., alpha, n_off)."""
-    blocks = {}
     lead = c_raw.shape[:-1]
-    for key in layout.emitted:
-        n_off = len(layout.offsets[key])
-        s = layout.starts[key]
-        width = layout.alpha * n_off
-        blocks[key] = c_raw[..., s:s + width].reshape(
-            lead + (layout.alpha, n_off))
-    return blocks
+    return {key: c_raw[..., sl].reshape(
+        lead + (layout.alpha, len(layout.offsets[key])))
+        for key, sl in layout.columns.items()}
 
 
 def _join_columns(layout: LevelLayout, grads: dict, lead: tuple) -> np.ndarray:
     g = np.zeros(lead + (layout.n_columns,))
-    for key in layout.emitted:
-        if key not in grads:
-            continue
-        n_off = len(layout.offsets[key])
-        s = layout.starts[key]
-        width = layout.alpha * n_off
-        g[..., s:s + width] = np.asarray(grads[key]).reshape(lead + (width,))
+    for key, sl in layout.columns.items():
+        if key in grads:
+            g[..., sl] = np.asarray(grads[key]).reshape(
+                lead + (sl.stop - sl.start,))
     return g
 
 
@@ -294,110 +285,81 @@ def _symmetrize_backward(gblocks: dict, layout: LevelLayout,
     return g
 
 
-# -- exact-filter kernels -------------------------------------------------------
+# -- transform kernels ---------------------------------------------------------
 
-def _fwt_kernel_1d(filt: WaveletFilter, alpha: int) -> np.ndarray:
-    w = filt.width
-    k = np.zeros((w, alpha, 2 * alpha))
-    for c in range(alpha):
-        k[:, c, c] = filt.g
-        k[:, c, alpha + c] = filt.h
-    return k
+#: per-axis filters of each f-path part, wavelet parts first
+_PARTS = {1: ("g", "h"), 2: ("hg", "gh", "gg", "hh")}
 
 
-def _iwt_kernel_1d(filt: WaveletFilter, alpha: int) -> np.ndarray:
-    p = filt.p
-    k = np.zeros((p, 2 * alpha, 2 * alpha))
-    for j in range(p):
-        for r in range(2):
-            tap = 2 * (p - 1 - j) + r
-            for c in range(alpha):
-                k[j, c, r * alpha + c] = filt.g[tap]
-                k[j, alpha + c, r * alpha + c] = filt.h[tap]
-    return k
-
-
-_PAIR_2D = ("hg", "gh", "gg", "hh")  # d1, d2, d3, v filter products (x, y)
-
-
-def _filters_2d(filt: WaveletFilter):
-    f = {"h": filt.h, "g": filt.g}
-    return [(f[a], f[b]) for a, b in _PAIR_2D]
-
-
-def _fwt_kernel_2d(filt: WaveletFilter, alpha: int) -> np.ndarray:
-    w = filt.width
-    k = np.zeros((w, w, alpha, 4 * alpha))
-    for typ, (fx, fy) in enumerate(_filters_2d(filt)):
-        outer = np.outer(fx, fy)
+def _fwt_kernel(filt: WaveletFilter, alpha: int, dim: int) -> np.ndarray:
+    """Exact forward-transform kernel (2p,)*dim + (alpha, 2**dim * alpha):
+    channel c of part q carries the outer product of q's axis filters."""
+    f = {"g": filt.g, "h": filt.h}
+    k = np.zeros((filt.width,) * dim + (alpha, len(_PARTS[dim]) * alpha))
+    for q, axes in enumerate(_PARTS[dim]):
+        outer = functools.reduce(np.multiply.outer, [f[a] for a in axes])
         for c in range(alpha):
-            k[:, :, c, typ * alpha + c] = outer
+            k[..., c, q * alpha + c] = outer
     return k
 
 
-def _iwt_kernel_2d(filt: WaveletFilter, alpha: int) -> np.ndarray:
-    p = filt.p
-    k = np.zeros((p, p, 4 * alpha, 4 * alpha))
-    prods = _filters_2d(filt)
-    for j1 in range(p):
-        for j2 in range(p):
-            for r1 in range(2):
-                for r2 in range(2):
-                    t1 = 2 * (p - 1 - j1) + r1
-                    t2 = 2 * (p - 1 - j2) + r2
-                    base = (r1 * 2 + r2) * alpha
-                    for typ, (fx, fy) in enumerate(prods):
-                        coeff = fx[t1] * fy[t2]
-                        for c in range(alpha):
-                            k[j1, j2, typ * alpha + c, base + c] = coeff
-    return k
+def _tie_axes(dim: int):
+    """The tap axes of (p, 2)*dim + (alpha, m), and the order `tie` takes
+    that array's axes in: (j.., m, r.., alpha)."""
+    taps = tuple(range(0, 2 * dim, 2))
+    return taps, taps + (2 * dim + 1,) + tuple(range(1, 2 * dim, 2)) \
+        + (2 * dim,)
 
 
-def _tie_iwt_1d(fw: np.ndarray) -> np.ndarray:
-    """Adjoint of a forward-transform conv, as an inverse-transform kernel."""
-    w2p, alpha, two_a = fw.shape
-    p = w2p // 2
-    k = np.zeros((p, two_a, two_a))
-    for j in range(p):
-        for r in range(2):
-            k[j, :, r * alpha:(r + 1) * alpha] = fw[2 * (p - 1 - j) + r].T
-    return k
+def tie(fw: np.ndarray) -> np.ndarray:
+    """Adjoint of a forward-transform conv, as an inverse-transform kernel.
+
+    Per axis, tap 2(p-1-j) + r of the forward conv becomes tap j of the
+    inverse conv writing interleave slot r: with fw of shape (2p,)*dim +
+    (alpha, m), tie(fw)[j.., o, r..*alpha + c] = fw[2(p-1-j) + r.., c, o].
+    A pure permutation, so `untie` is both its adjoint and its inverse.
+    """
+    dim, p, (alpha, m) = fw.ndim - 2, fw.shape[0] // 2, fw.shape[-2:]
+    taps, order = _tie_axes(dim)
+    x = np.flip(fw.reshape((p, 2) * dim + (alpha, m)), axis=taps)
+    return x.transpose(order).reshape((p,) * dim + (m, m))
 
 
-def _tie_iwt_1d_grad(gk: np.ndarray, alpha: int) -> np.ndarray:
-    p = gk.shape[0]
-    gf = np.zeros((2 * p, alpha, 2 * alpha))
-    for j in range(p):
-        for r in range(2):
-            gf[2 * (p - 1 - j) + r] += gk[j, :, r * alpha:(r + 1) * alpha].T
-    return gf
+def untie(gk: np.ndarray) -> np.ndarray:
+    """Adjoint (and inverse) of `tie`: an inverse-transform kernel gradient
+    folded back onto the forward-transform weights."""
+    dim, p, m = gk.ndim - 2, gk.shape[0], gk.shape[-1]
+    taps, order = _tie_axes(dim)
+    x = gk.reshape((p,) * dim + (m,) + (2,) * dim + (m >> dim,))
+    x = np.flip(x.transpose(np.argsort(order)), axis=taps)
+    return x.reshape((2 * p,) * dim + x.shape[-2:])
 
 
-def _tie_iwt_2d(fw: np.ndarray) -> np.ndarray:
-    w2p, _, alpha, four_a = fw.shape
-    p = w2p // 2
-    k = np.zeros((p, p, four_a, four_a))
-    for j1 in range(p):
-        for j2 in range(p):
-            for r1 in range(2):
-                for r2 in range(2):
-                    q = (r1 * 2 + r2) * alpha
-                    k[j1, j2, :, q:q + alpha] = \
-                        fw[2 * (p - 1 - j1) + r1, 2 * (p - 1 - j2) + r2].T
-    return k
+def _split_parts(y: np.ndarray, alpha: int) -> list:
+    """(.., 2**dim * alpha) f-path channels -> the level's parts."""
+    return [y[..., q:q + alpha] for q in range(0, y.shape[-1], alpha)]
 
 
-def _tie_iwt_2d_grad(gk: np.ndarray, alpha: int) -> np.ndarray:
-    p = gk.shape[0]
-    gf = np.zeros((2 * p, 2 * p, alpha, 4 * alpha))
-    for j1 in range(p):
-        for j2 in range(p):
-            for r1 in range(2):
-                for r2 in range(2):
-                    q = (r1 * 2 + r2) * alpha
-                    gf[2 * (p - 1 - j1) + r1, 2 * (p - 1 - j2) + r2] += \
-                        gk[j1, j2, :, q:q + alpha].T
-    return gf
+def _interleave_axes(dim: int) -> tuple:
+    """Axes of (Be, Bf, m.., 2.., a) in (Be, Bf, m, 2, m, 2, .., a) order."""
+    return (0, 1) + sum(((2 + ax, 2 + dim + ax) for ax in range(dim)), ()) \
+        + (2 + 2 * dim,)
+
+
+def _interleave(z: np.ndarray) -> np.ndarray:
+    """(Be, Bf, m.., 2**dim * a) -> (Be, Bf, 2m.., a): channel slot r of
+    each axis becomes grid row 2k + r."""
+    dim, lead, m = z.ndim - 3, z.shape[:2], z.shape[2:-1]
+    z = z.reshape(lead + m + (2,) * dim + (z.shape[-1] >> dim,))
+    return z.transpose(_interleave_axes(dim)).reshape(
+        lead + tuple(2 * k for k in m) + z.shape[-1:])
+
+
+def _interleave_backward(gu: np.ndarray) -> np.ndarray:
+    dim, lead, m = gu.ndim - 3, gu.shape[:2], gu.shape[2:-1]
+    g = gu.reshape(lead + sum(((k // 2, 2) for k in m), ()) + gu.shape[-1:])
+    g = g.transpose(np.argsort(_interleave_axes(dim)))
+    return g.reshape(lead + tuple(k // 2 for k in m) + (gu.shape[-1] << dim,))
 
 
 # -- the model -----------------------------------------------------------------
@@ -409,8 +371,7 @@ class MetaModel:
         self.cfg = cfg.validate()
         self.layouts = build_layout(cfg)
         rng = np.random.default_rng(cfg.seed)
-        conv_cls = Conv1d if cfg.dim == 1 else Conv2d
-        pool_cls = AvgPool1d if cfg.dim == 1 else AvgPool2d
+        dim = cfg.dim
         w = 2 * cfg.p
         center = -(cfg.p - 1)
 
@@ -419,21 +380,16 @@ class MetaModel:
         for i, lay in enumerate(self.layouts):
             pools_needed = cfg.levels - i
             seq = []
-            placed = 0
             for k in range(cfg.depth):
                 cin = 1 if k == 0 else cfg.alpha
-                seq.append(conv_cls(cin, cfg.alpha, w, stride=1,
-                                    padding=cfg.padding, activation="relu",
-                                    base_offset=center, rng=rng))
-                if placed < pools_needed:
-                    seq.append(pool_cls())
-                    placed += 1
-            while placed < pools_needed:
-                seq.append(pool_cls())
-                placed += 1
-            head = conv_cls(cfg.alpha, lay.n_columns, 1, stride=1,
-                            padding=cfg.padding, activation="linear",
-                            rng=rng)
+                seq.append(Conv(dim, cin, cfg.alpha, w, stride=1,
+                                padding=cfg.padding, activation="relu",
+                                base_offset=center, rng=rng))
+                if k < pools_needed:
+                    seq.append(AvgPool(dim))
+            seq += [AvgPool(dim) for _ in range(pools_needed - cfg.depth)]
+            head = Conv(dim, cfg.alpha, lay.n_columns, 1, stride=1,
+                        padding=cfg.padding, activation="linear", rng=rng)
             # damp the emitted collection at init: an O(1) random collection
             # amplifies the operator ~100x and stalls the first training phase
             head.weight *= 1e-2
@@ -441,55 +397,41 @@ class MetaModel:
             self.convnets.append(seq)
 
         # f path: forward/inverse transform convs per level, linear, no bias
-        ch_mult = 2 if cfg.dim == 1 else 4
-        self.fwt = [conv_cls(cfg.alpha, ch_mult * cfg.alpha, w, stride=2,
-                             padding=cfg.padding, bias=False, rng=rng)
+        m = cfg.alpha << dim  # a level's 2**dim parts of alpha channels
+        self.fwt = [Conv(dim, cfg.alpha, m, w, stride=2, padding=cfg.padding,
+                         bias=False, rng=rng)
                     for _ in range(cfg.levels)]
-        self.iwt = [conv_cls(ch_mult * cfg.alpha, ch_mult * cfg.alpha, cfg.p,
-                             stride=1, padding=cfg.padding, bias=False,
-                             base_offset=center, rng=rng)
+        self.iwt = [Conv(dim, m, m, cfg.p, stride=1, padding=cfg.padding,
+                         bias=False, base_offset=center, rng=rng)
                     for _ in range(cfg.levels)]
         self.init_filters(daubechies_filter(cfg.p), noise=cfg.init_noise,
                           rng=rng)
 
     # -- parameter bookkeeping ----------------------------------------------
 
-    def _iwt_tied(self) -> bool:
-        return self.cfg.symmetric
+    def _named_convs(self):
+        """(name prefix, conv) of every trained conv, in checkpoint order;
+        symmetric mode ties the inverse-transform convs to the forward."""
+        for i, seq in enumerate(self.convnets):
+            for k, layer in enumerate(seq):
+                if isinstance(layer, Conv):
+                    yield f"convnet{i}.{k}", layer
+        yield from ((f"fwt{i}", layer) for i, layer in enumerate(self.fwt))
+        if not self.cfg.symmetric:
+            yield from ((f"iwt{i}", layer) for i, layer in enumerate(self.iwt))
 
     def parameters(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, seq in enumerate(self.convnets):
-            for k, layer in enumerate(seq):
-                if hasattr(layer, "params"):
-                    out.update(layer.params(f"convnet{i}.{k}"))
-        for i, layer in enumerate(self.fwt):
-            out.update(layer.params(f"fwt{i}"))
-        if not self._iwt_tied():
-            for i, layer in enumerate(self.iwt):
-                out.update(layer.params(f"iwt{i}"))
-        return out
+        return {k: v for prefix, layer in self._named_convs()
+                for k, v in layer.params(prefix).items()}
 
     def gradients(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, seq in enumerate(self.convnets):
-            for k, layer in enumerate(seq):
-                if hasattr(layer, "grads"):
-                    out.update(layer.grads(f"convnet{i}.{k}"))
-        for i, layer in enumerate(self.fwt):
-            out.update(layer.grads(f"fwt{i}"))
-        if not self._iwt_tied():
-            for i, layer in enumerate(self.iwt):
-                out.update(layer.grads(f"iwt{i}"))
-        return out
+        return {k: v for prefix, layer in self._named_convs()
+                for k, v in layer.grads(prefix).items()}
 
     def zero_grads(self) -> None:
-        for seq in self.convnets:
-            for layer in seq:
-                if hasattr(layer, "zero_grads"):
-                    layer.zero_grads()
-        for layer in self.fwt + self.iwt:
-            layer.zero_grads()
+        for layer in itertools.chain(*self.convnets, self.fwt, self.iwt):
+            if isinstance(layer, Conv):
+                layer.zero_grads()
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters().values())
@@ -497,7 +439,7 @@ class MetaModel:
     def describe(self) -> dict:
         d = asdict(self.cfg)
         d["parameter_count"] = self.parameter_count()
-        d["iwt_tied"] = self._iwt_tied()
+        d["iwt_tied"] = self.cfg.symmetric
         return d
 
     def init_filters(self, filt: WaveletFilter, noise: float = 0.0,
@@ -507,25 +449,21 @@ class MetaModel:
         if filt.p != self.cfg.p:
             raise ConfigError(f"filter p={filt.p} != model p={self.cfg.p}")
         rng = rng or np.random.default_rng(self.cfg.seed + 1)
-        a = self.cfg.alpha
-        fk = _fwt_kernel_1d(filt, a) if self.cfg.dim == 1 \
-            else _fwt_kernel_2d(filt, a)
-        ik = _iwt_kernel_1d(filt, a) if self.cfg.dim == 1 \
-            else _iwt_kernel_2d(filt, a)
+        fk = _fwt_kernel(filt, self.cfg.alpha, self.cfg.dim)
+        ik = tie(fk)
         for layer in self.fwt:
             layer.weight[...] = fk
             if noise:
                 layer.weight += noise * rng.standard_normal(layer.weight.shape)
         for layer in self.iwt:
             layer.weight[...] = ik
-            if noise and not self._iwt_tied():
+            if noise and not self.cfg.symmetric:
                 layer.weight += noise * rng.standard_normal(layer.weight.shape)
 
     # -- eta path -------------------------------------------------------------
 
     def _expect_spatial(self) -> tuple:
-        n = self.cfg.n
-        return (n,) if self.cfg.dim == 1 else (n, n)
+        return (self.cfg.n,) * self.cfg.dim
 
     def eta_to_C(self, eta: np.ndarray, with_caches: bool = False):
         """Raw per-level collection arrays (B, spatial.., n_columns),
@@ -562,28 +500,21 @@ class MetaModel:
     # -- collection handling --------------------------------------------------
 
     def _spatial_axes(self) -> tuple:
-        return (1,) if self.cfg.dim == 1 else (1, 2)
+        return tuple(range(1, 1 + self.cfg.dim))
 
     def _materialize(self, raw: list) -> tuple[list, list]:
-        axes = self._spatial_axes()
-        blocks = []
-        for lay, c in zip(self.layouts, raw):
-            b = _split_columns(lay, c)
-            if self.cfg.symmetric:
-                b = symmetrize_blocks(b, lay, axes)
-            blocks.append(b)
+        blocks = [_split_columns(lay, c) for lay, c in zip(self.layouts, raw)]
+        if self.cfg.symmetric:
+            blocks = [symmetrize_blocks(b, lay, self._spatial_axes())
+                      for b, lay in zip(blocks, self.layouts)]
         return blocks, [c.shape[:-1] for c in raw]
 
     def _materialize_backward(self, gblocks: list, leads: list) -> list:
-        axes = self._spatial_axes()
-        out = []
-        for lay, g, lead in zip(self.layouts, gblocks, leads):
-            if self.cfg.symmetric:
-                g_emit = _symmetrize_backward(g, lay, axes)
-            else:
-                g_emit = g
-            out.append(_join_columns(lay, g_emit, lead))
-        return out
+        if self.cfg.symmetric:
+            gblocks = [_symmetrize_backward(g, lay, self._spatial_axes())
+                       for g, lay in zip(gblocks, self.layouts)]
+        return [_join_columns(lay, g, lead)
+                for lay, g, lead in zip(self.layouts, gblocks, leads)]
 
     def collection(self, eta: np.ndarray) -> list[dict]:
         """Materialized per-level block dicts for a given eta."""
@@ -591,33 +522,29 @@ class MetaModel:
 
     # -- band multiply ----------------------------------------------------------
 
-    def _band_terms(self, blocks: dict, lay: LevelLayout, coarsest: bool):
+    def _band_terms(self, blocks: dict, lay: LevelLayout):
         """(key, output part, input part, offsets, block array) of each
         block the level applies, and the halo width its offsets need."""
         terms, width = [], 0
         for key, arr in blocks.items():
-            if key in ("d4", (3, 3)) and not coarsest:
-                continue
-            i, j = _BLOCKS_1D[key] if self.cfg.dim == 1 else key
+            i, j = lay.slots[key]
             offs, w = _offset_rows(lay.offsets[key])
             terms.append((key, i, j, offs, arr))
             width = max(width, w)
         return terms, width
 
-    def _band_matvec(self, blocks: dict, lay: LevelLayout, d, v,
-                     coarsest: bool):
-        """(w parts, s) from (d parts, v) via the per-channel banded blocks.
+    def _band_matvec(self, blocks: dict, lay: LevelLayout, parts: list):
+        """Output parts from the level's input parts via the per-channel
+        banded blocks.
 
         f-path parts are (Be, Bf, spatial.., alpha); block arrays are
         (Be, spatial.., alpha, n_off) and broadcast over Bf.
         """
-        dim = self.cfg.dim
-        axes = (2,) if dim == 1 else (2, 3)
-        parts_in = (d, v) if dim == 1 else tuple(d) + (v,)
-        terms, width = self._band_terms(blocks, lay, coarsest)
+        axes = tuple(range(2, 2 + self.cfg.dim))
+        terms, width = self._band_terms(blocks, lay)
         padded = [_pad_halo(x, width, axes, self.cfg.padding)
-                  for x in parts_in]
-        outs = [0.0] * len(parts_in)
+                  for x in parts]
+        outs = [0.0] * len(parts)
         for _, i, j, offs, arr in terms:
             xp = padded[j]
             acc = arr[:, None, ..., 0] * _halo_view(xp, offs[0], width, axes)
@@ -629,13 +556,12 @@ class MetaModel:
             outs[i] = outs[i] + acc
         return outs
 
-    def _band_matvec_backward(self, blocks, lay, d, v, gouts, coarsest):
-        dim = self.cfg.dim
-        axes = (2,) if dim == 1 else (2, 3)
+    def _band_matvec_backward(self, blocks, lay, parts, gouts):
+        """(block grads, input-part grads) of `_band_matvec`."""
+        axes = tuple(range(2, 2 + self.cfg.dim))
         pad = self.cfg.padding
-        parts_in = (d, v) if dim == 1 else tuple(d) + (v,)
-        terms, width = self._band_terms(blocks, lay, coarsest)
-        padded = [_pad_halo(x, width, axes, pad) for x in parts_in]
+        terms, width = self._band_terms(blocks, lay)
+        padded = [_pad_halo(x, width, axes, pad) for x in parts]
         g_padded = [np.zeros_like(xp) for xp in padded]
         g_blocks = {}
         for key, i, j, offs, arr in terms:
@@ -649,10 +575,7 @@ class MetaModel:
                 _halo_view(gp, o, width, axes)[...] += np.multiply(
                     arr[:, None, ..., t], go, out=tmp)
             g_blocks[key] = g_arr
-        g_parts = [_fold_halo(gp, width, axes, pad) for gp in g_padded]
-        if dim == 1:
-            return g_blocks, g_parts[0], g_parts[1]
-        return g_blocks, g_parts[:3], g_parts[3]
+        return g_blocks, [_fold_halo(gp, width, axes, pad) for gp in g_padded]
 
     # -- forward / backward ----------------------------------------------------
 
@@ -662,27 +585,6 @@ class MetaModel:
 
     def _unflatten_bf(self, x: np.ndarray, be: int, bf: int) -> np.ndarray:
         return x.reshape((be, bf) + x.shape[1:])
-
-    def _interleave(self, z: np.ndarray) -> np.ndarray:
-        """(.., m, 2a) -> (.., 2m, a) row-interleaved; in 2D the 5-tensor
-        split / permute / merge."""
-        a = self.cfg.alpha
-        be, bf, m = z.shape[:3]
-        if self.cfg.dim == 1:
-            return z.reshape(be, bf, m, 2, a).reshape(be, bf, 2 * m, a)
-        z5 = z.reshape(be, bf, m, m, 2, 2, a)
-        z5 = z5.transpose(0, 1, 2, 4, 3, 5, 6)
-        return z5.reshape(be, bf, 2 * m, 2 * m, a)
-
-    def _interleave_backward(self, gu: np.ndarray) -> np.ndarray:
-        a = self.cfg.alpha
-        be, bf, m2 = gu.shape[:3]
-        m = m2 // 2
-        if self.cfg.dim == 1:
-            return gu.reshape(be, bf, m, 2, a).reshape(be, bf, m, 2 * a)
-        g5 = gu.reshape(be, bf, m, 2, m, 2, a)
-        g5 = g5.transpose(0, 1, 2, 4, 3, 5, 6)
-        return g5.reshape(be, bf, m, m, 4 * a)
 
     def forward_with_tape(self, eta: np.ndarray, f: np.ndarray,
                           collection: list | None = None):
@@ -723,45 +625,32 @@ class MetaModel:
         tape["blocks"] = blocks
         tape["ext_collection"] = collection is not None
 
-        if self._iwt_tied():
-            tie = _tie_iwt_1d if cfg.dim == 1 else _tie_iwt_2d
+        if self.cfg.symmetric:
             for fl, il in zip(self.fwt, self.iwt):
                 il.weight[...] = tie(fl.weight)
 
         x = np.repeat(f_b[..., None], cfg.alpha, axis=-1)
 
         fwt_caches = [None] * cfg.levels
-        d_parts = [None] * cfg.levels
-        v_parts = [None] * cfg.levels
+        parts = [None] * cfg.levels
         cur = x
         for i in range(cfg.levels - 1, -1, -1):
             y, cache = self.fwt[i].forward(self._flatten_bf(cur))
-            y = self._unflatten_bf(y, be, bf)
             fwt_caches[i] = cache
-            if cfg.dim == 1:
-                d_parts[i] = y[..., :cfg.alpha]
-                v_parts[i] = y[..., cfg.alpha:]
-            else:
-                d_parts[i] = (y[..., :cfg.alpha],
-                              y[..., cfg.alpha:2 * cfg.alpha],
-                              y[..., 2 * cfg.alpha:3 * cfg.alpha])
-                v_parts[i] = y[..., 3 * cfg.alpha:]
-            cur = v_parts[i]
+            parts[i] = _split_parts(self._unflatten_bf(y, be, bf), cfg.alpha)
+            cur = parts[i][-1]
         tape["fwt_caches"] = fwt_caches
-        tape["d"] = d_parts
-        tape["v"] = v_parts
+        tape["parts"] = parts
 
         iwt_caches = [None] * cfg.levels
         u = None
         for i in range(cfg.levels):
-            lay = self.layouts[i]
-            outs = self._band_matvec(blocks[i], lay, d_parts[i], v_parts[i],
-                                     coarsest=(i == 0))
+            outs = self._band_matvec(blocks[i], self.layouts[i], parts[i])
             last = outs[-1] if u is None else outs[-1] + u
-            stacked = np.concatenate(list(outs[:-1]) + [last], axis=-1)
+            stacked = np.concatenate(outs[:-1] + [last], axis=-1)
             z, cache = self.iwt[i].forward(self._flatten_bf(stacked))
             iwt_caches[i] = cache
-            u = self._interleave(self._unflatten_bf(z, be, bf))
+            u = _interleave(self._unflatten_bf(z, be, bf))
         tape["iwt_caches"] = iwt_caches
 
         out = u.mean(axis=-1)
@@ -794,42 +683,28 @@ class MetaModel:
         g = np.repeat(gu[..., None] / a, a, axis=-1)
 
         g_blocks_all = [None] * cfg.levels
-        g_d = [None] * cfg.levels
-        g_v = [None] * cfg.levels
+        g_parts = [None] * cfg.levels
         for i in range(cfg.levels - 1, -1, -1):
-            gz = self._interleave_backward(g)
-            gs = self.iwt[i].backward(self._flatten_bf(gz),
-                                      tape["iwt_caches"][i])
-            gs = self._unflatten_bf(gs, be, bf)
-            if cfg.dim == 1:
-                gouts = [gs[..., :a], gs[..., a:]]
-            else:
-                gouts = [gs[..., :a], gs[..., a:2 * a], gs[..., 2 * a:3 * a],
-                         gs[..., 3 * a:]]
-            gb, gdi, gvi = self._band_matvec_backward(
-                tape["blocks"][i], self.layouts[i], tape["d"][i],
-                tape["v"][i], gouts, coarsest=(i == 0))
-            g_blocks_all[i] = gb
-            g_d[i] = gdi
-            g_v[i] = gvi
+            gz = self._flatten_bf(_interleave_backward(g))
+            gs = self.iwt[i].backward(gz, tape["iwt_caches"][i])
+            gouts = _split_parts(self._unflatten_bf(gs, be, bf), a)
+            g_blocks_all[i], g_parts[i] = self._band_matvec_backward(
+                tape["blocks"][i], self.layouts[i], tape["parts"][i], gouts)
             g = gouts[-1]  # gradient into u from the next-finer level
 
         g_f_chan = None
         for i in range(cfg.levels):
-            gv = g_v[i] if g_f_chan is None else g_v[i] + g_f_chan
-            if cfg.dim == 1:
-                gy = np.concatenate([g_d[i], gv], axis=-1)
-            else:
-                gy = np.concatenate(list(g_d[i]) + [gv], axis=-1)
+            gp = g_parts[i]
+            gv = gp[-1] if g_f_chan is None else gp[-1] + g_f_chan
+            gy = np.concatenate(gp[:-1] + [gv], axis=-1)
             gx = self.fwt[i].backward(self._flatten_bf(gy),
                                       tape["fwt_caches"][i])
             g_f_chan = self._unflatten_bf(gx, be, bf)
         g_f = g_f_chan.sum(axis=-1)
 
-        if self._iwt_tied():
-            fold = _tie_iwt_1d_grad if cfg.dim == 1 else _tie_iwt_2d_grad
+        if self.cfg.symmetric:
             for fl, il in zip(self.fwt, self.iwt):
-                fl.gw += fold(il.gw, a)
+                fl.gw += untie(il.gw)
                 il.gw[...] = 0.0
 
         g_eta = None
@@ -849,38 +724,31 @@ def collection_from_nsform(ns, cfg: ModelConfig) -> list[dict]:
     if len(ns.levels) != cfg.levels:
         raise ShapeError(
             f"nsform has {len(ns.levels)} levels, model {cfg.levels}")
+    last = (1 << cfg.dim) - 1
     out = []
-    for i, (lay, lb) in enumerate(zip(layouts, ns.levels)):
+    for lay, lb in zip(layouts, ns.levels):
         blocks = {}
-        if cfg.dim == 1:
-            srcs = {"d1": lb.d1, "d2": lb.d2, "d3": lb.d3}
-        else:
-            srcs = dict(lb.blocks)
-        for key, blk in srcs.items():
-            arr = _lookup_diags(blk, lay.offsets[key], lay.size, cfg.dim)
-            blocks[key] = _tile_channels(arr, cfg.alpha)
-        if i == 0:
-            coarse_key = "d4" if cfg.dim == 1 else (3, 3)
-            if cfg.dim == 1:
-                cb = nsform.BandedBlock.from_dense(ns.coarse)
+        # the oracle's 1D and 2D forms differ in API: 1D names its blocks
+        # d1..d3, 2D keys them by slot, and each has its own banded type
+        for key in sorted(lay.slots, key=lay.slots.get):
+            if lay.slots[key] != (last, last):
+                blk = getattr(lb, key) if cfg.dim == 1 else lb.blocks[key]
+            elif cfg.dim == 1:
+                blk = nsform.BandedBlock.from_dense(ns.coarse)
             else:
-                cb = nsform.BandedBlock2D.from_dense(ns.coarse, lay.size)
-            arr = _lookup_diags(cb, lay.offsets[coarse_key], lay.size, cfg.dim)
-            blocks[coarse_key] = _tile_channels(arr, cfg.alpha)
+                blk = nsform.BandedBlock2D.from_dense(ns.coarse, lay.size)
+            arr = _lookup_diags(blk, lay.offsets[key], lay.size)
+            blocks[key] = _tile_channels(arr, cfg.alpha)
         out.append(blocks)
     return out
 
 
-def _lookup_diags(blk, offsets: np.ndarray, size: int, dim: int) -> np.ndarray:
+def _lookup_diags(blk, offsets: np.ndarray, size: int) -> np.ndarray:
     """Diagonal data of a banded block re-ordered to a layout's offsets."""
     have = {tuple(np.atleast_1d(o)): t for t, o in enumerate(blk.offsets)}
-    cols = []
-    for o in offsets:
-        key = tuple(np.atleast_1d(o))
-        if key in have:
-            cols.append(blk.data[..., have[key]])
-        else:
-            cols.append(np.zeros((size,) if dim == 1 else (size, size)))
+    grid = (size,) * offsets.shape[1]
+    cols = [blk.data[..., have[tuple(o)]] if tuple(o) in have
+            else np.zeros(grid) for o in offsets]
     return np.stack(cols, axis=-1)
 
 

@@ -1,24 +1,29 @@
-"""From-scratch differentiable layers: strided 1D/2D convolutions with
-periodic or zero padding, average pooling, activations, and the Nadam
-optimizer.
+"""From-scratch differentiable layers: strided convolutions with periodic
+or zero padding and average pooling over any number `dim` of spatial axes,
+activations, and the Nadam optimizer.
 
-Data layout is channel-last with an explicit batch axis: (B, N, C) in 1D
-and (B, N1, N2, C) in 2D, float64 throughout.  Layers hold parameters and
-gradient accumulators; per-call intermediates travel in explicit cache
-objects so a layer instance can appear at several points of a model and
-stays safe for concurrent forward passes over shared parameters.
+Data layout is channel-last with an explicit batch axis, (B, N.., C) with
+`dim` grid axes, float64 throughout.  Layers hold parameters and gradient
+accumulators; per-call intermediates travel in explicit cache objects so a
+layer instance can appear at several points of a model and stays safe for
+concurrent forward passes over shared parameters.  `Conv1d`/`Conv2d` and
+`AvgPool1d`/`AvgPool2d` are the layers with `dim` fixed.
 
-Convolution semantics (1D):
+Convolution semantics, per grid axis the same window w, stride s and base
+offset off:
 
-    z[b, i, c'] = sum_{j<w} sum_c W[j, c, c'] x[b, (i*s + off + j) mod N, c] + b[c']
+    z[b, i.., c'] = sum_{j..<w} sum_c W[j.., c, c'] x[b, (i*s + off + j) mod N.., c] + b[c']
 
 with zero fill instead of the modulus in zero-padding mode, and output
-length N' = N // s.  `off` (base_offset) lets the inverse-transform layer
-look backward without negative-index bookkeeping.
+length N' = N // s per axis.  `off` (base_offset) lets the
+inverse-transform layer look backward without negative-index bookkeeping.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,11 +56,55 @@ def _act_backward(gy: np.ndarray, kind: str, saved) -> np.ndarray:
     return gy * saved * (1.0 - saved)  # sigmoid
 
 
-class Conv1d:
-    """Strided 1D convolution, optionally biased and activated."""
+@functools.lru_cache(maxsize=64)
+def _tap_layout(grid: tuple, width: int, stride: int, base_offset: int,
+                padding: str):
+    """Flat (N', w**dim) indices of every output cell's taps into the
+    flattened grid (outside taps clipped to a valid cell), the mask of
+    outside taps (None when periodic), and per tap the (output rows, grid
+    cells) its gradient scatters to.  A tap's cells are distinct and, with
+    zero padding, only its inside ones are listed, so a buffered fancy +=
+    adds each once and never writes a clipped cell.  Memoized per conv
+    geometry, shared by every layer that has it, and read-only."""
+    d = len(grid)
+    flat, inside = 0, True
+    for ax, n in enumerate(grid):
+        if n % stride:
+            raise ShapeError(f"length {n} not divisible by stride {stride}")
+        idx = (stride * np.arange(n // stride)[:, None] + base_offset
+               + np.arange(width)[None, :])
+        # output cells on axes 0..d-1, taps on axes d..2d-1
+        shape = [1] * (2 * d)
+        shape[ax], shape[d + ax] = idx.shape
+        idx = idx.reshape(shape)
+        if padding == PERIODIC:
+            idx = idx % n
+        else:
+            inside = inside & (idx >= 0) & (idx < n)
+            idx = np.clip(idx, 0, n - 1)
+        flat = flat * n + idx
+    flat = flat.reshape(math.prod(flat.shape[:d]), width ** d)
+    flat.flags.writeable = False
+    if padding == PERIODIC:
+        return flat, None, tuple((slice(None), cells) for cells in flat.T)
+    inside = inside.reshape(flat.shape)
+    rows = [np.flatnonzero(keep) for keep in inside.T]
+    outside = ~inside
+    outside.flags.writeable = False
+    return flat, outside, tuple((r, flat[r, t]) for t, r in enumerate(rows))
 
-    def __init__(self, in_channels: int, out_channels: int, width: int,
-                 stride: int = 1, padding: str = PERIODIC,
+
+class Conv:
+    """Strided convolution over `dim` spatial axes, optionally biased and
+    activated; the same window, stride and base offset on every axis.
+
+    The taps of every output cell are gathered from the flattened grid
+    with one `np.take`, so the forward pass is one matmul of a
+    C-contiguous (B, N', w**dim * Cin) tap matrix with the weights.
+    """
+
+    def __init__(self, dim: int, in_channels: int, out_channels: int,
+                 width: int, stride: int = 1, padding: str = PERIODIC,
                  activation: str = "linear", bias: bool = True,
                  base_offset: int = 0, rng: np.random.Generator | None = None):
         if width < 1 or stride < 1:
@@ -64,13 +113,15 @@ class Conv1d:
             raise ConfigError(f"unknown padding {padding!r}")
         if activation not in _ACTIVATIONS:
             raise ConfigError(f"unknown activation {activation!r}")
+        self.dim = dim
         self.stride = stride
         self.padding = padding
         self.activation = activation
         self.base_offset = base_offset
         rng = rng or np.random.default_rng()
-        scale = 1.0 / np.sqrt(width * in_channels)
-        self.weight = rng.normal(0.0, scale, (width, in_channels, out_channels))
+        scale = 1.0 / np.sqrt(width ** dim * in_channels)
+        self.weight = rng.normal(
+            0.0, scale, (width,) * dim + (in_channels, out_channels))
         self.bias = np.zeros(out_channels) if bias else None
         self.gw = np.zeros_like(self.weight)
         self.gb = np.zeros_like(self.bias) if bias else None
@@ -79,49 +130,43 @@ class Conv1d:
     def width(self) -> int:
         return self.weight.shape[0]
 
-    def _taps(self, x: np.ndarray):
-        n = x.shape[1]
-        if n % self.stride:
-            raise ShapeError(f"length {n} not divisible by stride {self.stride}")
-        n_out = n // self.stride
-        idx = (self.stride * np.arange(n_out)[:, None] + self.base_offset
-               + np.arange(self.width)[None, :])
-        if self.padding == PERIODIC:
-            return x[:, idx % n, :], idx, None
-        valid = (idx >= 0) & (idx < n)
-        taps = x[:, np.clip(idx, 0, n - 1), :]
-        taps = np.where(valid[None, :, :, None], taps, 0.0)
-        return taps, idx, valid
-
     def forward(self, x: np.ndarray):
-        if x.ndim != 3 or x.shape[2] != self.weight.shape[1]:
-            raise ShapeError(
-                f"expected (B, N, {self.weight.shape[1]}), got {x.shape}")
-        taps, idx, valid = self._taps(x)
-        z = np.tensordot(taps, self.weight, axes=([2, 3], [0, 1]))
+        d = self.dim
+        cin, cout = self.weight.shape[-2:]
+        if x.ndim != d + 2 or x.shape[-1] != cin:
+            raise ShapeError(f"expected (B, {d} grid axes, {cin}), "
+                             f"got {x.shape}")
+        b, grid = x.shape[0], x.shape[1:-1]
+        flat, outside, scatter = _tap_layout(
+            grid, self.width, self.stride, self.base_offset, self.padding)
+        taps = np.take(x.reshape(b, -1, cin), flat, axis=1)
+        if outside is not None:
+            taps[:, outside] = 0.0
+        z = taps.reshape(-1, flat.shape[1] * cin) \
+            @ self.weight.reshape(-1, cout)
+        z = z.reshape((b,) + tuple(n // self.stride for n in grid) + (cout,))
         if self.bias is not None:
             z = z + self.bias
         y, saved = _act_forward(z, self.activation)
-        return y, (taps, idx, valid, saved, x.shape)
+        return y, (taps, scatter, saved, x.shape)
 
     def backward(self, gy: np.ndarray, cache):
         if cache is None:
             raise StateError("backward called without a forward cache")
-        taps, idx, valid, saved, x_shape = cache
+        taps, scatter, saved, x_shape = cache
         gz = _act_backward(gy, self.activation, saved)
-        self.gw += np.tensordot(taps, gz, axes=([0, 1], [0, 1]))
+        b, cin, cout = x_shape[0], x_shape[-1], self.weight.shape[-1]
+        gz = gz.reshape(b, -1, cout)
+        self.gw += np.tensordot(taps, gz, axes=([0, 1], [0, 1])).reshape(
+            self.weight.shape)
         if self.bias is not None:
             self.gb += gz.sum(axis=(0, 1))
-        gtaps = np.tensordot(gz, self.weight, axes=(2, 2))  # (B, N', w, Cin)
-        gx = np.zeros(x_shape)
-        n = x_shape[1]
-        for j in range(self.width):
-            if self.padding == PERIODIC:
-                gx[:, idx[:, j] % n, :] += gtaps[:, :, j, :]
-            else:
-                keep = valid[:, j]
-                gx[:, idx[keep, j], :] += gtaps[:, keep, j, :]
-        return gx
+        gtaps = np.tensordot(gz, self.weight.reshape(-1, cin, cout),
+                             axes=(2, 2))  # (B, N', w**dim, Cin)
+        gx = np.zeros((b, math.prod(x_shape[1:-1]), cin))
+        for t, (rows, cells) in enumerate(scatter):
+            gx[:, cells, :] += gtaps[:, rows, t, :]
+        return gx.reshape(x_shape)
 
     def params(self, prefix: str) -> dict[str, np.ndarray]:
         out = {f"{prefix}.weight": self.weight}
@@ -141,135 +186,43 @@ class Conv1d:
             self.gb[...] = 0.0
 
 
-class Conv2d:
-    """Strided 2D convolution; same window and stride in both dimensions."""
+class Conv1d(Conv):
+    __init__ = functools.partialmethod(Conv.__init__, 1)
 
-    def __init__(self, in_channels: int, out_channels: int, width: int,
-                 stride: int = 1, padding: str = PERIODIC,
-                 activation: str = "linear", bias: bool = True,
-                 base_offset: int = 0, rng: np.random.Generator | None = None):
-        if padding not in (PERIODIC, ZERO):
-            raise ConfigError(f"unknown padding {padding!r}")
-        if activation not in _ACTIVATIONS:
-            raise ConfigError(f"unknown activation {activation!r}")
-        self.stride = stride
-        self.padding = padding
-        self.activation = activation
-        self.base_offset = base_offset
-        rng = rng or np.random.default_rng()
-        scale = 1.0 / np.sqrt(width * width * in_channels)
-        self.weight = rng.normal(
-            0.0, scale, (width, width, in_channels, out_channels))
-        self.bias = np.zeros(out_channels) if bias else None
-        self.gw = np.zeros_like(self.weight)
-        self.gb = np.zeros_like(self.bias) if bias else None
 
-    @property
-    def width(self) -> int:
-        return self.weight.shape[0]
+class Conv2d(Conv):
+    __init__ = functools.partialmethod(Conv.__init__, 2)
 
-    def _axis_idx(self, n: int):
-        if n % self.stride:
-            raise ShapeError(f"length {n} not divisible by stride {self.stride}")
-        return (self.stride * np.arange(n // self.stride)[:, None]
-                + self.base_offset + np.arange(self.width)[None, :])
 
-    def _flat_taps(self, i1: np.ndarray, i2: np.ndarray, n1: int, n2: int):
-        """Flat (N1', N2', w, w) indices into the N1*N2 grid, and the mask
-        of taps that fall outside it (None when periodic)."""
-        i1 = i1[:, None, :, None]
-        i2 = i2[None, :, None, :]
-        if self.padding == PERIODIC:
-            return (i1 % n1) * n2 + i2 % n2, None
-        outside = (i1 < 0) | (i1 >= n1) | (i2 < 0) | (i2 >= n2)
-        flat = np.clip(i1, 0, n1 - 1) * n2 + np.clip(i2, 0, n2 - 1)
-        return flat, outside
+class AvgPool:
+    """Window-2, stride-2 average pooling on each of `dim` grid axes."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
 
     def forward(self, x: np.ndarray):
-        if x.ndim != 4 or x.shape[3] != self.weight.shape[2]:
-            raise ShapeError(
-                f"expected (B, N1, N2, {self.weight.shape[2]}), got {x.shape}")
-        b, n1, n2, cin = x.shape
-        i1 = self._axis_idx(n1)
-        i2 = self._axis_idx(n2)
-        flat, outside = self._flat_taps(i1, i2, n1, n2)
-        # one gather gives C-contiguous (B, N1', N2', w, w, Cin) taps, so
-        # the conv is one matmul with no copy of the tap tensor
-        taps = np.take(x.reshape(b, n1 * n2, cin), flat, axis=1)
-        if outside is not None:
-            taps[:, outside] = 0.0
-        cout = self.weight.shape[3]
-        z = taps.reshape(-1, self.width ** 2 * cin) \
-            @ self.weight.reshape(-1, cout)
-        z = z.reshape(taps.shape[:3] + (cout,))
-        if self.bias is not None:
-            z = z + self.bias
-        y, saved = _act_forward(z, self.activation)
-        return y, (taps, i1, i2, saved, x.shape)
+        grid = x.shape[1:-1]
+        if any(n % 2 for n in grid):
+            raise ShapeError(f"odd grid {grid} cannot be pooled")
+        # the window's cells, summed with the first axis varying fastest
+        halves = (slice(0, None, 2), slice(1, None, 2))
+        cells = (x[(slice(None),) + cell[::-1]]
+                 for cell in itertools.product(halves, repeat=self.dim))
+        return 0.5 ** self.dim * functools.reduce(np.add, cells), x.shape
 
     def backward(self, gy: np.ndarray, cache):
-        if cache is None:
-            raise StateError("backward called without a forward cache")
-        taps, i1, i2, saved, x_shape = cache
-        gz = _act_backward(gy, self.activation, saved)
-        self.gw += np.tensordot(taps, gz, axes=([0, 1, 2], [0, 1, 2]))
-        if self.bias is not None:
-            self.gb += gz.sum(axis=(0, 1, 2))
-        gtaps = np.tensordot(gz, self.weight, axes=(3, 3))  # (B,N1',N2',w,w,Cin)
-        gx = np.zeros(x_shape)
-        n1, n2 = x_shape[1], x_shape[2]
-        for j1 in range(self.width):
-            for j2 in range(self.width):
-                if self.padding == PERIODIC:
-                    gx[:, (i1[:, j1] % n1)[:, None], i2[:, j2] % n2, :] += \
-                        gtaps[:, :, :, j1, j2, :]
-                else:
-                    k1 = (i1[:, j1] >= 0) & (i1[:, j1] < n1)
-                    k2 = (i2[:, j2] >= 0) & (i2[:, j2] < n2)
-                    if not (k1.any() and k2.any()):
-                        continue
-                    sub = gtaps[:, :, :, j1, j2, :][:, k1][:, :, k2]
-                    gx[:, i1[k1, j1][:, None], i2[k2, j2], :] += sub
-        return gx
-
-    params = Conv1d.params
-    grads = Conv1d.grads
-    zero_grads = Conv1d.zero_grads
+        g = 0.5 ** self.dim * gy
+        for ax in range(1, 1 + self.dim):
+            g = g.repeat(2, axis=ax)
+        return g
 
 
-class AvgPool1d:
-    """Window-2, stride-2 average pooling (no parameters)."""
-
-    def forward(self, x: np.ndarray):
-        if x.shape[1] % 2:
-            raise ShapeError(f"odd length {x.shape[1]} cannot be pooled")
-        return 0.5 * (x[:, ::2, :] + x[:, 1::2, :]), x.shape
-
-    def backward(self, gy: np.ndarray, cache):
-        gx = np.zeros(cache)
-        gx[:, ::2, :] = 0.5 * gy
-        gx[:, 1::2, :] = 0.5 * gy
-        return gx
+class AvgPool1d(AvgPool):
+    __init__ = functools.partialmethod(AvgPool.__init__, 1)
 
 
-class AvgPool2d:
-    """2x2, stride-2 average pooling."""
-
-    def forward(self, x: np.ndarray):
-        if x.shape[1] % 2 or x.shape[2] % 2:
-            raise ShapeError(f"odd grid {x.shape[1:3]} cannot be pooled")
-        y = 0.25 * (x[:, ::2, ::2, :] + x[:, 1::2, ::2, :]
-                    + x[:, ::2, 1::2, :] + x[:, 1::2, 1::2, :])
-        return y, x.shape
-
-    def backward(self, gy: np.ndarray, cache):
-        gx = np.zeros(cache)
-        g = 0.25 * gy
-        gx[:, ::2, ::2, :] = g
-        gx[:, 1::2, ::2, :] = g
-        gx[:, ::2, 1::2, :] = g
-        gx[:, 1::2, 1::2, :] = g
-        return gx
+class AvgPool2d(AvgPool):
+    __init__ = functools.partialmethod(AvgPool.__init__, 2)
 
 
 # -- optimizer ----------------------------------------------------------------
@@ -308,14 +261,6 @@ def nadam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
         v += (1.0 - b2) * g * g
         m_bar = b1 * (m / c1) + (1.0 - b1) * g / c1
         p -= state.learning_rate * m_bar / (np.sqrt(v / c2) + state.eps)
-    return params
-
-
-def sgd_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-             learning_rate: float) -> dict[str, np.ndarray]:
-    """Plain gradient descent, kept as a debugging fallback."""
-    for name, p in params.items():
-        p -= learning_rate * grads[name]
     return params
 
 

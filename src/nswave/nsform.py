@@ -1,4 +1,4 @@
-"""Nonstandard form of a dense operator: build, truncate, vectorize, apply.
+"""Nonstandard form of a dense operator: build, truncate, apply.
 
 A dense A of size 2^L x 2^L is conjugated level by level with the
 orthogonal one-level transforms, leaving per-level blocks D1 (wavelet x
@@ -193,64 +193,6 @@ def assemble_dense(ns: NonstandardForm, filt: WaveletFilter) -> np.ndarray:
     """Dense matrix whose column j is apply(ns, e_j)."""
     n = 1 << ns.l_max
     return apply(ns, np.eye(n), filt)
-
-
-# -- vector collection: banded entries as per-level arrays ------------------
-
-@dataclass
-class VectorCollection:
-    """Per-level diagonal vectors, column layout (block, offset), plus the
-    dense coarsest block."""
-
-    l_max: int
-    l0: int
-    layout: dict[int, list[tuple[str, int]]]
-    c: dict[int, np.ndarray]   # level -> (2^level, n_c)
-    coarse: np.ndarray
-
-
-_BLOCK_NAMES = ("d1", "d2", "d3")
-
-
-def extract_vectors(ns: NonstandardForm) -> VectorCollection:
-    layout: dict[int, list[tuple[str, int]]] = {}
-    c: dict[int, np.ndarray] = {}
-    for lb in ns.levels:
-        cols = []
-        names = []
-        for name in _BLOCK_NAMES:
-            blk: BandedBlock = getattr(lb, name)
-            for t, o in enumerate(blk.offsets):
-                cols.append(blk.data[:, t])
-                names.append((name, int(o)))
-        layout[lb.level] = names
-        c[lb.level] = np.stack(cols, axis=1)
-    return VectorCollection(l_max=ns.l_max, l0=ns.l0, layout=layout,
-                            c=c, coarse=ns.coarse.copy())
-
-
-def embed(vc: VectorCollection) -> NonstandardForm:
-    levels = []
-    nb = None
-    for level in sorted(vc.c):
-        names = vc.layout[level]
-        arr = vc.c[level]
-        if arr.shape[1] != len(names):
-            raise ShapeError(
-                f"level {level}: {arr.shape[1]} columns vs layout {len(names)}")
-        per_block: dict[str, list] = {n: [] for n in _BLOCK_NAMES}
-        for t, (name, o) in enumerate(names):
-            per_block[name].append((o, arr[:, t]))
-        blocks = {}
-        for name in _BLOCK_NAMES:
-            offs = np.array([o for o, _ in per_block[name]], dtype=int)
-            data = np.stack([col for _, col in per_block[name]], axis=1)
-            blocks[name] = BandedBlock(offsets=offs, data=data)
-            nb = max(nb or 0, int(np.max(np.abs(offs))))
-        levels.append(LevelBlocks(level=level, d1=blocks["d1"],
-                                  d2=blocks["d2"], d3=blocks["d3"]))
-    return NonstandardForm(l_max=vc.l_max, l0=vc.l0, levels=levels,
-                           coarse=vc.coarse.copy(), nb=nb)
 
 
 # -- 2D ----------------------------------------------------------------------

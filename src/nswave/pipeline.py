@@ -37,10 +37,15 @@ RESIDUAL_TOL = 1e-10
 # -- configuration ---------------------------------------------------------------
 
 def _from_dict(cls, d: dict):
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(d) - names
+    fields = dataclasses.fields(cls)
+    unknown = set(d) - {f.name for f in fields}
     if unknown:
         raise ConfigError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    missing = [f.name for f in fields if f.name not in d
+               and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise ConfigError(f"missing {cls.__name__} keys: {missing}")
     return cls(**d)
 
 
@@ -236,14 +241,41 @@ def generate_dataset(cfg: RunConfig, out_dir, threads: int = 1) -> dict:
 
 
 def load_sampleset(data_dir, split: str, check: bool = False) -> SampleSet:
+    """One split of a dataset, checked on load against its dataset.json:
+    the problem block read strictly, every tensor present and shaped by the
+    grid and the split's counts, and eta, f and u finite (else DataError).
+    `check` also re-certifies every residual against its operator."""
     data_dir = Path(data_dir)
-    with open(data_dir / "dataset.json") as fh:
+    path = data_dir / "dataset.json"
+    with open(path) as fh:
         summary = json.load(fh)
-    tensors = read_tensors(data_dir / f"{split}.nstf")
-    ss = SampleSet(problem=ProblemSpec(**summary["problem"]), split=split,
-                   eta=tensors["eta"], f=tensors["f"], u=tensors["u"],
-                   eta_seeds=tensors["eta_seeds"],
-                   retries=tensors["retries"])
+    try:
+        problem = _from_dict(ProblemSpec, summary["problem"]).validate()
+        lo, hi = summary["splits"][split]
+        n_f = summary["n_f"]
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: ConfigError
+        raise DataError(f"{path}: {exc!r}") from exc
+    if not all(type(v) is int for v in (lo, hi, n_f)) or \
+            not 0 <= lo <= hi or n_f < 1:
+        raise DataError(f"{path}: invalid splits.{split} {[lo, hi]} "
+                        f"or n_f {n_f!r}")
+    path = data_dir / f"{split}.nstf"
+    tensors = read_tensors(path)
+    grid = (problem.n,) * problem.dim
+    want = {"eta": (hi - lo,) + grid, "f": (hi - lo, n_f) + grid,
+            "u": (hi - lo, n_f) + grid, "eta_seeds": (hi - lo,),
+            "retries": (hi - lo,)}
+    for name, shape in want.items():
+        if name not in tensors:
+            raise DataError(f"{path}: no tensor {name!r}")
+        if tensors[name].shape != shape:
+            raise DataError(f"{path}: {name} has shape "
+                            f"{tensors[name].shape}, expected {shape}")
+        if name in ("eta", "f", "u") and \
+                not np.all(np.isfinite(tensors[name])):
+            raise DataError(f"{path}: {name} holds non-finite values")
+    ss = SampleSet(problem=problem, split=split,
+                   **{name: tensors[name] for name in want})
     if check:
         worst = ss.max_residual()
         if not worst <= RESIDUAL_TOL:

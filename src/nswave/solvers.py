@@ -146,6 +146,16 @@ class ProblemSpec:
     def validate(self) -> "ProblemSpec":
         if self.kind not in ("schrodinger", "divergence", "rte"):
             raise ConfigError(f"unknown problem kind {self.kind!r}")
+        number = float | int
+        for name, kind in (("dim", int), ("n", int), ("eta_coarse", int),
+                           ("path_samples", int), ("resample_limit", int),
+                           ("interior", int | None), ("f_coarse", int | None),
+                           ("eta_scale", number), ("eta_shift", number),
+                           ("eta_max", number | None)):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ConfigError(f"problem.{name} has invalid value "
+                                  f"{value!r}")
         if self.dim not in (1, 2):
             raise ConfigError("dim must be 1 or 2")
         if self.eta_coarse > self.n:

@@ -100,6 +100,25 @@ def test_degenerate_dataset_is_a_config_error(micro_config, tmp_path,
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit", ["no_kind", "mistyped_n", "mistyped_scale"])
+def test_malformed_problem_block_is_a_config_error(tmp_path, capsys, edit):
+    raw = json.loads(json.dumps(MICRO))
+    if edit == "no_kind":
+        del raw["problem"]["kind"]
+    elif edit == "mistyped_n":
+        raw["problem"]["n"] = "32"
+    else:
+        raw["problem"]["eta_scale"] = [10.0]
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(raw))
+    rc = cli.main(["gen-data", "--config", str(cfg),
+                   "--out", str(tmp_path / "d")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
 def test_data_error_exit_code(micro_config, tmp_path):
     assert cli.main(["train", "--config", str(micro_config),
                      "--data", str(tmp_path / "missing"),
@@ -229,3 +248,54 @@ def test_training_on_a_dataset_of_another_grid_is_a_data_error(
     rc = cli.main(["train", "--config", str(cfg), "--data", str(data),
                    "--out", str(tmp_path / "ck64")])
     _assert_data_error(rc, capsys)
+
+
+def _corrupt_dataset(data, case):
+    """Break one thing in a generated dataset's sidecar or test split."""
+    summary = json.loads((data / "dataset.json").read_text())
+    tensors = container.read_tensors(data / "test.nstf")
+    if case == "unknown_key":
+        summary["problem"]["bogus"] = 1
+    elif case == "invalid_kind":
+        summary["problem"]["kind"] = "laplace"
+    elif case == "mistyped_scale":
+        summary["problem"]["eta_scale"] = "10"
+    elif case == "no_kind":
+        del summary["problem"]["kind"]
+    elif case == "no_problem":
+        del summary["problem"]
+    elif case == "not_an_object":
+        summary = [summary]
+    elif case.startswith("missing_"):
+        del tensors[case[len("missing_"):]]
+    elif case == "grid":
+        tensors["u"] = tensors["u"][..., :16]
+    elif case == "split":
+        tensors["eta_seeds"] = tensors["eta_seeds"][:-1]
+    elif case == "sources":
+        tensors["f"] = tensors["f"][:, :1]
+    else:
+        name, value = case.split("_")
+        tensors[name][-1, ..., 5] = float(value)
+    (data / "dataset.json").write_text(json.dumps(summary))
+    container.write_tensors(data / "test.nstf", tensors)
+
+
+@pytest.mark.parametrize("case", [
+    "unknown_key", "invalid_kind", "mistyped_scale", "no_kind",
+    "no_problem", "not_an_object", "missing_eta", "missing_f", "missing_u",
+    "missing_eta_seeds", "missing_retries", "grid", "split", "sources",
+    "eta_nan", "f_inf", "u_nan"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_malformed_dataset_is_a_data_error(data_and_ckpt, micro_config,
+                                           tmp_path, capsys, case, command):
+    data, ckpt = data_and_ckpt
+    _corrupt_dataset(data, case)
+    out = tmp_path / "out"
+    if command == "train":
+        argv = ["train", "--config", str(micro_config)]
+    else:
+        argv = ["eval", "--model", str(ckpt)]
+    rc = cli.main(argv + ["--data", str(data), "--out", str(out)])
+    _assert_data_error(rc, capsys)
+    assert not out.exists()

@@ -1,8 +1,13 @@
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from nswave import nsform as nsf
+from nswave import pipeline as pl
 from nswave import wavelets as wv
+from nswave.container import read_tensors
 from nswave.errors import InferenceError, ShapeError
 from nswave.model import (
     _BLOCKS_1D,
@@ -12,6 +17,8 @@ from nswave.model import (
     collection_from_nsform,
     export_operator,
     symmetrize_blocks,
+    tie,
+    untie,
 )
 from nswave.net import finite_difference_check
 
@@ -279,15 +286,12 @@ def test_band_matvec_matches_reference_and_its_adjoint(dim, n, padding,
     parts = [rng.standard_normal((be, bf) + spatial + (cfg.alpha,))
              for _ in range(n_parts)]
     gouts = [rng.standard_normal(p.shape) for p in parts]
-    d, v = (parts[0], parts[1]) if dim == 1 else (parts[:3], parts[3])
     coarsest = level == 0
-    outs = mdl._band_matvec(blocks, lay, d, v, coarsest)
+    outs = mdl._band_matvec(blocks, lay, parts)
     ref = _band_reference(blocks, lay, parts, dim, padding, coarsest)
     for o, r in zip(outs, ref):
         assert np.max(np.abs(o - r)) <= 1e-13 * np.max(np.abs(r))
-    g_blocks, g_d, g_v = mdl._band_matvec_backward(
-        blocks, lay, d, v, gouts, coarsest)
-    g_parts = [g_d, g_v] if dim == 1 else list(g_d) + [g_v]
+    g_blocks, g_parts = mdl._band_matvec_backward(blocks, lay, parts, gouts)
     lhs = sum(np.vdot(o, g) for o, g in zip(outs, gouts))
     rhs_x = sum(np.vdot(p, g) for p, g in zip(parts, g_parts))
     rhs_b = sum(np.vdot(blocks[k], g) for k, g in g_blocks.items())
@@ -358,3 +362,134 @@ def test_full_model_gradient_small(seed):
     mdl.backward(tape, u - tgt)
     errs = finite_difference_check(loss, mdl.parameters(), mdl.gradients())
     assert max(errs.values()) < 1e-6
+
+
+# -- the transform-kernel tie map ----------------------------------------------
+
+def _exact_iwt_kernel(filt, alpha, dim):
+    """The exact inverse-transform kernel written out tap by tap: tap j of
+    output slot r on each axis carries filter tap 2(p-1-j) + r of every
+    part's axis filters."""
+    p = filt.p
+    names = ("g", "h") if dim == 1 else ("hg", "gh", "gg", "hh")
+    m = len(names) * alpha
+    k = np.zeros((p,) * dim + (m, m))
+    for j in itertools.product(range(p), repeat=dim):
+        for r in itertools.product(range(2), repeat=dim):
+            col = int("".join(map(str, r)), 2) * alpha
+            for q, axes in enumerate(names):
+                coeff = np.prod([getattr(filt, a)[2 * (p - 1 - jj) + rr]
+                                 for a, jj, rr in zip(axes, j, r)])
+                for c in range(alpha):
+                    k[j + (q * alpha + c, col + c)] = coeff
+    return k
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_tie_of_exact_forward_kernel_is_exact_inverse_kernel(dim, p):
+    cfg = ModelConfig(n=16, levels=1, alpha=2, depth=1, nb=1, p=p, dim=dim,
+                      symmetric=False, init_noise=0.0, seed=0)
+    mdl = exact_model(cfg)
+    ref = _exact_iwt_kernel(wv.daubechies_filter(p), cfg.alpha, dim)
+    assert np.array_equal(tie(mdl.fwt[0].weight), ref)
+    assert np.array_equal(mdl.iwt[0].weight, ref)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_untie_is_the_adjoint_and_inverse_of_tie(dim, p):
+    rng = np.random.default_rng(10 * dim + p)
+    alpha = 3
+    m = alpha << dim
+    fw = rng.standard_normal((2 * p,) * dim + (alpha, m))
+    gk = rng.standard_normal((p,) * dim + (m, m))
+    assert tie(fw).shape == gk.shape
+    lhs, rhs = np.vdot(tie(fw), gk), np.vdot(fw, untie(gk))
+    assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(fw) * np.linalg.norm(gk)
+    assert np.array_equal(untie(tie(fw)), fw)
+
+
+# -- checkpoint format ----------------------------------------------------------
+
+#: parameter names and shapes of the desk presets' models, as written by
+#: checkpoints since the initial import; a change here breaks old checkpoints
+CHECKPOINT_FORMAT = {
+    "schrodinger1d_desk": {
+        "convnet0.0.weight": (6, 1, 5), "convnet0.0.bias": (5,),
+        "convnet0.2.weight": (6, 5, 5), "convnet0.2.bias": (5,),
+        "convnet0.4.weight": (6, 5, 5), "convnet0.4.bias": (5,),
+        "convnet0.6.weight": (6, 5, 5), "convnet0.6.bias": (5,),
+        "convnet0.7.weight": (6, 5, 5), "convnet0.7.bias": (5,),
+        "convnet0.8.weight": (1, 5, 110), "convnet0.8.bias": (110,),
+        "convnet1.0.weight": (6, 1, 5), "convnet1.0.bias": (5,),
+        "convnet1.2.weight": (6, 5, 5), "convnet1.2.bias": (5,),
+        "convnet1.4.weight": (6, 5, 5), "convnet1.4.bias": (5,),
+        "convnet1.5.weight": (6, 5, 5), "convnet1.5.bias": (5,),
+        "convnet1.6.weight": (6, 5, 5), "convnet1.6.bias": (5,),
+        "convnet1.7.weight": (1, 5, 70), "convnet1.7.bias": (70,),
+        "convnet2.0.weight": (6, 1, 5), "convnet2.0.bias": (5,),
+        "convnet2.2.weight": (6, 5, 5), "convnet2.2.bias": (5,),
+        "convnet2.3.weight": (6, 5, 5), "convnet2.3.bias": (5,),
+        "convnet2.4.weight": (6, 5, 5), "convnet2.4.bias": (5,),
+        "convnet2.5.weight": (6, 5, 5), "convnet2.5.bias": (5,),
+        "convnet2.6.weight": (1, 5, 70), "convnet2.6.bias": (70,),
+        "fwt0.weight": (6, 5, 10), "fwt1.weight": (6, 5, 10),
+        "fwt2.weight": (6, 5, 10),
+    },
+    "rte1d_desk": {
+        "convnet0.0.weight": (6, 1, 5), "convnet0.0.bias": (5,),
+        "convnet0.2.weight": (6, 5, 5), "convnet0.2.bias": (5,),
+        "convnet0.4.weight": (6, 5, 5), "convnet0.4.bias": (5,),
+        "convnet0.6.weight": (6, 5, 5), "convnet0.6.bias": (5,),
+        "convnet0.7.weight": (6, 5, 5), "convnet0.7.bias": (5,),
+        "convnet0.8.weight": (1, 5, 145), "convnet0.8.bias": (145,),
+        "convnet1.0.weight": (6, 1, 5), "convnet1.0.bias": (5,),
+        "convnet1.2.weight": (6, 5, 5), "convnet1.2.bias": (5,),
+        "convnet1.4.weight": (6, 5, 5), "convnet1.4.bias": (5,),
+        "convnet1.5.weight": (6, 5, 5), "convnet1.5.bias": (5,),
+        "convnet1.6.weight": (6, 5, 5), "convnet1.6.bias": (5,),
+        "convnet1.7.weight": (1, 5, 105), "convnet1.7.bias": (105,),
+        "convnet2.0.weight": (6, 1, 5), "convnet2.0.bias": (5,),
+        "convnet2.2.weight": (6, 5, 5), "convnet2.2.bias": (5,),
+        "convnet2.3.weight": (6, 5, 5), "convnet2.3.bias": (5,),
+        "convnet2.4.weight": (6, 5, 5), "convnet2.4.bias": (5,),
+        "convnet2.5.weight": (6, 5, 5), "convnet2.5.bias": (5,),
+        "convnet2.6.weight": (1, 5, 105), "convnet2.6.bias": (105,),
+        "fwt0.weight": (6, 5, 10), "fwt1.weight": (6, 5, 10),
+        "fwt2.weight": (6, 5, 10), "iwt0.weight": (3, 10, 10),
+        "iwt1.weight": (3, 10, 10), "iwt2.weight": (3, 10, 10),
+    },
+    "schrodinger2d_desk": {
+        "convnet0.0.weight": (6, 6, 1, 4), "convnet0.0.bias": (4,),
+        "convnet0.2.weight": (6, 6, 4, 4), "convnet0.2.bias": (4,),
+        "convnet0.4.weight": (6, 6, 4, 4), "convnet0.4.bias": (4,),
+        "convnet0.5.weight": (6, 6, 4, 4), "convnet0.5.bias": (4,),
+        "convnet0.6.weight": (1, 1, 4, 580), "convnet0.6.bias": (580,),
+        "convnet1.0.weight": (6, 6, 1, 4), "convnet1.0.bias": (4,),
+        "convnet1.2.weight": (6, 6, 4, 4), "convnet1.2.bias": (4,),
+        "convnet1.3.weight": (6, 6, 4, 4), "convnet1.3.bias": (4,),
+        "convnet1.4.weight": (6, 6, 4, 4), "convnet1.4.bias": (4,),
+        "convnet1.5.weight": (1, 1, 4, 324), "convnet1.5.bias": (324,),
+        "fwt0.weight": (6, 6, 4, 16), "fwt1.weight": (6, 6, 4, 16),
+    },
+}
+
+
+@pytest.mark.parametrize("preset", sorted(CHECKPOINT_FORMAT))
+def test_checkpoint_parameter_names_and_shapes_are_pinned(preset):
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    mdl = MetaModel(pl.load_config(configs / f"{preset}.json").model)
+    shapes = {k: v.shape for k, v in mdl.parameters().items()}
+    assert shapes == CHECKPOINT_FORMAT[preset]
+
+
+@pytest.mark.parametrize("name", ["ckpt_1d_zero", "ckpt_2d_tied"])
+def test_checkpoint_from_an_earlier_release_loads_and_acts_alike(name):
+    """Checkpoints written by an earlier release, with its forward output
+    for fixed inputs: the loaded model reproduces that output."""
+    ckpt = Path(__file__).resolve().parent / "data" / name
+    mdl = pl.load_checkpoint(ckpt)
+    ref = read_tensors(ckpt / "expected.nstf")
+    u = mdl.forward(ref["eta"], ref["f"])
+    assert np.max(np.abs(u - ref["u"])) <= 1e-12 * np.max(np.abs(ref["u"]))

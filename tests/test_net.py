@@ -266,8 +266,3 @@ def test_nadam_rejects_non_finite_gradient():
     with pytest.raises(TrainingError):
         net.nadam_step(params, {"t": np.array([np.nan])}, state)
 
-
-def test_sgd_step():
-    params = {"t": np.array([1.0])}
-    net.sgd_step(params, {"t": np.array([0.5])}, 0.2)
-    assert params["t"][0] == pytest.approx(0.9)

@@ -136,42 +136,6 @@ def test_truncation_error_decreases_on_log_kernel():
     assert errs[0] > 0
 
 
-def test_extract_embed_roundtrip():
-    rng = np.random.default_rng(6)
-    filt = wv.daubechies_filter(3)
-    ns = nsf.truncate(nsf.build_nonstandard(
-        rng.standard_normal((64, 64)), filt, 3), 3)
-    vc = nsf.extract_vectors(ns)
-    for level in vc.c:
-        n_off = len(nsf.band_offsets(1 << level, 3))
-        assert vc.c[level].shape == (1 << level, 3 * n_off)
-    ns2 = nsf.embed(vc)
-    for v in rng.standard_normal((10, 64)):
-        assert np.max(np.abs(nsf.apply(ns2, v, filt)
-                             - nsf.apply(ns, v, filt))) < 1e-13
-    vc2 = nsf.extract_vectors(ns2)
-    for level in vc.c:
-        assert np.array_equal(vc2.c[level], vc.c[level])
-    assert np.array_equal(vc2.coarse, vc.coarse)
-
-
-def test_embed_zero_collection_acts_through_coarse_only():
-    rng = np.random.default_rng(7)
-    filt = wv.daubechies_filter(1)
-    ns = nsf.truncate(nsf.build_nonstandard(
-        rng.standard_normal((16, 16)), filt, 0), 1)
-    vc = nsf.extract_vectors(ns)
-    for level in vc.c:
-        vc.c[level][...] = 0.0
-    zeroed = nsf.embed(vc)
-    # wipe the coarse block too: the whole operator must vanish
-    vc.coarse[...] = 0.0
-    wiped = nsf.embed(vc)
-    v = rng.standard_normal(16)
-    assert np.max(np.abs(nsf.apply(wiped, v, filt))) == 0.0
-    assert np.max(np.abs(nsf.apply(zeroed, v, filt))) > 0.0
-
-
 def test_banded_block_dense_roundtrip_and_transpose():
     rng = np.random.default_rng(8)
     a = rng.standard_normal((8, 8))
