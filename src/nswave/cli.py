@@ -38,8 +38,13 @@ def _load_config(args) -> pipeline.RunConfig:
     path = Path(args.config)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        raw = json.load(fh)
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"config file {path} is not JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
     raw = pipeline.apply_overrides(raw, args.set or [])
     if getattr(args, "seed", None) is not None:
         raw.setdefault("dataset", {})["seed"] = args.seed
@@ -199,7 +204,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, help="override dataset.seed")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes for sample generation")
+                   help="worker processes (>= 1) that generate and "
+                        "certify the parameter draws")
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model on a dataset")

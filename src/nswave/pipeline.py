@@ -37,6 +37,8 @@ RESIDUAL_TOL = 1e-10
 # -- configuration ---------------------------------------------------------------
 
 def _from_dict(cls, d: dict):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{cls.__name__} must be a JSON object, got {d!r}")
     fields = dataclasses.fields(cls)
     unknown = set(d) - {f.name for f in fields}
     if unknown:
@@ -77,6 +79,21 @@ class TrainConfig:
     target_test_error: float | None = None
     operator_samples: int = 10
 
+    def validate(self) -> "TrainConfig":
+        number = float | int
+        for name, kind in (("learning_rate", number),
+                           ("batch_fraction", number), ("max_epochs", int),
+                           ("patience", int), ("min_improvement", number),
+                           ("seed", int), ("target_test_error", number | None),
+                           ("operator_samples", int)):
+            value = getattr(self, name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                raise ConfigError(f"training.{name} has invalid value "
+                                  f"{value!r}")
+        if self.max_epochs < 1 or not self.batch_fraction > 0:
+            raise ConfigError("need max_epochs >= 1 and batch_fraction > 0")
+        return self
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -100,6 +117,7 @@ class RunConfig:
         self.problem.validate()
         self.dataset.validate()
         self.model.validate()
+        self.training.validate()
         if self.model.n != self.problem.n:
             raise ConfigError(
                 f"model n={self.model.n} != problem n={self.problem.n}")
@@ -161,7 +179,8 @@ class SampleSet:
 
     def max_residual(self) -> float:
         """Largest relative residual over every (eta, f) pair, NaN if any
-        is NaN; each draw's sources share one operator."""
+        is NaN; each draw's sources share one operator, built here anew,
+        so a reload checks the stored data independently of generation."""
         per_draw = [np.max(self.problem.residual_batch(eta, fs, us))
                     for eta, fs, us in zip(self.eta, self.f, self.u)]
         return float(np.max(per_draw, initial=0.0))
@@ -184,11 +203,16 @@ def _gen_one(args):
 def generate_dataset(cfg: RunConfig, out_dir, threads: int = 1) -> dict:
     """Generate, certify and persist both splits; returns a summary dict.
 
-    Parameter draws are split half/half into train and test by index, so
-    the splits never share an eta.  Per-sample seeds are a pure function
-    of (dataset.seed, index), making the files bit-reproducible for any
-    thread count.
+    Each draw is solved and certified against one operator inside
+    `solvers.generate_sample`, so `threads` worker processes share both
+    the solves and the certification; nothing is written unless every
+    residual is within RESIDUAL_TOL.  Parameter draws are split
+    half/half into train and test by index, so the splits never share an
+    eta.  Per-sample seeds are a pure function of (dataset.seed, index),
+    making the files bit-reproducible for any thread count.
     """
+    if not isinstance(threads, int) or threads < 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     cfg = cfg.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -208,21 +232,16 @@ def generate_dataset(cfg: RunConfig, out_dir, threads: int = 1) -> dict:
     us = np.stack([r[2] for r in results])
     seeds = np.array([r[3]["eta_seed"] for r in results], dtype=float)
     retries = np.array([r[3]["retries"] for r in results], dtype=float)
-
-    n_train = n_eta // 2
-    splits = {"train": slice(0, n_train), "test": slice(n_train, n_eta)}
-    residuals = []
-    for name, sl in splits.items():
-        ss = SampleSet(problem=cfg.problem, split=name, eta=etas[sl],
-                       f=fs[sl], u=us[sl], eta_seeds=seeds[sl],
-                       retries=retries[sl])
-        residuals.append(ss.max_residual())
-        write_tensors(out / f"{name}.nstf", {
-            "eta": ss.eta, "f": ss.f, "u": ss.u,
-            "eta_seeds": ss.eta_seeds, "retries": ss.retries})
-    worst = float(np.max(residuals))
+    worst = float(np.max([r[3]["max_residual"] for r in results]))
     if not worst <= RESIDUAL_TOL:
         raise DataError(f"generation residual {worst:.3e} above tolerance")
+
+    n_train = n_eta // 2
+    for name, sl in (("train", slice(0, n_train)),
+                     ("test", slice(n_train, n_eta))):
+        write_tensors(out / f"{name}.nstf", {
+            "eta": etas[sl], "f": fs[sl], "u": us[sl],
+            "eta_seeds": seeds[sl], "retries": retries[sl]})
 
     summary = {
         "problem": spec_dict,
@@ -332,7 +351,18 @@ def evaluate(mdl: MetaModel, ss: SampleSet, chunk_etas: int = 32) -> float:
 
 def power_norm2(mat: np.ndarray, tol: float = 1e-8, restarts: int = 3,
                 seed: int = 0, max_iter: int = 5000) -> float:
-    """Spectral norm by power iteration on G^T G, certified by restarts."""
+    """Spectral norm by power iteration on G^T G, certified by restarts.
+
+    The iteration runs on G scaled by the power of two nearest max|G|,
+    so G^T G neither overflows nor underflows; that scaling is exact, so
+    the result equals the unscaled one wherever that one is representable.
+    A non-finite entry gives inf.
+    """
+    top = np.max(np.abs(mat), initial=0.0)
+    if not np.isfinite(top):
+        return np.inf
+    exponent = int(np.frexp(top)[1])
+    mat = np.ldexp(mat, -exponent)
     rng = np.random.default_rng(seed)
     best = 0.0
     for _ in range(restarts):
@@ -353,7 +383,7 @@ def power_norm2(mat: np.ndarray, tol: float = 1e-8, restarts: int = 3,
             sigma = sigma_new
             v = v_new
         best = max(best, sigma)
-    return best
+    return float(np.ldexp(best, exponent))
 
 
 def operator_error(mdl: MetaModel, problem: ProblemSpec,
@@ -378,8 +408,7 @@ def train(mdl: MetaModel, train_set: SampleSet, test_set: SampleSet,
     eta ConvNets and the f path once per drawn pair, so an eta drawn
     twice in one step is evaluated twice.
     """
-    if tcfg.max_epochs < 1 or tcfg.batch_fraction <= 0:
-        raise ConfigError("need max_epochs >= 1 and batch_fraction > 0")
+    tcfg.validate()
     rng = np.random.default_rng(tcfg.seed)
     n_f = train_set.n_f
     n_samples = train_set.n_eta * n_f

@@ -17,6 +17,7 @@ leaves the solution unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -224,11 +225,14 @@ class ProblemSpec:
     # solving ----------------------------------------------------------------------
 
     def operator(self, eta: np.ndarray):
+        """The matrix a draw at eta is solved and certified against: the
+        sparse elliptic operator, or the dense transfer kernel K of
+        u = K(eta u) + K f."""
         if self.kind == "schrodinger":
             return schrodinger_matrix(eta, self.h)
         if self.kind == "divergence":
             return divergence_matrix(eta, self.h)
-        raise ConfigError("rte has no sparse operator; use the kernel")
+        return self.kernel(eta)
 
     def kernel(self, eta: np.ndarray, m: int | None = None) -> np.ndarray:
         if self.kind != "rte":
@@ -242,11 +246,15 @@ class ProblemSpec:
 
     def solve_batch(self, eta: np.ndarray, fs: np.ndarray) -> np.ndarray:
         """Solve for a batch of sources sharing one eta (one factorization)."""
+        return self._solve_against(self.operator(eta), eta, fs)
+
+    def _solve_against(self, op, eta: np.ndarray,
+                       fs: np.ndarray) -> np.ndarray:
         if self.kind == "schrodinger":
-            return _solve_sparse_batch(schrodinger_matrix(eta, self.h), fs)
+            return _solve_sparse_batch(op, fs)
         if self.kind == "divergence":
-            return _solve_divergence_batch(eta, fs, self.h)
-        return _rte_solve_batch(self.kernel(eta), eta, fs)
+            return _solve_divergence_batch(op, fs)
+        return _rte_solve_batch(op, eta, fs)
 
     def residual(self, eta: np.ndarray, f: np.ndarray,
                  u: np.ndarray) -> float:
@@ -261,34 +269,34 @@ class ProblemSpec:
         Transfer: |u - K(eta u) - K f| / |K f|; elliptic: |L u - f| / |f|,
         with f projected to zero mean for the divergence form.
         """
+        return self._residuals_against(self.operator(eta), eta, fs, us)
+
+    def _residuals_against(self, op, eta: np.ndarray, fs: np.ndarray,
+                           us: np.ndarray) -> np.ndarray:
         fv = np.asarray(fs, dtype=float).reshape(fs.shape[0], -1)
         uv = np.asarray(us, dtype=float).reshape(us.shape[0], -1)
         if self.kind == "rte":
-            kern = self.kernel(eta)
-            rhs = fv @ kern.T
-            lhs = uv - (uv * eta.reshape(-1)) @ kern.T
+            rhs = fv @ op.T
+            lhs = uv - (uv * eta.reshape(-1)) @ op.T
         else:
             if self.kind == "divergence":
                 fv = fv - fv.mean(axis=1, keepdims=True)
             rhs = fv
-            lhs = (self.operator(eta) @ uv.T).T
+            lhs = (op @ uv.T).T
         return (np.linalg.norm(lhs - rhs, axis=1)
                 / np.linalg.norm(rhs, axis=1))
 
     def reference_matrix(self, eta: np.ndarray) -> np.ndarray:
         """Dense solution operator at eta (column solves)."""
         nn = eta.size
+        op = self.operator(eta)
         if self.kind == "rte":
-            kern = self.kernel(eta)
-            a = np.eye(nn) - kern * eta.reshape(-1)[None, :]
-            return sla.solve(a, kern)
-        if self.kind == "schrodinger":
-            return _solve_sparse_batch(
-                schrodinger_matrix(eta, self.h),
-                np.eye(nn)).T
-        # divergence: pseudo-inverse through the zero-mean projection
-        basis = np.eye(nn) - 1.0 / nn
-        return _solve_divergence_batch(eta, basis, self.h).T
+            return sla.solve(np.eye(nn) - op * eta.reshape(-1)[None, :], op)
+        basis = np.eye(nn)
+        if self.kind == "divergence":
+            # pseudo-inverse through the zero-mean projection
+            basis -= 1.0 / nn
+        return self._solve_against(op, eta, basis).T
 
 
 # -- elliptic operators ---------------------------------------------------------------
@@ -359,9 +367,7 @@ def solve_schrodinger(eta: np.ndarray, f: np.ndarray,
     return _solve_sparse_batch(schrodinger_matrix(eta, h), f[None])[0]
 
 
-def _solve_divergence_batch(eta: np.ndarray, fs: np.ndarray,
-                            h: float) -> np.ndarray:
-    op = divergence_matrix(eta, h)
+def _solve_divergence_batch(op: sp.spmatrix, fs: np.ndarray) -> np.ndarray:
     nn = op.shape[0]
     flat = np.asarray(fs, dtype=float).reshape(fs.shape[0], nn)
     means = np.abs(flat.mean(axis=1))
@@ -384,10 +390,20 @@ def solve_divergence(eta: np.ndarray, f: np.ndarray, h: float | None = None,
     h = h if h is not None else 1.0 / eta.shape[0]
     if project:
         f = f - f.mean()
-    return _solve_divergence_batch(eta, f[None], h)[0]
+    return _solve_divergence_batch(divergence_matrix(eta, h), f[None])[0]
 
 
 # -- radiative transfer: 1D slab ------------------------------------------------------
+
+@lru_cache(maxsize=16)
+def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed
+    once per order and process: every kernel build reuses them."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
 
 def _trap_weights(m: int) -> np.ndarray:
     w = np.full(m + 1, 1.0 / m)
@@ -460,7 +476,7 @@ def rte_kernel_1d(eta: np.ndarray, spec: ProblemSpec,
     dist = np.abs(x[:, None] - x[None, :])
     kern = h * _half_e1(dist * tau)
 
-    g64, w64 = np.polynomial.legendre.leggauss(64)
+    g64, w64 = _gauss_legendre(64)
     g64 = 0.5 * (g64 + 1.0)
     w64 = 0.5 * w64
     idx = np.arange(n)
@@ -474,7 +490,7 @@ def rte_kernel_1d(eta: np.ndarray, spec: ProblemSpec,
         kern[i_k, j_k] = h * (vals @ w64)
     # self cell: split at the log singularity, sqrt substitution per half
     # (two 32-node panels)
-    nodes, wts = np.polynomial.legendre.leggauss(32)
+    nodes, wts = _gauss_legendre(32)
     nodes = 0.5 * (nodes + 1.0)
     wts = 0.5 * wts
     y_half = nodes ** 2 * (0.5 * h)
@@ -489,26 +505,27 @@ def rte_kernel_1d(eta: np.ndarray, spec: ProblemSpec,
 
 
 def spectral_radius(mat: np.ndarray) -> float:
-    """Dominant-eigenvalue magnitude; dense solve below the direct-solve
-    limit, power iteration above (the scattering matrix is positive, so
-    the Perron root dominates and the iteration is reliable)."""
-    n = mat.shape[0]
-    if n <= DIRECT_SOLVE_LIMIT:
-        return float(np.max(np.abs(np.linalg.eigvals(mat))))
-    rng = np.random.default_rng(0)
-    v = np.abs(rng.standard_normal(n)) + 1e-3
-    v /= np.linalg.norm(v)
-    lam = 0.0
+    """Upper bound on the Perron root (the spectral radius) of a
+    nonnegative matrix, by power iteration.
+
+    For positive v and w = mat @ v, min(w / v) <= rho <= max(w / v)
+    (Collatz-Wielandt).  The iteration runs from v = 1 until that bracket
+    is 1e-10 wide relative to its top, or for 500 steps, and returns the
+    top: a slow convergence (a second eigenvalue close to the Perron
+    root, as in optically thick slabs) errs towards rejecting a draw,
+    never towards accepting one.  The scattering matrix K diag(eta) has
+    a positive entry in every row, which keeps v positive; a row without
+    one makes the bracket undefined, and the result NaN.
+    """
+    v = np.ones(mat.shape[0])
     for _ in range(500):
         w = mat @ v
-        lam_new = float(np.linalg.norm(w))
-        if lam_new == 0.0:
-            return 0.0
-        v = w / lam_new
-        if abs(lam_new - lam) <= 1e-10 * lam_new:
-            return lam_new
-        lam = lam_new
-    return lam
+        quotients = w / v
+        low, top = quotients.min(), quotients.max()
+        if top - low <= 1e-10 * top:
+            break
+        v = w / top
+    return float(top)
 
 
 def _rte_solve_batch(kern: np.ndarray, eta: np.ndarray,
@@ -516,7 +533,7 @@ def _rte_solve_batch(kern: np.ndarray, eta: np.ndarray,
     nn = kern.shape[0]
     keta = kern * eta.reshape(-1)[None, :]
     rho = spectral_radius(keta)
-    if rho >= 1.0 - 1e-6:
+    if not rho < 1.0 - 1e-6:  # NaN too
         raise ConditioningError(
             f"transfer system near singular (rho={rho:.8f})")
     flat = np.asarray(fs, dtype=float).reshape(fs.shape[0], nn)
@@ -535,11 +552,6 @@ def _rte_solve_batch(kern: np.ndarray, eta: np.ndarray,
                     f"gmres failed to converge (info={info})")
             u[i] = x
     return u.reshape(fs.shape)
-
-
-def rte_solve_1d(eta: np.ndarray, f: np.ndarray, spec: ProblemSpec,
-                 m: int | None = None) -> np.ndarray:
-    return _rte_solve_batch(rte_kernel_1d(eta, spec, m), eta, f[None])[0]
 
 
 # -- radiative transfer: 2D ------------------------------------------------------------
@@ -615,8 +627,8 @@ def _refine_near_2d(kern, eta, spec, m, order):
         q2 = xi2[..., None] - s * (xi2[..., None] - y2[..., None])
         return _interp_eta_2d(eta, q1, q2, h, ax[0]) @ w_path
 
-    g_nodes, g_wts = np.polynomial.legendre.leggauss(order)
-    g_nodes = 0.5 * g_nodes  # cell offsets in units of h
+    nodes, wts = _gauss_legendre(order)
+    g_nodes = 0.5 * nodes  # cell offsets in units of h
     ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     flat_i = (ii * n + jj).reshape(-1)
 
@@ -636,8 +648,8 @@ def _refine_near_2d(kern, eta, spec, m, order):
             xi1, xi2 = ax[rows // n], ax[rows % n]
             yc1, yc2 = ax[cols // n], ax[cols % n]
             acc = np.zeros(rows.shape[0])
-            for a, wa in zip(g_nodes, g_wts):
-                for b, wb in zip(g_nodes, g_wts):
+            for a, wa in zip(g_nodes, wts):
+                for b, wb in zip(g_nodes, wts):
                     y1 = yc1 + a * h
                     y2 = yc2 + b * h
                     r = np.hypot(xi1 - y1, xi2 - y2)
@@ -647,17 +659,15 @@ def _refine_near_2d(kern, eta, spec, m, order):
 
     # self cell in polar coordinates; one panel per octant so the ray
     # length R(theta) stays smooth inside each theta panel
-    t_nodes, t_wts = np.polynomial.legendre.leggauss(order)
-    r_nodes, r_wts = np.polynomial.legendre.leggauss(order)
     xi1, xi2 = ax[flat_i // n], ax[flat_i % n]
     acc = np.zeros(flat_i.shape[0])
     for q in range(8):
-        theta = (q + 0.5 * (t_nodes + 1.0)) * (np.pi / 4.0)
-        w_t = t_wts * (np.pi / 8.0)
+        theta = (q + 0.5 * (nodes + 1.0)) * (np.pi / 4.0)
+        w_t = wts * (np.pi / 8.0)
         for th, wt in zip(theta, w_t):
             rmax = 0.5 * h / max(abs(np.cos(th)), abs(np.sin(th)))
-            rr = 0.5 * (r_nodes + 1.0) * rmax
-            wr = r_wts * (0.5 * rmax)
+            rr = 0.5 * (nodes + 1.0) * rmax
+            wr = wts * (0.5 * rmax)
             for r_val, w_r in zip(rr, wr):
                 y1 = xi1 + r_val * np.cos(th)
                 y2 = xi2 + r_val * np.sin(th)
@@ -666,19 +676,19 @@ def _refine_near_2d(kern, eta, spec, m, order):
     kern[flat_i, flat_i] = acc
 
 
-def rte_solve_2d(eta: np.ndarray, f: np.ndarray, spec: ProblemSpec,
-                 m: int | None = None) -> np.ndarray:
-    return _rte_solve_batch(rte_kernel_2d(eta, spec, m), eta, f[None])[0]
-
-
 # -- sample generation with retry ------------------------------------------------
 
 def generate_sample(spec: ProblemSpec, eta_seed: int, f_seeds):
-    """(eta, F, U, meta): one parameter draw and its solved sources.
+    """(eta, F, U, meta): one parameter draw, its solved sources, and
+    their certification.
 
-    Transfer problems re-draw eta (bumping the seed by one) when the
-    scattering system gets too close to singular; the retry count lands
-    in the metadata.
+    The draw's operator (the elliptic matrix, or the transfer kernel) is
+    built once: the sources are solved with it, and checked against it
+    with `residual_batch`'s formula.  The largest relative residual (NaN
+    if any is NaN) lands in the metadata as `max_residual`.  Transfer
+    problems re-draw eta (bumping the seed by one) when the scattering
+    system gets too close to singular; the retry count lands in the
+    metadata too.
     """
     spec = spec.validate()
     retries = 0
@@ -686,14 +696,17 @@ def generate_sample(spec: ProblemSpec, eta_seed: int, f_seeds):
     while True:
         eta = spec.sample_eta(seed)
         fs = np.stack([spec.sample_f(s) for s in f_seeds])
+        op = spec.operator(eta)
         try:
-            us = spec.solve_batch(eta, fs)
+            us = spec._solve_against(op, eta, fs)
             break
         except ConditioningError:
             retries += 1
             if retries > spec.resample_limit:
                 raise DataError(f"eta resampling limit hit at seed {eta_seed}")
             seed = seed + 1
+    worst = np.max(spec._residuals_against(op, eta, fs, us))
     meta = {"eta_seed": int(seed), "retries": retries,
-            "f_seeds": [int(s) for s in f_seeds]}
+            "f_seeds": [int(s) for s in f_seeds],
+            "max_residual": float(worst)}
     return eta, fs, us, meta

@@ -89,7 +89,7 @@ def test_config_error_exit_codes(tmp_path, micro_config):
 
 @pytest.mark.parametrize("override", [
     "dataset.n_eta=1", "dataset.n_eta=0", "dataset.n_f=0",
-    "dataset.n_eta=2.5", "dataset.n_f=true"])
+    "dataset.n_eta=2.5", "dataset.n_f=true", "dataset=3"])
 def test_degenerate_dataset_is_a_config_error(micro_config, tmp_path,
                                               capsys, override):
     rc = cli.main(["gen-data", "--config", str(micro_config),
@@ -117,6 +117,43 @@ def test_malformed_problem_block_is_a_config_error(tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "Traceback" not in err
+
+
+def _assert_config_error(rc, capsys):
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("override", [
+    'training.learning_rate="x"', "training.max_epochs=2.5",
+    "training.target_test_error=[0.1]", "training.batch_fraction=0"])
+def test_mistyped_training_value_is_a_config_error(micro_config, tmp_path,
+                                                   capsys, override):
+    rc = cli.main(["train", "--config", str(micro_config),
+                   "--data", str(tmp_path / "d"),
+                   "--out", str(tmp_path / "ck"), "--set", override])
+    _assert_config_error(rc, capsys)
+
+
+@pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe\x00", b"3"],
+                         ids=["syntax", "binary", "not-an-object"])
+def test_unreadable_config_file_is_a_config_error(tmp_path, capsys, content):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    rc = cli.main(["gen-data", "--config", str(path),
+                   "--out", str(tmp_path / "d")])
+    _assert_config_error(rc, capsys)
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_gen_data_needs_a_positive_thread_count(micro_config, tmp_path,
+                                                capsys, threads):
+    rc = cli.main(["gen-data", "--config", str(micro_config),
+                   "--out", str(tmp_path / "d"), "--threads", threads])
+    _assert_config_error(rc, capsys)
+    assert not (tmp_path / "d").exists()
 
 
 def test_data_error_exit_code(micro_config, tmp_path):

@@ -26,6 +26,16 @@ DESK = {
 }
 
 
+RTE = {
+    "problem": {"kind": "rte", "n": 32, "interior": 28, "eta_coarse": 4,
+                "eta_scale": 1.0, "eta_max": 5.0, "f_coarse": 4},
+    "dataset": {"n_eta": 6, "n_f": 3, "seed": 2},
+    "model": {"n": 32, "levels": 2, "alpha": 2, "depth": 2, "nb": 1, "p": 2,
+              "padding": "zero", "symmetric": False, "seed": 0},
+    "training": DESK["training"],
+}
+
+
 def sha(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
@@ -175,8 +185,9 @@ def test_generate_dataset_deterministic(tmp_path):
             == sha(tmp_path / "b" / f"{split}.nstf")
 
 
-def test_generate_dataset_threads_match_serial(tmp_path):
-    cfg = pl.RunConfig.from_dict(DESK)
+@pytest.mark.parametrize("config", [DESK, RTE], ids=["elliptic", "rte"])
+def test_generate_dataset_threads_match_serial(tmp_path, config):
+    cfg = pl.RunConfig.from_dict(config)
     pl.generate_dataset(cfg, tmp_path / "serial", threads=1)
     pl.generate_dataset(cfg, tmp_path / "par", threads=2)
     for split in ("train", "test"):
@@ -206,14 +217,41 @@ def test_reload_residual_check_catches_corruption(tmp_path):
     pl.load_sampleset(tmp_path, "train", check=False)
 
 
-RTE = {
-    "problem": {"kind": "rte", "n": 32, "interior": 28, "eta_coarse": 4,
-                "eta_scale": 1.0, "eta_max": 5.0, "f_coarse": 4},
-    "dataset": {"n_eta": 6, "n_f": 3, "seed": 2},
-    "model": {"n": 32, "levels": 2, "alpha": 2, "depth": 2, "nb": 1, "p": 2,
-              "padding": "zero", "symmetric": False, "seed": 0},
-    "training": DESK["training"],
-}
+def test_generation_builds_one_transfer_kernel_per_draw(tmp_path,
+                                                       monkeypatch):
+    """The solve and the certification share the draw's kernel; only the
+    reload check builds its own."""
+    calls = []
+    build = sv.rte_kernel_1d
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+    monkeypatch.setattr(sv, "rte_kernel_1d", counted)
+    cfg = pl.RunConfig.from_dict(RTE)
+    summary = pl.generate_dataset(cfg, tmp_path)
+    assert len(calls) == cfg.dataset.n_eta + summary["total_retries"]
+    calls.clear()
+    pl.load_sampleset(tmp_path, "train", check=True)
+    assert len(calls) == cfg.dataset.n_eta // 2
+
+
+def test_generation_rejects_a_corrupted_solve_and_writes_nothing(
+        tmp_path, monkeypatch):
+    solve = sv._rte_solve_batch
+    calls = []
+
+    def corrupted(kern, eta, fs):
+        us = solve(kern, eta, fs)
+        calls.append(1)
+        if len(calls) == 4:  # one source of one test-split draw
+            us[1, 16] += 1e-6
+        return us
+    monkeypatch.setattr(sv, "_rte_solve_batch", corrupted)
+    with pytest.raises(DataError):
+        pl.generate_dataset(pl.RunConfig.from_dict(RTE), tmp_path)
+    assert len(calls) == 6
+    assert not any(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("value", [1e-3, np.nan])
@@ -252,6 +290,23 @@ def test_power_norm2_matches_svd():
         m = rng.standard_normal(shape)
         assert pl.power_norm2(m) == pytest.approx(
             np.linalg.norm(m, 2), rel=1e-6)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170, 2.0 ** 600, 1e-310])
+def test_power_norm2_survives_entries_whose_gram_over_or_underflows(scale):
+    m = np.random.default_rng(2).standard_normal((64, 64))
+    got = pl.power_norm2(m * scale)
+    assert got == pytest.approx(np.linalg.norm(m, 2) * scale, rel=1e-6,
+                                abs=0.0)
+
+
+def test_power_norm2_scaling_is_exact_and_non_finite_gives_inf():
+    m = np.random.default_rng(3).standard_normal((24, 16))
+    assert pl.power_norm2(m * 2.0 ** 40) == pl.power_norm2(m) * 2.0 ** 40
+    assert pl.power_norm2(np.zeros((4, 4))) == 0.0
+    for bad in (np.inf, -np.inf, np.nan):
+        m[3, 5] = bad
+        assert pl.power_norm2(m) == np.inf
 
 
 def test_evaluate_is_pure_and_bitwise_repeatable(tmp_path):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from nswave import solvers as sv
-from nswave.errors import ConfigError, DataError, DomainError
+from nswave.errors import (ConditioningError, ConfigError, DataError,
+                           DomainError)
 
 
 # -- exponential integral ----------------------------------------------------
@@ -388,10 +389,27 @@ def test_iterative_transfer_path_matches_direct(monkeypatch):
 def test_power_iteration_spectral_radius_matches_dense(monkeypatch):
     rng = np.random.default_rng(4)
     mat = np.abs(rng.standard_normal((64, 64))) * 0.01
-    dense = sv.spectral_radius(mat)
+    dense = np.max(np.abs(np.linalg.eigvals(mat)))
     monkeypatch.setattr(sv, "DIRECT_SOLVE_LIMIT", 10)
     power = sv.spectral_radius(mat)
     assert power == pytest.approx(dense, rel=1e-6)
+
+
+@pytest.mark.parametrize("draw", [78, 80, 108])
+def test_spectral_radius_bounds_the_perron_root_from_above(draw):
+    """An optically thick slab puts a second eigenvalue close to the
+    Perron root, so the iteration converges slowly; its result must still
+    not fall below the root, or a draw with rho > 1 would be solved."""
+    spec = sv.ProblemSpec(kind="rte", n=64, interior=60, eta_coarse=8,
+                          eta_scale=1.0, eta_max=200.0, f_coarse=8)
+    eta = spec.sample_eta(7 + 1_000_003 * (draw + 1))
+    kern = spec.kernel(eta)
+    keta = kern * eta[None, :]
+    dense = np.max(np.abs(np.linalg.eigvals(keta)))
+    assert dense > 1.0
+    assert sv.spectral_radius(keta) >= dense * (1 - 1e-12)
+    with pytest.raises(ConditioningError):
+        sv._rte_solve_batch(kern, eta, spec.sample_f(1)[None])
 
 
 # -- operator assembly and residual certification ---------------------------------
