@@ -1,5 +1,5 @@
-"""Command-line entry point: gen-data / train / eval / export-op / verify
-/ bench, driven by a JSON config with dotted-key overrides.
+"""Command-line entry point: gen-data / train / eval / export-op / verify,
+driven by a JSON config with dotted-key overrides.
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 training divergence,
 5 verification failure.
@@ -13,9 +13,7 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
-from . import checks, nsform, pipeline, wavelets
+from . import checks, pipeline
 from .container import write_tensors
 from .errors import (
     ConditioningError,
@@ -90,6 +88,9 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.operator_samples < 0:
+        raise ConfigError(f"--operator-samples must be >= 0, "
+                          f"got {args.operator_samples}")
     t0 = time.time()
     mdl = pipeline.load_checkpoint(args.model)
     results = {}
@@ -143,48 +144,6 @@ def _cmd_verify(_args) -> int:
     return EXIT_OK if failed == 0 else EXIT_VERIFY
 
 
-def _cmd_bench(args) -> int:
-    filt = wavelets.daubechies_filter(3)
-    rng = np.random.default_rng(0)
-    print(f"{'N':>8} {'ms/apply':>12} {'ratio':>8}")
-    prev = None
-    for log_n in range(8, 8 + args.points):
-        n = 1 << log_n
-        a = rng.standard_normal((n, n)) if n <= 1024 else None
-        if a is not None:
-            ns = nsform.truncate(nsform.build_nonstandard(a, filt, 3),
-                                 args.nb)
-        else:
-            ns = _synthetic_form(n, args.nb, rng)
-        v = rng.standard_normal(n)
-        reps = max(3, 2000 // log_n ** 2)
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            nsform.apply(ns, v, filt)
-        dt = (time.perf_counter() - t0) / reps * 1e3
-        ratio = "" if prev is None else f"{dt / prev:8.2f}"
-        print(f"{n:>8} {dt:>12.3f} {ratio:>8}")
-        prev = dt
-    return EXIT_OK
-
-
-def _synthetic_form(n: int, nb: int, rng) -> nsform.NonstandardForm:
-    # random banded blocks at every level: apply cost is what matters here
-    l_max = int(np.log2(n))
-    l0 = 3
-    levels = []
-    for level in range(l0, l_max):
-        m = 1 << level
-        offs = nsform.band_offsets(m, nb)
-        blocks = {name: nsform.BandedBlock(
-            offsets=offs, data=rng.standard_normal((m, offs.size)))
-            for name in ("d1", "d2", "d3")}
-        levels.append(nsform.LevelBlocks(level=level, **blocks))
-    return nsform.NonstandardForm(
-        l_max=l_max, l0=l0, levels=levels,
-        coarse=rng.standard_normal((1 << l0, 1 << l0)), nb=nb)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nswave",
@@ -234,12 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the oracle suites")
     p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("bench", help="fast-matvec scaling table")
-    p.add_argument("--points", type=int, default=5,
-                   help="number of doublings starting at N=256")
-    p.add_argument("--nb", type=int, default=3)
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -86,6 +86,8 @@ class ModelConfig:
             raise ConfigError(f"p={self.p} outside 1..5")
         if self.alpha < 1 or self.depth < 1 or self.nb < 0:
             raise ConfigError("alpha, depth must be >= 1 and nb >= 0")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         return self
 
 

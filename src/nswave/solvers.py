@@ -1,6 +1,6 @@
 """Ground-truth generators: elliptic solvers (Schrodinger and divergence
 form), slab/2D radiative-transfer integral-equation solvers, parameter
-and source samplers, and the exponential integral E1.
+and source samplers, and the exponential integral E1 (SciPy's `exp1`).
 
 Conventions: elliptic problems live on the periodic unit box with
 spacing h = 1/n and nodes x_j = j h.  Transfer problems live on a padded
@@ -26,8 +26,6 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConditioningError, ConfigError, DataError, DomainError
 
-EULER_GAMMA = 0.5772156649015328606065
-
 #: unknown-count threshold below which 2D solves take the direct path
 DIRECT_SOLVE_LIMIT = 48 * 48
 
@@ -35,50 +33,16 @@ DIRECT_SOLVE_LIMIT = 48 * 48
 # -- exponential integral --------------------------------------------------------
 
 def expint_e1(z):
-    """E1(z) = int_z^inf e^-t / t dt for z > 0, to ~1e-13 relative.
+    """E1(z) = int_z^inf e^-t / t dt for z > 0; scalars or arrays."""
+    # imported here: scipy.special costs ~50 ms and ~2 MB at import, and
+    # only transfer kernels need it
+    from scipy.special import exp1
 
-    Power series for z <= 1, modified-Lentz continued fraction above.
-    Accepts scalars or arrays.
-    """
     arr = np.asarray(z, dtype=float)
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr).astype(float)
     if np.any(arr <= 0.0):
         raise DomainError("E1 requires strictly positive argument")
-    out = np.empty_like(arr)
-
-    small = arr <= 1.0
-    if small.any():
-        zs = arr[small]
-        acc = -EULER_GAMMA - np.log(zs)
-        term = np.ones_like(zs)
-        for k in range(1, 60):
-            term = term * zs / k
-            contrib = term / k if k % 2 else -term / k
-            acc = acc + contrib
-            if np.max(np.abs(contrib)) < 1e-18:
-                break
-        out[small] = acc
-
-    big = ~small
-    if big.any():
-        zb = arr[big]
-        b = zb + 1.0
-        c = np.full_like(zb, 1e300)
-        d = 1.0 / b
-        h = d.copy()
-        for i in range(1, 400):
-            a = -float(i * i)
-            b = b + 2.0
-            d = 1.0 / (a * d + b)
-            c = b + a / c
-            delta = c * d
-            h = h * delta
-            if np.max(np.abs(delta - 1.0)) < 1e-16:
-                break
-        out[big] = h * np.exp(-zb)
-
-    return float(out[0]) if scalar else out
+    out = exp1(arr)
+    return float(out) if out.ndim == 0 else out
 
 
 # -- trigonometric interpolation ---------------------------------------------------
@@ -94,9 +58,10 @@ def _interp_axis(values: np.ndarray, n_fine: int, axis: int) -> np.ndarray:
     shape[axis] = n_fine
     pad = np.zeros(shape, dtype=complex)
     half = m // 2
+    pos = (m + 1) // 2  # bins 0..pos-1 are the non-negative frequencies
     lo = [slice(None)] * values.ndim
-    lo[axis] = slice(0, half)
-    pad[tuple(lo)] = np.take(spec, range(half), axis=axis)
+    lo[axis] = slice(0, pos)
+    pad[tuple(lo)] = np.take(spec, range(pos), axis=axis)
     if m % 2 == 0:
         nyq = np.take(spec, [half], axis=axis)  # split symmetrically
         hi = [slice(None)] * values.ndim
@@ -104,9 +69,7 @@ def _interp_axis(values: np.ndarray, n_fine: int, axis: int) -> np.ndarray:
         pad[tuple(hi)] = 0.5 * nyq
         hi[axis] = slice(n_fine - half, n_fine - half + 1)
         pad[tuple(hi)] = 0.5 * nyq
-        tail = m - half - 1
-    else:
-        tail = m - half
+    tail = m - half - 1
     if tail:
         src = [slice(None)] * values.ndim
         src[axis] = slice(m - tail, m)
@@ -159,6 +122,16 @@ class ProblemSpec:
                                   f"{value!r}")
         if self.dim not in (1, 2):
             raise ConfigError("dim must be 1 or 2")
+        for name, low in (("eta_coarse", 1), ("path_samples", 1),
+                          ("resample_limit", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"problem.{name} must be >= {low}, "
+                                  f"got {getattr(self, name)!r}")
+        for name in ("f_coarse", "eta_max"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < np.inf:
+                raise ConfigError(f"problem.{name} must be finite and > 0 "
+                                  f"when set, got {value!r}")
         if self.eta_coarse > self.n:
             raise ConfigError("coarse grid exceeds fine grid")
         if self.kind == "rte":

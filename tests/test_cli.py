@@ -89,7 +89,8 @@ def test_config_error_exit_codes(tmp_path, micro_config):
 
 @pytest.mark.parametrize("override", [
     "dataset.n_eta=1", "dataset.n_eta=0", "dataset.n_f=0",
-    "dataset.n_eta=2.5", "dataset.n_f=true", "dataset=3"])
+    "dataset.n_eta=2.5", "dataset.n_f=true", "dataset=3",
+    "dataset.seed=-10000000", 'dataset.seed="x"', "dataset.seed=1.5"])
 def test_degenerate_dataset_is_a_config_error(micro_config, tmp_path,
                                               capsys, override):
     rc = cli.main(["gen-data", "--config", str(micro_config),
@@ -100,15 +101,28 @@ def test_degenerate_dataset_is_a_config_error(micro_config, tmp_path,
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("edit", ["no_kind", "mistyped_n", "mistyped_scale"])
+RTE_MICRO = {"kind": "rte", "n": 32, "interior": 28, "eta_coarse": 4,
+             "eta_scale": 1.0, "f_coarse": 8}
+
+
+@pytest.mark.parametrize("edit", [
+    "no_kind", "mistyped_n", "mistyped_scale", "eta_coarse=0",
+    "resample_limit=-1", "eta_max=0", "rte:path_samples=0",
+    "rte:path_samples=-3", "rte:f_coarse=-4", "rte:f_coarse=0"])
 def test_malformed_problem_block_is_a_config_error(tmp_path, capsys, edit):
     raw = json.loads(json.dumps(MICRO))
+    if edit.startswith("rte:"):
+        raw["problem"] = dict(RTE_MICRO)
+        edit = edit[4:]
     if edit == "no_kind":
         del raw["problem"]["kind"]
     elif edit == "mistyped_n":
         raw["problem"]["n"] = "32"
-    else:
+    elif edit == "mistyped_scale":
         raw["problem"]["eta_scale"] = [10.0]
+    else:
+        key, _, value = edit.partition("=")
+        raw["problem"][key] = int(value)
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(raw))
     rc = cli.main(["gen-data", "--config", str(cfg),
@@ -128,12 +142,18 @@ def _assert_config_error(rc, capsys):
 
 @pytest.mark.parametrize("override", [
     'training.learning_rate="x"', "training.max_epochs=2.5",
-    "training.target_test_error=[0.1]", "training.batch_fraction=0"])
+    "training.target_test_error=[0.1]", "training.batch_fraction=0",
+    "training.batch_fraction=Infinity", "training.learning_rate=-0.001",
+    "training.learning_rate=NaN", "training.seed=-1", "model.seed=-1",
+    "training.operator_samples=-1", "--operator-samples=-3"])
 def test_mistyped_training_value_is_a_config_error(micro_config, tmp_path,
                                                    capsys, override):
-    rc = cli.main(["train", "--config", str(micro_config),
-                   "--data", str(tmp_path / "d"),
-                   "--out", str(tmp_path / "ck"), "--set", override])
+    if override.startswith("--"):  # the eval flag of the same name
+        argv = ["eval", "--model", str(tmp_path / "ck"), override]
+    else:
+        argv = ["train", "--config", str(micro_config), "--set", override]
+    rc = cli.main(argv + ["--data", str(tmp_path / "d"),
+                          "--out", str(tmp_path / "ck")])
     _assert_config_error(rc, capsys)
 
 
@@ -184,12 +204,6 @@ def test_override_changes_effective_config(micro_config, tmp_path):
 
 def test_verify_subcommand_passes():
     assert cli.main(["verify"]) == 0
-
-
-def test_bench_subcommand_runs(capsys):
-    assert cli.main(["bench", "--points", "2"]) == 0
-    out = capsys.readouterr().out
-    assert "ms/apply" in out
 
 
 def test_shipped_presets_parse():

@@ -292,12 +292,24 @@ def test_power_norm2_matches_svd():
             np.linalg.norm(m, 2), rel=1e-6)
 
 
+@pytest.mark.parametrize("n", [64, 300])
 @pytest.mark.parametrize("scale", [1e160, 1e-170, 2.0 ** 600, 1e-310])
-def test_power_norm2_survives_entries_whose_gram_over_or_underflows(scale):
-    m = np.random.default_rng(2).standard_normal((64, 64))
+def test_power_norm2_survives_entries_whose_gram_over_or_underflows(scale, n):
+    m = np.random.default_rng(2).standard_normal((n, n))
     got = pl.power_norm2(m * scale)
     assert got == pytest.approx(np.linalg.norm(m, 2) * scale, rel=1e-6,
                                 abs=0.0)
+
+
+@pytest.mark.parametrize("n", [64, 300])
+def test_power_norm2_is_exact_on_a_clustered_spectrum(n):
+    rng = np.random.default_rng(4)
+    u, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    sigma = np.concatenate([[1.0, 1.0 - 1e-4], np.linspace(0.9, 0.01, n - 2)])
+    m = (u * sigma) @ v.T
+    assert pl.power_norm2(m) == pytest.approx(np.linalg.norm(m, 2),
+                                              rel=1e-12, abs=0.0)
 
 
 def test_power_norm2_scaling_is_exact_and_non_finite_gives_inf():

@@ -23,7 +23,7 @@ def test_e1_at_one():
 
 def test_e1_small_argument_log_behavior():
     z = 1e-6
-    assert abs(sv.expint_e1(z) + np.log(z) + sv.EULER_GAMMA) < 2e-6
+    assert abs(sv.expint_e1(z) + np.log(z) + np.euler_gamma) < 2e-6
 
 
 def test_e1_monotone_decreasing_positive():
@@ -50,6 +50,17 @@ def test_fourier_interpolation_exact_on_cosine_mode():
         fine = sv.fourier_interpolate(coarse, n)
         expect = np.cos(2 * np.pi * k * np.arange(n) / n)
         assert np.max(np.abs(fine - expect)) < 1e-13
+
+
+@pytest.mark.parametrize("m", [5, 7, 9])
+@pytest.mark.parametrize("wave", [np.cos, np.sin])
+def test_fourier_interpolation_exact_on_top_mode_of_odd_grid(m, wave):
+    # for odd m the highest resolved frequency m // 2 has no Nyquist twin
+    n = 4 * m
+    k = m // 2
+    fine = sv.fourier_interpolate(wave(2 * np.pi * k * np.arange(m) / m), n)
+    expect = wave(2 * np.pi * k * np.arange(n) / n)
+    assert np.max(np.abs(fine - expect)) < 1e-13
 
 
 def test_fourier_interpolation_2d_and_errors():
