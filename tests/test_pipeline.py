@@ -292,13 +292,22 @@ def test_power_norm2_matches_svd():
             np.linalg.norm(m, 2), rel=1e-6)
 
 
-@pytest.mark.parametrize("n", [64, 300])
-@pytest.mark.parametrize("scale", [1e160, 1e-170, 2.0 ** 600, 1e-310])
-def test_power_norm2_survives_entries_whose_gram_over_or_underflows(scale, n):
+def _check_norm2_at_extreme_scale(scale, n):
     m = np.random.default_rng(2).standard_normal((n, n))
     got = pl.power_norm2(m * scale)
     assert got == pytest.approx(np.linalg.norm(m, 2) * scale, rel=1e-6,
                                 abs=0.0)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170, 2.0 ** 600, 1e-310])
+def test_power_norm2_survives_entries_whose_gram_over_or_underflows(scale):
+    _check_norm2_at_extreme_scale(scale, 64)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170, 2.0 ** 600, 1e-310])
+def test_power_norm2_sparse_path_survives_extreme_scales(scale):
+    # side 300 is above the dense-SVD cutoff, so this takes the ARPACK path
+    _check_norm2_at_extreme_scale(scale, 300)
 
 
 @pytest.mark.parametrize("n", [64, 300])
