@@ -72,7 +72,7 @@ def _cmd_train(args) -> int:
     if cfg.training.operator_samples > 0:
         k = min(cfg.training.operator_samples, test_set.n_eta)
         metrics.operator_error = pipeline.operator_error(
-            mdl, cfg.problem, test_set.eta[:k])
+            mdl, test_set.problem, test_set.eta[:k])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pipeline.save_checkpoint(mdl, out)

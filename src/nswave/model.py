@@ -157,12 +157,9 @@ def _neg_index(offsets: np.ndarray, size: int) -> np.ndarray:
 # -- layout --------------------------------------------------------------------
 #
 # A level of the f path has 2**dim parts: the wavelet parts first, then the
-# scaling part (1D: d, v; 2D: d1, d2, d3, v).  Block slot (i, j) maps input
-# part j to output part i; slot (last, last) is the dense coarse block, which
-# only the coarsest level carries.
-
-#: 1D block keys -> (output part, input part) of the 2x2 level matrix
-_BLOCKS_1D = {"d1": (0, 0), "d2": (0, 1), "d3": (1, 0), "d4": (1, 1)}
+# scaling part (1D: d, v; 2D: d1, d2, d3, v).  Blocks are keyed by their slot
+# (i, j), which maps input part j to output part i; slot (last, last) is the
+# dense coarse block, which only the coarsest level carries.
 
 
 def _block_slots(dim: int, symmetric: bool, coarsest: bool):
@@ -188,12 +185,11 @@ class LevelLayout:
     size: int
     emitted: tuple
     derived: dict
-    offsets: dict       # block key -> (n_off, dim) offset array
-    neg: dict           # block key -> offset-negation permutation
-    columns: dict       # emitted block key -> its slice of columns
+    offsets: dict       # block slot -> (n_off, dim) offset array
+    neg: dict           # block slot -> offset-negation permutation
+    columns: dict       # emitted block slot -> its slice of columns
     n_columns: int
     alpha: int
-    slots: dict         # block key -> (output part, input part)
     sym_self: tuple = ()  # blocks forced symmetric in symmetric mode
 
 
@@ -203,27 +199,23 @@ def build_layout(cfg: ModelConfig) -> list[LevelLayout]:
     for i in range(cfg.levels):
         size = cfg.n >> (cfg.levels - i)
         emitted, derived = _block_slots(cfg.dim, cfg.symmetric, i == 0)
-        # block keys: the 1D slot names, or the 2D slots themselves
-        names = {s: k for k, s in _BLOCKS_1D.items()} if cfg.dim == 1 else {}
-        key = {s: names.get(s, s) for s in list(emitted) + list(derived)}
         band, full = (np.array(list(itertools.product(offs, repeat=cfg.dim)))
                       for offs in (nsform.band_offsets(size, cfg.nb),
                                    nsform.band_offsets(size, None)))
         offsets, neg, columns = {}, {}, {}
-        for slot, k in key.items():
-            offsets[k] = full if slot == (last, last) else band
-            neg[k] = _neg_index(offsets[k], size)
+        for slot in emitted + list(derived):
+            offsets[slot] = full if slot == (last, last) else band
+            neg[slot] = _neg_index(offsets[slot], size)
         col = 0
         for slot in emitted:
-            width = cfg.alpha * len(offsets[key[slot]])
-            columns[key[slot]] = slice(col, col + width)
+            width = cfg.alpha * len(offsets[slot])
+            columns[slot] = slice(col, col + width)
             col += width
         layouts.append(LevelLayout(
-            size=size, emitted=tuple(key[s] for s in emitted),
-            derived={key[s]: key[t] for s, t in derived.items()},
+            size=size, emitted=tuple(emitted), derived=derived,
             offsets=offsets, neg=neg, columns=columns, n_columns=col,
-            alpha=cfg.alpha, slots={k: s for s, k in key.items()},
-            sym_self=tuple(key[s] for s in emitted
+            alpha=cfg.alpha,
+            sym_self=tuple(s for s in emitted
                            if cfg.symmetric and s[0] == s[1])))
     return layouts
 
@@ -525,13 +517,12 @@ class MetaModel:
     # -- band multiply ----------------------------------------------------------
 
     def _band_terms(self, blocks: dict, lay: LevelLayout):
-        """(key, output part, input part, offsets, block array) of each
-        block the level applies, and the halo width its offsets need."""
+        """(slot, offsets, block array) of each block the level applies,
+        and the halo width its offsets need."""
         terms, width = [], 0
-        for key, arr in blocks.items():
-            i, j = lay.slots[key]
-            offs, w = _offset_rows(lay.offsets[key])
-            terms.append((key, i, j, offs, arr))
+        for slot, arr in blocks.items():
+            offs, w = _offset_rows(lay.offsets[slot])
+            terms.append((slot, offs, arr))
             width = max(width, w)
         return terms, width
 
@@ -547,7 +538,7 @@ class MetaModel:
         padded = [_pad_halo(x, width, axes, self.cfg.padding)
                   for x in parts]
         outs = [0.0] * len(parts)
-        for _, i, j, offs, arr in terms:
+        for (i, j), offs, arr in terms:
             xp = padded[j]
             acc = arr[:, None, ..., 0] * _halo_view(xp, offs[0], width, axes)
             tmp = np.empty_like(acc)
@@ -566,7 +557,7 @@ class MetaModel:
         padded = [_pad_halo(x, width, axes, pad) for x in parts]
         g_padded = [np.zeros_like(xp) for xp in padded]
         g_blocks = {}
-        for key, i, j, offs, arr in terms:
+        for (i, j), offs, arr in terms:
             xp, gp = padded[j], g_padded[j]
             go = gouts[i]
             g_arr = np.empty_like(arr)
@@ -576,7 +567,7 @@ class MetaModel:
                 g_arr[..., t] = np.sum(np.multiply(go, xs, out=tmp), axis=1)
                 _halo_view(gp, o, width, axes)[...] += np.multiply(
                     arr[:, None, ..., t], go, out=tmp)
-            g_blocks[key] = g_arr
+            g_blocks[i, j] = g_arr
         return g_blocks, [_fold_halo(gp, width, axes, pad) for gp in g_padded]
 
     # -- forward / backward ----------------------------------------------------
@@ -727,20 +718,22 @@ def collection_from_nsform(ns, cfg: ModelConfig) -> list[dict]:
         raise ShapeError(
             f"nsform has {len(ns.levels)} levels, model {cfg.levels}")
     last = (1 << cfg.dim) - 1
+    # the oracle's 1D and 2D forms differ in API: 1D names its blocks
+    # d1..d3, 2D keys them by slot, and each has its own banded type
+    names_1d = {(0, 0): "d1", (0, 1): "d2", (1, 0): "d3"}
     out = []
     for lay, lb in zip(layouts, ns.levels):
         blocks = {}
-        # the oracle's 1D and 2D forms differ in API: 1D names its blocks
-        # d1..d3, 2D keys them by slot, and each has its own banded type
-        for key in sorted(lay.slots, key=lay.slots.get):
-            if lay.slots[key] != (last, last):
-                blk = getattr(lb, key) if cfg.dim == 1 else lb.blocks[key]
+        for slot in sorted(lay.offsets):
+            if slot != (last, last):
+                blk = getattr(lb, names_1d[slot]) if cfg.dim == 1 \
+                    else lb.blocks[slot]
             elif cfg.dim == 1:
                 blk = nsform.BandedBlock.from_dense(ns.coarse)
             else:
                 blk = nsform.BandedBlock2D.from_dense(ns.coarse, lay.size)
-            arr = _lookup_diags(blk, lay.offsets[key], lay.size)
-            blocks[key] = _tile_channels(arr, cfg.alpha)
+            arr = _lookup_diags(blk, lay.offsets[slot], lay.size)
+            blocks[slot] = _tile_channels(arr, cfg.alpha)
         out.append(blocks)
     return out
 

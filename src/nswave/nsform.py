@@ -351,11 +351,3 @@ def apply_2d(ns: NonstandardForm2D, v: np.ndarray, filt: WaveletFilter,
         u = inverse_step_2d(outs[0], outs[1], outs[2], outs[3] + u,
                             filt, padding)
     return u
-
-
-def assemble_dense_2d(ns: NonstandardForm2D,
-                      filt: WaveletFilter) -> np.ndarray:
-    n = 1 << ns.l_max
-    eye = np.eye(n * n).reshape(n, n, n * n)
-    out = apply_2d(ns, eye, filt)
-    return out.reshape(n * n, n * n)

@@ -275,8 +275,9 @@ def generate_dataset(cfg: RunConfig, out_dir, threads: int = 1) -> dict:
 
 def load_sampleset(data_dir, split: str, check: bool = False) -> SampleSet:
     """One split of a dataset, checked on load against its dataset.json:
-    the problem block read strictly, every tensor present and shaped by the
-    grid and the split's counts, and eta, f and u finite (else DataError).
+    the problem block read strictly, a split of at least one draw, every
+    tensor present and shaped by the grid and the split's counts, and eta,
+    f and u finite (else DataError).
     `check` also re-certifies every residual against its operator."""
     data_dir = Path(data_dir)
     path = data_dir / "dataset.json"
@@ -289,7 +290,7 @@ def load_sampleset(data_dir, split: str, check: bool = False) -> SampleSet:
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: ConfigError
         raise DataError(f"{path}: {exc!r}") from exc
     if not all(type(v) is int for v in (lo, hi, n_f)) or \
-            not 0 <= lo <= hi or n_f < 1:
+            not 0 <= lo < hi or n_f < 1:
         raise DataError(f"{path}: invalid splits.{split} {[lo, hi]} "
                         f"or n_f {n_f!r}")
     path = data_dir / f"{split}.nstf"

@@ -7,6 +7,11 @@ spacing h = 1/n and nodes x_j = j h.  Transfer problems live on a padded
 box [-x0, 1+x0] sampled at cell centers with h = 1/interior; the
 scattering field and the source vanish on the padding cells.
 
+Every solve is one direct factorization, at every grid size: a sparse LU
+(`splu`) of the elliptic operator (bordered by the zero-mean constraint in
+divergence form), or a dense LU solve of the transfer system
+I - K diag(eta) once an upper bound on its Perron root is below 1.
+
 The slab kernel uses the positive convention 0.5*E1(tau*|x-y|); see the
 README for the sign discussion.  Matrix entries whose optical path is
 identically zero (both points on the same padding side) are set to zero:
@@ -17,7 +22,7 @@ leaves the solution unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 import scipy.linalg as sla
@@ -25,9 +30,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import ConditioningError, ConfigError, DataError, DomainError
-
-#: unknown-count threshold below which 2D solves take the direct path
-DIRECT_SOLVE_LIMIT = 48 * 48
 
 
 # -- exponential integral --------------------------------------------------------
@@ -82,10 +84,10 @@ def _interp_axis(values: np.ndarray, n_fine: int, axis: int) -> np.ndarray:
 
 def fourier_interpolate(values: np.ndarray, n_fine: int) -> np.ndarray:
     """Trigonometric interpolation of periodic samples to a finer grid
-    (exact on resolved Fourier modes); 1D and 2D."""
-    out = _interp_axis(values, n_fine, 0)
-    if out.ndim == 2:
-        out = _interp_axis(out, n_fine, 1)
+    (exact on resolved Fourier modes), along every axis."""
+    out = values
+    for axis in range(np.ndim(values)):
+        out = _interp_axis(out, n_fine, axis)
     return out
 
 
@@ -159,17 +161,13 @@ class ProblemSpec:
     def _pad_mask(self) -> np.ndarray:
         x = self.coords()
         outside = (x < 0.0) | (x > 1.0)
-        if self.dim == 1:
-            return outside
-        return outside[:, None] | outside[None, :]
+        return reduce(np.logical_or.outer, [outside] * self.dim)
 
     # sampling ------------------------------------------------------------------
 
     def sample_eta(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
-        shape = (self.eta_coarse,) if self.dim == 1 \
-            else (self.eta_coarse, self.eta_coarse)
-        z = rng.standard_normal(shape)
+        z = rng.standard_normal((self.eta_coarse,) * self.dim)
         fine = fourier_interpolate(z, self.n)
         eta = self.eta_scale * np.exp(fine) + self.eta_shift
         if self.kind == "rte":
@@ -181,7 +179,7 @@ class ProblemSpec:
 
     def sample_f(self, seed: int) -> np.ndarray:
         rng = np.random.default_rng(seed)
-        shape = (self.n,) if self.dim == 1 else (self.n, self.n)
+        shape = (self.n,) * self.dim
         if self.kind == "rte":
             if self.dim == 1 and self.f_coarse:
                 f = fourier_interpolate(rng.uniform(size=self.f_coarse),
@@ -207,12 +205,12 @@ class ProblemSpec:
             return divergence_matrix(eta, self.h)
         return self.kernel(eta)
 
-    def kernel(self, eta: np.ndarray, m: int | None = None) -> np.ndarray:
+    def kernel(self, eta: np.ndarray) -> np.ndarray:
         if self.kind != "rte":
             raise ConfigError("kernel is defined for transfer problems only")
         if self.dim == 1:
-            return rte_kernel_1d(eta, self, m or self.path_samples)
-        return rte_kernel_2d(eta, self, m or self.path_samples)
+            return rte_kernel_1d(eta, self, self.path_samples)
+        return rte_kernel_2d(eta, self, self.path_samples)
 
     def solve(self, eta: np.ndarray, f: np.ndarray) -> np.ndarray:
         return self.solve_batch(eta, f[None])[0]
@@ -317,21 +315,8 @@ def divergence_matrix(eta: np.ndarray, h: float) -> sp.spmatrix:
 
 
 def _solve_sparse_batch(op: sp.spmatrix, fs: np.ndarray) -> np.ndarray:
-    nn = op.shape[0]
-    flat = np.asarray(fs, dtype=float).reshape(fs.shape[0], nn)
-    if nn <= DIRECT_SOLVE_LIMIT:
-        out = spla.splu(op.tocsc()).solve(flat.T).T
-    else:
-        out = np.empty_like(flat)
-        ilu = spla.spilu(op.tocsc(), drop_tol=1e-5)
-        prec = spla.LinearOperator(op.shape, ilu.solve)
-        for i, b in enumerate(flat):
-            x, info = spla.cg(op, b, rtol=1e-11, atol=0.0, M=prec,
-                              maxiter=20_000)
-            if info != 0:
-                raise ConditioningError(f"cg failed to converge (info={info})")
-            out[i] = x
-    return out.reshape(fs.shape)
+    flat = np.asarray(fs, dtype=float).reshape(fs.shape[0], op.shape[0])
+    return spla.splu(op.tocsc()).solve(flat.T).T.reshape(fs.shape)
 
 
 def solve_schrodinger(eta: np.ndarray, f: np.ndarray,
@@ -356,13 +341,11 @@ def _solve_divergence_batch(op: sp.spmatrix, fs: np.ndarray) -> np.ndarray:
     return sol[:, :nn].reshape(fs.shape)
 
 
-def solve_divergence(eta: np.ndarray, f: np.ndarray, h: float | None = None,
-                     project: bool = False) -> np.ndarray:
-    """Zero-mean solve of the conservative form; `project` opts in to
-    removing a nonzero source mean instead of rejecting it."""
+def solve_divergence(eta: np.ndarray, f: np.ndarray,
+                     h: float | None = None) -> np.ndarray:
+    """Zero-mean solve of the conservative form; a source with a nonzero
+    mean is rejected."""
     h = h if h is not None else 1.0 / eta.shape[0]
-    if project:
-        f = f - f.mean()
     return _solve_divergence_batch(divergence_matrix(eta, h), f[None])[0]
 
 
@@ -510,20 +493,7 @@ def _rte_solve_batch(kern: np.ndarray, eta: np.ndarray,
         raise ConditioningError(
             f"transfer system near singular (rho={rho:.8f})")
     flat = np.asarray(fs, dtype=float).reshape(fs.shape[0], nn)
-    rhs = kern @ flat.T
-    if nn <= DIRECT_SOLVE_LIMIT:
-        u = sla.solve(np.eye(nn) - keta, rhs).T
-    else:
-        op = spla.LinearOperator((nn, nn),
-                                 matvec=lambda x: x - keta @ x)
-        u = np.empty_like(flat)
-        for i in range(rhs.shape[1]):
-            x, info = spla.gmres(op, rhs[:, i], rtol=1e-12, atol=0.0,
-                                 maxiter=2000)
-            if info != 0:
-                raise ConditioningError(
-                    f"gmres failed to converge (info={info})")
-            u[i] = x
+    u = sla.solve(np.eye(nn) - keta, kern @ flat.T).T
     return u.reshape(fs.shape)
 
 

@@ -63,9 +63,6 @@ class Pyramid:
     w: dict[int, np.ndarray]
     s: np.ndarray
 
-    def coefficient_count(self) -> int:
-        return sum(a.shape[0] for a in self.w.values()) + self.s.shape[0]
-
 
 def _high_from_low(h: np.ndarray) -> np.ndarray:
     # stored index j maps to true index i = j - (2p-2); g_i = (-1)^(1-i) h_(1-i)

@@ -72,6 +72,24 @@ def test_full_cli_cycle(micro_config, tmp_path):
     assert np.max(np.abs(tensors["G"] - tensors["G"].T)) < 1e-10
 
 
+def test_train_and_eval_report_the_same_operator_error(micro_config,
+                                                       tmp_path):
+    """train measures the operator error against the dataset's problem, as
+    eval does, whatever problem block its own config carries."""
+    data, ckpt, out = tmp_path / "data", tmp_path / "ckpt", tmp_path / "ev"
+    assert cli.main(["gen-data", "--config", str(micro_config),
+                     "--out", str(data)]) == 0
+    assert cli.main(["train", "--config", str(micro_config),
+                     "--data", str(data), "--out", str(ckpt),
+                     "--set", "problem.kind=divergence",
+                     "--set", "problem.eta_shift=3.0"]) == 0
+    assert cli.main(["eval", "--model", str(ckpt), "--data", str(data),
+                     "--out", str(out), "--operator-samples", "1"]) == 0
+    trained = json.load(open(ckpt / "metrics.json"))["operator_error"]
+    evaluated = json.load(open(out / "metrics.json"))["operator_error"]
+    assert trained == pytest.approx(evaluated, rel=1e-12)
+
+
 def test_config_error_exit_codes(tmp_path, micro_config):
     assert cli.main(["gen-data", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path / "o")]) == cli.EXIT_CONFIG
@@ -323,6 +341,10 @@ def _corrupt_dataset(data, case):
         tensors["u"] = tensors["u"][..., :16]
     elif case == "split":
         tensors["eta_seeds"] = tensors["eta_seeds"][:-1]
+    elif case == "empty_split":
+        hi = summary["splits"]["test"][1]
+        summary["splits"]["test"] = [hi, hi]
+        tensors = {name: arr[:0] for name, arr in tensors.items()}
     elif case == "sources":
         tensors["f"] = tensors["f"][:, :1]
     else:
@@ -335,8 +357,8 @@ def _corrupt_dataset(data, case):
 @pytest.mark.parametrize("case", [
     "unknown_key", "invalid_kind", "mistyped_scale", "no_kind",
     "no_problem", "not_an_object", "missing_eta", "missing_f", "missing_u",
-    "missing_eta_seeds", "missing_retries", "grid", "split", "sources",
-    "eta_nan", "f_inf", "u_nan"])
+    "missing_eta_seeds", "missing_retries", "grid", "split", "empty_split",
+    "sources", "eta_nan", "f_inf", "u_nan"])
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_malformed_dataset_is_a_data_error(data_and_ckpt, micro_config,
                                            tmp_path, capsys, case, command):

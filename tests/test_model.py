@@ -10,7 +10,6 @@ from nswave import wavelets as wv
 from nswave.container import read_tensors
 from nswave.errors import InferenceError, ShapeError
 from nswave.model import (
-    _BLOCKS_1D,
     EXPORT_PASS,
     MetaModel,
     ModelConfig,
@@ -175,10 +174,10 @@ def test_banded_transpose_matches_dense_transpose():
     lay = mdl.layouts[1]
     m = lay.size
     from nswave.model import _transpose_block
-    arr = rng.standard_normal((1, m, 1, len(lay.offsets["d2"])))
-    out = _transpose_block(arr, lay, "d2", (1,))
-    blk = nsf.BandedBlock(offsets=lay.offsets["d2"], data=arr[0, :, 0, :])
-    blk_t = nsf.BandedBlock(offsets=lay.offsets["d2"], data=out[0, :, 0, :])
+    arr = rng.standard_normal((1, m, 1, len(lay.offsets[0, 1])))
+    out = _transpose_block(arr, lay, (0, 1), (1,))
+    blk = nsf.BandedBlock(offsets=lay.offsets[0, 1], data=arr[0, :, 0, :])
+    blk_t = nsf.BandedBlock(offsets=lay.offsets[0, 1], data=out[0, :, 0, :])
     assert np.max(np.abs(blk_t.to_dense() - blk.to_dense().T)) < 1e-14
 
 
@@ -246,10 +245,11 @@ def _band_reference(blocks, lay, parts, dim, padding, coarsest):
     """Per-offset shifted products written out with np.roll / zero fill."""
     axes = tuple(range(2, 2 + dim))
     outs = [np.zeros_like(p) for p in parts]
+    last = (1 << dim) - 1
     for key, arr in blocks.items():
-        if key in ("d4", (3, 3)) and not coarsest:
+        if key == (last, last) and not coarsest:
             continue
-        i, j = _BLOCKS_1D[key] if dim == 1 else key
+        i, j = key
         for t, off in enumerate(lay.offsets[key].reshape(
                 len(lay.offsets[key]), -1)):
             x = parts[j]
@@ -297,7 +297,8 @@ def test_band_matvec_matches_reference_and_its_adjoint(dim, n, padding,
     rhs_b = sum(np.vdot(blocks[k], g) for k, g in g_blocks.items())
     assert abs(lhs - rhs_x) <= 1e-12 * abs(lhs)
     assert abs(lhs - rhs_b) <= 1e-12 * abs(lhs)
-    assert ("d4" in g_blocks or (3, 3) in g_blocks) == coarsest
+    last = (1 << dim) - 1
+    assert ((last, last) in g_blocks) == coarsest
 
 
 def test_export_runtime_bounded_by_n_forward_passes():

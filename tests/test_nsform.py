@@ -165,7 +165,8 @@ def test_2d_apply_matches_dense():
     ref = (a @ v.reshape(-1)).reshape(8, 8)
     err = np.linalg.norm(nsf.apply_2d(ns, v, filt) - ref) / np.linalg.norm(ref)
     assert err < 1e-11
-    dense = nsf.assemble_dense_2d(ns, filt)
+    dense = nsf.apply_2d(ns, np.eye(64).reshape(8, 8, 64), filt)
+    dense = dense.reshape(64, 64)
     assert np.max(np.abs(dense - a)) < 1e-11
 
 

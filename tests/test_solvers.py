@@ -176,8 +176,6 @@ def test_divergence_conservation_column_sums():
 def test_divergence_rejects_nonzero_mean_without_projection():
     with pytest.raises(DataError):
         sv.solve_divergence(np.full(32, 1.0), np.ones(32))
-    u = sv.solve_divergence(np.full(32, 1.0), np.ones(32), project=True)
-    assert np.max(np.abs(u)) < 1e-12
 
 
 def test_schrodinger_2d_residual_and_closedform():
@@ -374,34 +372,22 @@ def test_2d_solve_residual_and_positivity():
     assert us.min() >= -1e-12
 
 
-# -- iterative large-problem paths ------------------------------------------------
-
-def test_iterative_elliptic_path_matches_direct(monkeypatch):
-    spec = sv.ProblemSpec(kind="schrodinger", dim=2, n=16, eta_coarse=4)
-    eta = spec.sample_eta(1)
-    f = spec.sample_f(2)
-    direct = spec.solve(eta, f)
-    monkeypatch.setattr(sv, "DIRECT_SOLVE_LIMIT", 10)
-    iterative = spec.solve(eta, f)
-    assert np.max(np.abs(iterative - direct)) < 1e-9
-    assert spec.residual(eta, f, iterative) < 1e-10
+def test_schrodinger_64x64_draw_is_certified_without_retries():
+    """A 4096-unknown draw takes the same single sparse factorization as
+    the desk grids and certifies on its first eta."""
+    spec = sv.ProblemSpec(kind="schrodinger", dim=2, n=64, eta_coarse=4)
+    eta, fs, us, meta = sv.generate_sample(spec, 3, [4, 5])
+    assert us.shape == (2, 64, 64)
+    assert meta["retries"] == 0
+    assert meta["max_residual"] <= 1e-10
 
 
-def test_iterative_transfer_path_matches_direct(monkeypatch):
-    eta = SPEC_1D.sample_eta(6)
-    kern = sv.rte_kernel_1d(eta, SPEC_1D)
-    f = SPEC_1D.sample_f(7)
-    direct = sv._rte_solve_batch(kern, eta, f[None])[0]
-    monkeypatch.setattr(sv, "DIRECT_SOLVE_LIMIT", 10)
-    iterative = sv._rte_solve_batch(kern, eta, f[None])[0]
-    assert np.max(np.abs(iterative - direct)) < 1e-9
+# -- spectral radius ------------------------------------------------------------
 
-
-def test_power_iteration_spectral_radius_matches_dense(monkeypatch):
+def test_power_iteration_spectral_radius_matches_dense():
     rng = np.random.default_rng(4)
     mat = np.abs(rng.standard_normal((64, 64))) * 0.01
     dense = np.max(np.abs(np.linalg.eigvals(mat)))
-    monkeypatch.setattr(sv, "DIRECT_SOLVE_LIMIT", 10)
     power = sv.spectral_radius(mat)
     assert power == pytest.approx(dense, rel=1e-6)
 
