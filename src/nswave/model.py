@@ -126,11 +126,6 @@ def _halo_view(xp: np.ndarray, off, width: int, axes) -> np.ndarray:
     return xp[tuple(sl)]
 
 
-def _offset_rows(offsets: np.ndarray):
-    """Offsets as rows of Python ints (one per axis), and the widest."""
-    return offsets.tolist(), int(np.abs(offsets).max())
-
-
 def _fold_halo(gp: np.ndarray, width: int, axes, padding: str) -> np.ndarray:
     """Adjoint of `_pad_halo`: periodic halos add into the cells they wrap
     (width <= n, which canonical offsets guarantee); zero halos drop."""
@@ -146,12 +141,23 @@ def _fold_halo(gp: np.ndarray, width: int, axes, padding: str) -> np.ndarray:
     return gp
 
 
-def _neg_index(offsets: np.ndarray, size: int) -> np.ndarray:
-    """Index of the canonically negated offset within `offsets`."""
+def _transpose_index(offsets: np.ndarray, size: int,
+                     alpha: int) -> np.ndarray:
+    """Flat gather index of the banded transpose over one block array
+    (spatial.., alpha, n_off): diagonal o of B^T is diagonal -o of B
+    shifted by o, out[k.., c, t] = arr[(k + o_t) mod size.., c, neg(t)]
+    with neg(t) the index of the canonically negated offset."""
     rows = [tuple(o) for o in offsets.tolist()]
     index = {o: t for t, o in enumerate(rows)}
-    return np.array([index[tuple(nsform.canonical_offset(-c, size)
-                                 for c in o)] for o in rows])
+    neg = [index[tuple(nsform.canonical_offset(-c, size) for c in o)]
+           for o in rows]
+    dim = offsets.shape[1]
+    flat = 0
+    for ax in range(dim):
+        k = np.arange(size).reshape(
+            tuple(size if a == ax else 1 for a in range(dim)) + (1, 1))
+        flat = flat * size + (k + offsets[:, ax]) % size
+    return (flat * alpha + np.arange(alpha)[:, None]) * len(rows) + neg
 
 
 # -- layout --------------------------------------------------------------------
@@ -186,7 +192,7 @@ class LevelLayout:
     emitted: tuple
     derived: dict
     offsets: dict       # block slot -> (n_off, dim) offset array
-    neg: dict           # block slot -> offset-negation permutation
+    transpose: dict     # block slot -> `_transpose_index` of its offsets
     columns: dict       # emitted block slot -> its slice of columns
     n_columns: int
     alpha: int
@@ -202,10 +208,14 @@ def build_layout(cfg: ModelConfig) -> list[LevelLayout]:
         band, full = (np.array(list(itertools.product(offs, repeat=cfg.dim)))
                       for offs in (nsform.band_offsets(size, cfg.nb),
                                    nsform.band_offsets(size, None)))
-        offsets, neg, columns = {}, {}, {}
+        offsets, transpose, columns = {}, {}, {}
+        band_t = _transpose_index(band, size, cfg.alpha)
         for slot in emitted + list(derived):
-            offsets[slot] = full if slot == (last, last) else band
-            neg[slot] = _neg_index(offsets[slot], size)
+            if slot == (last, last):
+                offsets[slot] = full
+                transpose[slot] = _transpose_index(full, size, cfg.alpha)
+            else:
+                offsets[slot], transpose[slot] = band, band_t
         col = 0
         for slot in emitted:
             width = cfg.alpha * len(offsets[slot])
@@ -213,8 +223,8 @@ def build_layout(cfg: ModelConfig) -> list[LevelLayout]:
             col += width
         layouts.append(LevelLayout(
             size=size, emitted=tuple(emitted), derived=derived,
-            offsets=offsets, neg=neg, columns=columns, n_columns=col,
-            alpha=cfg.alpha,
+            offsets=offsets, transpose=transpose, columns=columns,
+            n_columns=col, alpha=cfg.alpha,
             sym_self=tuple(s for s in emitted
                            if cfg.symmetric and s[0] == s[1])))
     return layouts
@@ -240,13 +250,11 @@ def _join_columns(layout: LevelLayout, grads: dict, lead: tuple) -> np.ndarray:
 
 def _transpose_block(arr: np.ndarray, layout: LevelLayout, key,
                      spatial_axes) -> np.ndarray:
-    """Banded transpose reindex: diag o of B^T is diag -o of B shifted by o."""
-    offs, width = _offset_rows(layout.offsets[key])
-    xp = _pad_halo(arr[..., layout.neg[key]], width, spatial_axes, PERIODIC)
-    out = np.empty_like(arr)
-    for t, o in enumerate(offs):
-        out[..., t] = _halo_view(xp, o, width, spatial_axes)[..., t]
-    return out
+    """Banded transpose reindex (a pure gather, so exact): one `np.take`
+    of the layout's flat index over each leading (batch) entry."""
+    lead = arr.shape[:spatial_axes[0]]
+    return np.take(arr.reshape(lead + (-1,)), layout.transpose[key],
+                   axis=len(lead))
 
 
 def symmetrize_blocks(blocks: dict, layout: LevelLayout,
@@ -521,9 +529,9 @@ class MetaModel:
         and the halo width its offsets need."""
         terms, width = [], 0
         for slot, arr in blocks.items():
-            offs, w = _offset_rows(lay.offsets[slot])
-            terms.append((slot, offs, arr))
-            width = max(width, w)
+            offs = lay.offsets[slot]
+            terms.append((slot, offs.tolist(), arr))
+            width = max(width, int(np.abs(offs).max()))
         return terms, width
 
     def _band_matvec(self, blocks: dict, lay: LevelLayout, parts: list):

@@ -6,8 +6,7 @@ Data layout is channel-last with an explicit batch axis, (B, N.., C) with
 `dim` grid axes, float64 throughout.  Layers hold parameters and gradient
 accumulators; per-call intermediates travel in explicit cache objects so a
 layer instance can appear at several points of a model and stays safe for
-concurrent forward passes over shared parameters.  `Conv1d`/`Conv2d` and
-`AvgPool1d`/`AvgPool2d` are the layers with `dim` fixed.
+concurrent forward passes over shared parameters.
 
 Convolution semantics, per grid axis the same window w, stride s and base
 offset off:
@@ -17,6 +16,9 @@ offset off:
 with zero fill instead of the modulus in zero-padding mode, and output
 length N' = N // s per axis.  `off` (base_offset) lets the
 inverse-transform layer look backward without negative-index bookkeeping.
+The forward gathers the taps with one `np.take`; the backward adds each
+tap's input gradient through basic slices, at most two strided runs per
+axis, tap after tap, so every cell sums its terms in tap order.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,16 +58,37 @@ def _act_backward(gy: np.ndarray, kind: str, saved) -> np.ndarray:
     return gy * saved * (1.0 - saved)  # sigmoid
 
 
+def _axis_runs(n: int, stride: int, a: int, padding: str) -> list:
+    """(output rows, grid cells) slice pairs of the tap that output i reads
+    at cell stride*i + a along one axis of length n.  The n // stride
+    outputs span n - stride < n cells, so with periodic padding they wrap
+    at most once (two runs); with zero padding only the inside run is
+    kept (one run, or none)."""
+    m = n // stride
+    if padding == PERIODIC:
+        a %= n
+        k = -(-(n - a) // stride)  # outputs before the wrap
+        runs = [(0, k, a), (k, m, a + stride * k - n)]
+    else:
+        lo = max(0, -(a // stride))
+        runs = [(lo, min(m, -((a - n) // stride)), a + stride * lo)]
+    return [(slice(lo, hi), slice(c, c + stride * (hi - lo), stride))
+            for lo, hi, c in runs if lo < hi]
+
+
 @functools.lru_cache(maxsize=64)
 def _tap_layout(grid: tuple, width: int, stride: int, base_offset: int,
                 padding: str):
     """Flat (N', w**dim) indices of every output cell's taps into the
     flattened grid (outside taps clipped to a valid cell), the mask of
-    outside taps (None when periodic), and per tap the (output rows, grid
-    cells) its gradient scatters to.  A tap's cells are distinct and, with
-    zero padding, only its inside ones are listed, so a buffered fancy +=
-    adds each once and never writes a clipped cell.  Memoized per conv
-    geometry, shared by every layer that has it, and read-only."""
+    outside taps (None when periodic), and the backward's scatter: per
+    tap, in tap order, the (grid cells, tap gradient) index pairs of its
+    runs, the products of `_axis_runs` over the axes.  A tap's runs are
+    disjoint basic slices, so adding them tap after tap sums every cell's
+    terms in tap order (a halo padded and folded afterwards would
+    reorder the periodic wrap sums and change the rounding).
+    Memoized per conv geometry, shared by every layer that has it, and
+    read-only."""
     d = len(grid)
     flat, inside = 0, True
     for ax, n in enumerate(grid):
@@ -85,13 +108,19 @@ def _tap_layout(grid: tuple, width: int, stride: int, base_offset: int,
         flat = flat * n + idx
     flat = flat.reshape(math.prod(flat.shape[:d]), width ** d)
     flat.flags.writeable = False
-    if padding == PERIODIC:
-        return flat, None, tuple((slice(None), cells) for cells in flat.T)
-    inside = inside.reshape(flat.shape)
-    rows = [np.flatnonzero(keep) for keep in inside.T]
-    outside = ~inside
-    outside.flags.writeable = False
-    return flat, outside, tuple((r, flat[r, t]) for t, r in enumerate(rows))
+    runs = [[_axis_runs(n, stride, base_offset + j, padding)
+             for j in range(width)] for n in grid]
+    all_ = (slice(None),)
+    scatter = []
+    for t, js in enumerate(itertools.product(range(width), repeat=d)):
+        for pieces in itertools.product(*(r[j] for r, j in zip(runs, js))):
+            rows, cells = zip(*pieces)
+            scatter.append((all_ + cells, all_ + rows + (t,)))
+    outside = None
+    if padding == ZERO:
+        outside = ~inside.reshape(flat.shape)
+        outside.flags.writeable = False
+    return flat, outside, tuple(scatter)
 
 
 class Conv:
@@ -137,7 +166,7 @@ class Conv:
             raise ShapeError(f"expected (B, {d} grid axes, {cin}), "
                              f"got {x.shape}")
         b, grid = x.shape[0], x.shape[1:-1]
-        flat, outside, scatter = _tap_layout(
+        flat, outside, _ = _tap_layout(
             grid, self.width, self.stride, self.base_offset, self.padding)
         taps = np.take(x.reshape(b, -1, cin), flat, axis=1)
         if outside is not None:
@@ -148,25 +177,26 @@ class Conv:
         if self.bias is not None:
             z = z + self.bias
         y, saved = _act_forward(z, self.activation)
-        return y, (taps, scatter, saved, x.shape)
+        return y, (taps, saved, x.shape)
 
     def backward(self, gy: np.ndarray, cache):
         if cache is None:
             raise StateError("backward called without a forward cache")
-        taps, scatter, saved, x_shape = cache
-        gz = _act_backward(gy, self.activation, saved)
-        b, cin, cout = x_shape[0], x_shape[-1], self.weight.shape[-1]
-        gz = gz.reshape(b, -1, cout)
-        self.gw += np.tensordot(taps, gz, axes=([0, 1], [0, 1])).reshape(
+        taps, saved, x_shape = cache
+        cout = self.weight.shape[-1]
+        gz = _act_backward(gy, self.activation, saved).reshape(-1, cout)
+        self.gw += (taps.reshape(len(gz), -1).T @ gz).reshape(
             self.weight.shape)
         if self.bias is not None:
-            self.gb += gz.sum(axis=(0, 1))
-        gtaps = np.tensordot(gz, self.weight.reshape(-1, cin, cout),
-                             axes=(2, 2))  # (B, N', w**dim, Cin)
-        gx = np.zeros((b, math.prod(x_shape[1:-1]), cin))
-        for t, (rows, cells) in enumerate(scatter):
-            gx[:, cells, :] += gtaps[:, rows, t, :]
-        return gx.reshape(x_shape)
+            self.gb += gz.sum(axis=0)
+        gtaps = (gz @ self.weight.reshape(-1, cout).T).reshape(
+            gy.shape[:-1] + taps.shape[2:])  # (B, N'.., w**dim, Cin)
+        gx = np.zeros(x_shape)
+        for cells, tap in _tap_layout(x_shape[1:-1], self.width, self.stride,
+                                      self.base_offset, self.padding)[2]:
+            view = gx[cells]
+            np.add(view, gtaps[tap], out=view)
+        return gx
 
     def params(self, prefix: str) -> dict[str, np.ndarray]:
         out = {f"{prefix}.weight": self.weight}
@@ -184,14 +214,6 @@ class Conv:
         self.gw[...] = 0.0
         if self.gb is not None:
             self.gb[...] = 0.0
-
-
-class Conv1d(Conv):
-    __init__ = functools.partialmethod(Conv.__init__, 1)
-
-
-class Conv2d(Conv):
-    __init__ = functools.partialmethod(Conv.__init__, 2)
 
 
 class AvgPool:
@@ -217,50 +239,52 @@ class AvgPool:
         return g
 
 
-class AvgPool1d(AvgPool):
-    __init__ = functools.partialmethod(AvgPool.__init__, 1)
-
-
-class AvgPool2d(AvgPool):
-    __init__ = functools.partialmethod(AvgPool.__init__, 2)
-
-
 # -- optimizer ----------------------------------------------------------------
 
 @dataclass
 class NadamState:
-    """Nesterov-accelerated adaptive moments with bias correction."""
+    """Nesterov-accelerated adaptive moments with bias correction; the
+    moments of all parameters are one flat pair, in parameter order."""
 
     learning_rate: float
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def nadam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
                state: NadamState) -> dict[str, np.ndarray]:
-    """One in-place Nadam update; deterministic given the state."""
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient in {name}")
+    """One in-place Nadam update; deterministic given the state.
+
+    The gradients are concatenated in parameter order and updated as one
+    vector, and each parameter subtracts its slice of the step: per
+    element the same arithmetic as one update per tensor."""
+    g = np.concatenate([grads[name].reshape(-1) for name in params])
+    if not np.all(np.isfinite(g)):
+        bad = next(name for name in params
+                   if not np.all(np.isfinite(grads[name])))
+        raise TrainingError(f"non-finite gradient in {bad}")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** t
     c2 = 1.0 - b2 ** t
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m.setdefault(name, np.zeros_like(p))
-        v = state.v.setdefault(name, np.zeros_like(p))
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        m_bar = b1 * (m / c1) + (1.0 - b1) * g / c1
-        p -= state.learning_rate * m_bar / (np.sqrt(v / c2) + state.eps)
+    if state.m is None:
+        state.m, state.v = np.zeros_like(g), np.zeros_like(g)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    m_bar = b1 * (m / c1) + (1.0 - b1) * g / c1
+    step = state.learning_rate * m_bar / (np.sqrt(v / c2) + state.eps)
+    lo = 0
+    for p in params.values():
+        p -= step[lo:lo + p.size].reshape(p.shape)
+        lo += p.size
     return params
 
 

@@ -181,6 +181,34 @@ def test_banded_transpose_matches_dense_transpose():
     assert np.max(np.abs(blk_t.to_dense() - blk.to_dense().T)) < 1e-14
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_banded_transpose_equals_dense_transpose_diagonals(dim):
+    # level sizes 4 and 8: nb = 2 takes every offset at size 4, and the
+    # coarse block's offsets wrap onto their own negations (2 = -2 mod 4)
+    rng = np.random.default_rng(13)
+    cfg = ModelConfig(n=16, levels=2, alpha=2, depth=1, nb=2, p=1,
+                      symmetric=True, dim=dim, seed=0)
+    from nswave.model import _transpose_block
+    axes = tuple(range(1, 1 + dim))
+    last = (1 << dim) - 1
+    for lay in MetaModel(cfg).layouts:
+        m = lay.size
+        for slot in [(0, 1)] + [(last, last)] * ((last, last) in lay.offsets):
+            nb = None if slot == (last, last) else cfg.nb
+            offs = lay.offsets[slot]
+            arr = rng.standard_normal((2,) + (m,) * dim
+                                      + (cfg.alpha, len(offs)))
+            out = _transpose_block(arr, lay, slot, axes)
+            for b, c in np.ndindex(2, cfg.alpha):
+                if dim == 1:
+                    dense = nsf.BandedBlock(offs[:, 0], arr[b, :, c]).to_dense()
+                    ref = nsf.BandedBlock.from_dense(dense.T, nb).data
+                else:
+                    dense = nsf.BandedBlock2D(offs, arr[b, :, :, c]).to_dense()
+                    ref = nsf.BandedBlock2D.from_dense(dense.T, m, nb).data
+                assert np.array_equal(out[b, ..., c, :], ref)
+
+
 def test_symmetrize_idempotent():
     rng = np.random.default_rng(12)
     cfg = ModelConfig(n=32, levels=2, alpha=2, depth=1, nb=2, p=1,
