@@ -34,17 +34,19 @@ def check_wavelets() -> list[tuple[str, bool, str]]:
 def check_nsform() -> list[tuple[str, bool, str]]:
     out = []
     rng = np.random.default_rng(1)
-    for p, l0 in ((1, 0), (3, 3)):
+    # (dim, grid side, p, l0): 64 x 64 operators on 64 cells and on 8 x 8
+    for dim, side, p, l0 in ((1, 64, 1, 0), (1, 64, 3, 3), (2, 8, 1, 1)):
         filt = wavelets.daubechies_filter(p)
         a = rng.standard_normal((64, 64))
-        ns = nsform.build_nonstandard(a, filt, l0)
-        v = rng.standard_normal(64)
-        ref = a @ v
-        err = np.linalg.norm(nsform.apply(ns, v, filt) - ref) \
+        ns = nsform.build_nonstandard(a, filt, l0, dim=dim)
+        v = rng.standard_normal((side,) * dim)
+        ref = a @ v.reshape(-1)
+        err = np.linalg.norm(nsform.apply(ns, v, filt).reshape(-1) - ref) \
             / np.linalg.norm(ref)
-        out.append((f"nonstandard matvec p={p}", err < 1e-11, f"{err:.2e}"))
+        out.append((f"nonstandard matvec {dim}D p={p}", err < 1e-11,
+                    f"{err:.2e}"))
         rerr = np.max(np.abs(nsform.assemble_dense(ns, filt) - a))
-        out.append((f"nonstandard reconstruction p={p}", rerr < 1e-10,
+        out.append((f"nonstandard reconstruction {dim}D p={p}", rerr < 1e-10,
                     f"{rerr:.2e}"))
     return out
 

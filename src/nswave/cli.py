@@ -203,6 +203,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except MemoryError as exc:  # numpy's message names the size asked for
+        print(f"config error: out of memory: {exc or 'an allocation failed'}",
+              file=sys.stderr)
+        return EXIT_CONFIG
     except (DataError, ConditioningError, DomainError, OSError,
             json.JSONDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)

@@ -68,8 +68,9 @@ class ModelConfig:
             raise ConfigError(f"symmetric must be true or false, "
                               f"got {self.symmetric!r}")
         if (not isinstance(self.init_noise, (int, float))
-                or isinstance(self.init_noise, bool)):
-            raise ConfigError(f"init_noise must be a number, "
+                or isinstance(self.init_noise, bool)
+                or not 0 <= self.init_noise < np.inf):
+            raise ConfigError(f"init_noise must be a finite number >= 0, "
                               f"got {self.init_noise!r}")
         if self.n < 1:
             raise ConfigError(f"n must be positive, got {self.n}")
@@ -722,24 +723,19 @@ def collection_from_nsform(ns, cfg: ModelConfig) -> list[dict]:
     form.  Every channel carries the same diagonals, so under exact-filter
     initialization the channel average returns exactly the nsform matvec."""
     layouts = build_layout(cfg)
-    if len(ns.levels) != cfg.levels:
+    if (ns.dim, len(ns.levels)) != (cfg.dim, cfg.levels):
         raise ShapeError(
-            f"nsform has {len(ns.levels)} levels, model {cfg.levels}")
+            f"nsform has {len(ns.levels)} levels in {ns.dim}D, model "
+            f"{cfg.levels} in {cfg.dim}D")
     last = (1 << cfg.dim) - 1
-    # the oracle's 1D and 2D forms differ in API: 1D names its blocks
-    # d1..d3, 2D keys them by slot, and each has its own banded type
-    names_1d = {(0, 0): "d1", (0, 1): "d2", (1, 0): "d3"}
+    # both key blocks by slot (i, j); the model's coarse slot (last, last)
+    # is the oracle's dense coarse block, read as periodic diagonals
     out = []
-    for lay, lb in zip(layouts, ns.levels):
+    for lay, level_blocks in zip(layouts, ns.levels):
         blocks = {}
         for slot in sorted(lay.offsets):
-            if slot != (last, last):
-                blk = getattr(lb, names_1d[slot]) if cfg.dim == 1 \
-                    else lb.blocks[slot]
-            elif cfg.dim == 1:
-                blk = nsform.BandedBlock.from_dense(ns.coarse)
-            else:
-                blk = nsform.BandedBlock2D.from_dense(ns.coarse, lay.size)
+            blk = level_blocks[slot] if slot != (last, last) \
+                else nsform.BandedBlock.from_dense(ns.coarse, cfg.dim)
             arr = _lookup_diags(blk, lay.offsets[slot], lay.size)
             blocks[slot] = _tile_channels(arr, cfg.alpha)
         out.append(blocks)
@@ -748,7 +744,7 @@ def collection_from_nsform(ns, cfg: ModelConfig) -> list[dict]:
 
 def _lookup_diags(blk, offsets: np.ndarray, size: int) -> np.ndarray:
     """Diagonal data of a banded block re-ordered to a layout's offsets."""
-    have = {tuple(np.atleast_1d(o)): t for t, o in enumerate(blk.offsets)}
+    have = {tuple(o): t for t, o in enumerate(blk.offsets)}
     grid = (size,) * offsets.shape[1]
     cols = [blk.data[..., have[tuple(o)]] if tuple(o) in have
             else np.zeros(grid) for o in offsets]

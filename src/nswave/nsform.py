@@ -1,35 +1,43 @@
-"""Nonstandard form of a dense operator: build, truncate, apply.
+"""Nonstandard form of a dense operator on a 1D or 2D grid: build,
+truncate, apply.
 
-A dense A of size 2^L x 2^L is conjugated level by level with the
-orthogonal one-level transforms, leaving per-level blocks D1 (wavelet x
-wavelet), D2 (wavelet x scaling), D3 (scaling x wavelet) and a dense
-coarsest block.  Blocks are stored as periodic diagonals: canonical
-signed offsets o with data[k, t] = block[k, (k + o_t) mod n].  Truncation
-keeps |o| <= nb in circular distance; the coarsest block is never
+A dense A acting on (2^L,)*dim grid functions (grid points in row-major
+order) is conjugated level by level with the orthogonal one-level
+transform, which splits a grid function into 2^dim parts: the wavelet
+parts first, the scaling part last (`wavelets.PARTS`).  Block slot
+(i, j) of a level maps input part j to output part i.  Every level keeps
+all slots except (last, last); the (last, last) block of the coarsest
+level is the dense coarse block.  In 1D, slot (0, 0) is wavelet x
+wavelet, (0, 1) wavelet x scaling and (1, 0) scaling x wavelet.
+
+Blocks are stored as periodic diagonals: canonical signed offsets o, one
+per axis, with data[k.., t] = block[k.., (k + o_t) mod n..].  Truncation
+keeps max |o| <= nb in circular distance; the coarse block is never
 truncated (it is tiny).
 
 `apply` implements the four-step fast matvec (pyramid transform, banded
-block multiply with the zero fourth block except at the coarsest level,
-inverse pyramid).  With `padding="zero"` every periodic wrap is replaced
-by zero extension; this variant exists as the oracle for the
+block multiply with the (last, last) block zero except at the coarsest
+level, inverse pyramid).  With `padding="zero"` every periodic wrap is
+replaced by zero extension; this variant exists as the oracle for the
 zero-padded network architecture and is *not* a factorization of A.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ShapeError
 from .wavelets import (
+    PARTS,
     PERIODIC,
     WaveletFilter,
     _check_pow2,
-    forward_step,
-    forward_step_2d,
-    inverse_step,
-    inverse_step_2d,
+    forward_parts,
+    inverse_parts,
     min_coarse_level,
     transform_matrix,
 )
@@ -50,304 +58,181 @@ def band_offsets(n: int, nb: int | None) -> np.ndarray:
     return np.arange(-nb, nb + 1)
 
 
-def _shift(v: np.ndarray, o: int, padding: str) -> np.ndarray:
-    """shift_o(v)[k] = v[k + o], periodic wrap or zero fill."""
+def _shift(v: np.ndarray, offs, padding: str) -> np.ndarray:
+    """shift_o(v)[k..] = v[k + o..] over the leading len(o) axes, periodic
+    wrap or zero fill."""
     if padding == PERIODIC:
-        return np.roll(v, -o, axis=0)
+        return np.roll(v, [-int(o) for o in offs],
+                       axis=tuple(range(len(offs))))
     out = np.zeros_like(v)
-    n = v.shape[0]
-    if o >= 0:
-        out[: n - o] = v[o:]
-    else:
-        out[-o:] = v[: n + o]
+    src, dst = [], []
+    for o, n in zip(offs, v.shape):
+        src.append(slice(max(o, 0), n + min(o, 0)))
+        dst.append(slice(max(-o, 0), n - max(o, 0)))
+    out[tuple(dst)] = v[tuple(src)]
     return out
 
 
-def _shift2(v: np.ndarray, o1: int, o2: int, padding: str) -> np.ndarray:
-    return _shift(np.moveaxis(_shift(v, o1, padding), 1, 0), o2,
-                  padding).swapaxes(0, 1)
+def _diagonal_index(n: int, offsets: np.ndarray):
+    """Flat (row, column) in the dense block of each stored entry:
+    data[k.., t] sits at row k.. and column (k + o_t) mod n.."""
+    dim = offsets.shape[1]
+    k = np.indices((n,) * dim)[..., None]               # (dim, n.., 1)
+    o = offsets.T.reshape((dim,) + (1,) * dim + (-1,))  # (dim, 1.., n_off)
+    return (np.ravel_multi_index(tuple(k), (n,) * dim),
+            np.ravel_multi_index(tuple((k + o) % n), (n,) * dim))
 
 
 @dataclass
 class BandedBlock:
-    """Square periodic band matrix stored as per-diagonal vectors."""
+    """Periodic band matrix on vectorized (n,)*dim grids, stored as
+    per-diagonal grid functions."""
 
-    offsets: np.ndarray  # (n_off,)
-    data: np.ndarray     # (n, n_off)
+    offsets: np.ndarray  # (n_off, dim)
+    data: np.ndarray     # (n,)*dim + (n_off,)
 
     @property
     def n(self) -> int:
         return self.data.shape[0]
 
     @classmethod
-    def from_dense(cls, a: np.ndarray, nb: int | None = None) -> "BandedBlock":
-        n = a.shape[0]
-        offsets = band_offsets(n, nb)
-        rows = np.arange(n)
-        data = np.stack([a[rows, (rows + o) % n] for o in offsets], axis=1)
-        return cls(offsets=offsets, data=data)
+    def from_dense(cls, a: np.ndarray, dim: int = 1,
+                   nb: int | None = None) -> "BandedBlock":
+        n = round(a.shape[0] ** (1 / dim))
+        offsets = np.array(list(itertools.product(band_offsets(n, nb),
+                                                  repeat=dim)))
+        rows, cols = _diagonal_index(n, offsets)
+        return cls(offsets=offsets, data=a[rows, cols])
 
     def to_dense(self) -> np.ndarray:
-        n = self.n
-        a = np.zeros((n, n))
-        rows = np.arange(n)
-        for t, o in enumerate(self.offsets):
-            a[rows, (rows + o) % n] = self.data[:, t]
+        rows, cols = _diagonal_index(self.n, self.offsets)
+        a = np.zeros((rows.size, rows.size))
+        a[rows, cols] = self.data
         return a
 
     def matvec(self, v: np.ndarray, padding: str = PERIODIC) -> np.ndarray:
+        dim = self.offsets.shape[1]
         out = np.zeros_like(v, dtype=float)
-        shape = (self.n,) + (1,) * (v.ndim - 1)
+        shape = self.data.shape[:dim] + (1,) * (v.ndim - dim)
         for t, o in enumerate(self.offsets):
-            out += self.data[:, t].reshape(shape) * _shift(v, int(o), padding)
+            out += self.data[..., t].reshape(shape) * _shift(v, o, padding)
         return out
 
     def truncated(self, nb: int) -> "BandedBlock":
         n = self.n
-        circ = np.minimum(np.abs(self.offsets) % n, n - np.abs(self.offsets) % n)
-        keep = circ <= nb
-        return BandedBlock(offsets=self.offsets[keep], data=self.data[:, keep])
-
-
-@dataclass
-class LevelBlocks:
-    level: int
-    d1: BandedBlock
-    d2: BandedBlock
-    d3: BandedBlock
+        circ = np.minimum(np.abs(self.offsets) % n,
+                          n - np.abs(self.offsets) % n)
+        keep = np.max(circ, axis=1) <= nb
+        return BandedBlock(offsets=self.offsets[keep],
+                           data=self.data[..., keep])
 
 
 @dataclass
 class NonstandardForm:
+    dim: int
     l_max: int
     l0: int
-    levels: list[LevelBlocks]  # ordered l0 .. l_max-1
-    coarse: np.ndarray         # dense 2^l0 x 2^l0
-    nb: int | None             # None = untruncated
+    levels: list[dict]  # l0 .. l_max-1, each block slot -> BandedBlock
+    coarse: np.ndarray  # dense, on vectorized (2^l0,)*dim grids
+    nb: int | None      # None = untruncated
 
 
-def build_nonstandard(a: np.ndarray, filt: WaveletFilter,
-                      l0: int) -> NonstandardForm:
-    """Exact (untruncated) nonstandard form of a dense square matrix."""
+def build_nonstandard(a: np.ndarray, filt: WaveletFilter, l0: int,
+                      dim: int = 1) -> NonstandardForm:
+    """Exact (untruncated) nonstandard form of a dense operator on
+    vectorized (2^L,)*dim grids."""
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected square matrix, got {a.shape}")
-    l_max = _check_pow2(a.shape[0])
+    side = round(a.shape[0] ** (1 / dim))
+    if side ** dim != a.shape[0]:
+        raise ShapeError(f"size {a.shape[0]} is not a {dim}D grid size")
+    l_max = _check_pow2(side)
     if not min_coarse_level(filt.p) <= l0 < l_max:
-        raise ShapeError(f"l0={l0} invalid for N={a.shape[0]}, p={filt.p}")
+        raise ShapeError(f"l0={l0} invalid for grid side {side}, p={filt.p}")
+    last = (1 << dim) - 1
     levels = []
     cur = a
     for level in range(l_max - 1, l0 - 1, -1):
-        wmat = transform_matrix(1 << (level + 1), filt)
-        m = wmat.T @ cur @ wmat
         n = 1 << level
-        levels.append(LevelBlocks(
-            level=level,
-            d1=BandedBlock.from_dense(m[:n, :n]),
-            d2=BandedBlock.from_dense(m[:n, n:]),
-            d3=BandedBlock.from_dense(m[n:, :n]),
-        ))
-        cur = m[n:, n:]
+        w1d = transform_matrix(2 * n, filt)
+        halves = {"g": w1d[:, :n], "h": w1d[:, n:]}
+        # the part order of `wavelets.forward_parts`, as a dense matrix
+        w = np.hstack([functools.reduce(np.kron, [halves[c] for c in name])
+                       for name in PARTS[dim]])
+        m = w.T @ cur @ w
+        size = n ** dim
+        levels.append({
+            (i, j): BandedBlock.from_dense(
+                m[i * size:(i + 1) * size, j * size:(j + 1) * size], dim)
+            for i in range(last + 1) for j in range(last + 1)
+            if (i, j) != (last, last)})
+        cur = m[last * size:, last * size:]
     levels.reverse()
-    return NonstandardForm(l_max=l_max, l0=l0, levels=levels,
+    return NonstandardForm(dim=dim, l_max=l_max, l0=l0, levels=levels,
                            coarse=cur, nb=None)
 
 
 def truncate(ns: NonstandardForm, nb: int) -> NonstandardForm:
-    """Keep periodic diagonals |o| <= nb in every D block; coarse untouched."""
-    levels = [LevelBlocks(level=lb.level, d1=lb.d1.truncated(nb),
-                          d2=lb.d2.truncated(nb), d3=lb.d3.truncated(nb))
-              for lb in ns.levels]
-    return NonstandardForm(l_max=ns.l_max, l0=ns.l0, levels=levels,
-                           coarse=ns.coarse.copy(), nb=nb)
+    """Keep periodic diagonals max |o| <= nb in every level block; coarse
+    untouched."""
+    levels = [{slot: blk.truncated(nb) for slot, blk in blocks.items()}
+              for blocks in ns.levels]
+    return replace(ns, levels=levels, coarse=ns.coarse.copy(), nb=nb)
 
 
 def apply(ns: NonstandardForm, v: np.ndarray, filt: WaveletFilter,
           padding: str = PERIODIC) -> np.ndarray:
-    """Fast matvec u = W S W^T v; v may carry trailing column axes."""
-    if v.shape[0] != 1 << ns.l_max:
-        raise ShapeError(f"length {v.shape[0]} != 2^{ns.l_max}")
-    d: dict[int, np.ndarray] = {}
-    vv: dict[int, np.ndarray] = {}
+    """Fast matvec u = W S W^T v on a (2^L,)*dim grid function v; v may
+    carry trailing column axes."""
+    dim, last = ns.dim, (1 << ns.dim) - 1
+    grid = (1 << ns.l_max,) * dim
+    if v.shape[:dim] != grid:
+        raise ShapeError(f"grid shape {v.shape[:dim]} != {grid}")
+    parts: dict[int, list[np.ndarray]] = {}
     s = v
     for level in range(ns.l_max - 1, ns.l0 - 1, -1):
-        d[level], s = forward_step(s, filt, padding)
-        vv[level] = s
-    u = np.zeros_like(vv[ns.l0])
-    for lb in ns.levels:
-        level = lb.level
-        w = lb.d1.matvec(d[level], padding) + lb.d2.matvec(vv[level], padding)
-        s = lb.d3.matvec(d[level], padding)
-        if level == ns.l0:
-            if padding == PERIODIC:
-                s = s + np.tensordot(ns.coarse, vv[level], axes=(1, 0))
-            else:
-                # zero mode follows the architecture: the dense block acts
-                # through its periodic diagonals with zero-filled shifts
-                s = s + BandedBlock.from_dense(ns.coarse).matvec(
-                    vv[level], padding)
-        u = inverse_step(w, s + u, filt, padding)
+        parts[level] = forward_parts(s, filt, dim, padding)
+        s = parts[level][last]
+    u = np.zeros_like(s)
+    for level, blocks in enumerate(ns.levels, ns.l0):
+        xs = parts[level]
+        outs = [np.zeros_like(x) for x in xs]
+        for (i, j), blk in blocks.items():
+            outs[i] += blk.matvec(xs[j], padding)
+        if level == ns.l0 and padding == PERIODIC:
+            flat = xs[last].reshape((-1,) + xs[last].shape[dim:])
+            outs[last] = outs[last] + np.tensordot(
+                ns.coarse, flat, axes=(1, 0)).reshape(outs[last].shape)
+        elif level == ns.l0:
+            # zero mode follows the architecture: the dense block acts
+            # through its periodic diagonals with zero-filled shifts
+            outs[last] = outs[last] + BandedBlock.from_dense(
+                ns.coarse, dim).matvec(xs[last], padding)
+        outs[last] = outs[last] + u
+        u = inverse_parts(outs, filt, dim, padding)
     return u
 
 
 def assemble_dense(ns: NonstandardForm, filt: WaveletFilter) -> np.ndarray:
-    """Dense matrix whose column j is apply(ns, e_j)."""
-    n = 1 << ns.l_max
-    return apply(ns, np.eye(n), filt)
+    """Dense matrix whose column j is apply(ns, e_j), grid points in
+    row-major order."""
+    nn = 1 << (ns.dim * ns.l_max)
+    grid = (1 << ns.l_max,) * ns.dim
+    return apply(ns, np.eye(nn).reshape(grid + (nn,)), filt).reshape(nn, nn)
 
 
-# -- 2D ----------------------------------------------------------------------
-
-@dataclass
-class BandedBlock2D:
-    """Band matrix on vectorized n x n grids; diagonals indexed (o1, o2)."""
-
-    offsets: np.ndarray  # (n_off, 2)
-    data: np.ndarray     # (n, n, n_off)
-
-    @property
-    def n(self) -> int:
-        return self.data.shape[0]
-
-    @classmethod
-    def from_dense(cls, a: np.ndarray, n: int,
-                   nb: int | None = None) -> "BandedBlock2D":
-        off1 = band_offsets(n, nb)
-        offsets = np.array([(o1, o2) for o1 in off1 for o2 in off1])
-        k = np.arange(n)
-        k1 = np.repeat(k, n)
-        k2 = np.tile(k, n)
-        cols = []
-        for o1, o2 in offsets:
-            j1 = (k1 + o1) % n
-            j2 = (k2 + o2) % n
-            cols.append(a[k1 * n + k2, j1 * n + j2].reshape(n, n))
-        return cls(offsets=offsets, data=np.stack(cols, axis=2))
-
-    def to_dense(self) -> np.ndarray:
-        n = self.n
-        a = np.zeros((n * n, n * n))
-        k = np.arange(n)
-        k1 = np.repeat(k, n)
-        k2 = np.tile(k, n)
-        for t, (o1, o2) in enumerate(self.offsets):
-            j1 = (k1 + o1) % n
-            j2 = (k2 + o2) % n
-            a[k1 * n + k2, j1 * n + j2] = self.data[:, :, t].reshape(-1)
-        return a
-
-    def matvec(self, v: np.ndarray, padding: str = PERIODIC) -> np.ndarray:
-        out = np.zeros_like(v, dtype=float)
-        shape = (self.n, self.n) + (1,) * (v.ndim - 2)
-        for t, (o1, o2) in enumerate(self.offsets):
-            out += (self.data[:, :, t].reshape(shape)
-                    * _shift2(v, int(o1), int(o2), padding))
-        return out
-
-    def truncated(self, nb: int) -> "BandedBlock2D":
-        n = self.n
-        circ = np.minimum(np.abs(self.offsets) % n,
-                          n - np.abs(self.offsets) % n)
-        keep = np.max(circ, axis=1) <= nb
-        return BandedBlock2D(offsets=self.offsets[keep],
-                             data=self.data[:, :, keep])
-
-
-#: block slot (i, j) of the 4x4 level matrix, in D1..D15 order
-BLOCK_SLOTS_2D = [((t - 1) // 4, (t - 1) % 4) for t in range(1, 16)]
-
-
-@dataclass
-class LevelBlocks2D:
-    level: int
-    blocks: dict[tuple[int, int], BandedBlock2D]  # 15 slots, (3,3) excluded
-
-
-@dataclass
-class NonstandardForm2D:
-    l_max: int
-    l0: int
-    levels: list[LevelBlocks2D]
-    coarse: np.ndarray  # dense 4^l0 x 4^l0 on vectorized grids
-    nb: int | None
-
+# The benchmark harness (bench/) selects the 2D entry points by these names
+# and patches `apply_2d` alone, so they are functions, not aliases.
 
 def build_nonstandard_2d(a: np.ndarray, filt: WaveletFilter,
-                         l0: int) -> NonstandardForm2D:
-    """Nonstandard form of a dense operator on vectorized 2^L x 2^L grids."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected square matrix, got {a.shape}")
-    nn = a.shape[0]
-    n_side = int(round(np.sqrt(nn)))
-    if n_side * n_side != nn:
-        raise ShapeError(f"size {nn} is not a squared grid size")
-    l_max = _check_pow2(n_side)
-    if not min_coarse_level(filt.p) <= l0 < l_max:
-        raise ShapeError(f"l0={l0} invalid for grid {n_side}, p={filt.p}")
-    levels = []
-    cur = a
-    for level in range(l_max - 1, l0 - 1, -1):
-        n2 = 1 << (level + 1)
-        n = 1 << level
-        w1d = transform_matrix(n2, filt)
-        ww, ws = w1d[:, :n], w1d[:, n:]
-        w2d = np.hstack([np.kron(ws, ww), np.kron(ww, ws),
-                         np.kron(ww, ww), np.kron(ws, ws)])
-        m = w2d.T @ cur @ w2d
-        nsq = n * n
-        blocks = {}
-        for (i, j) in BLOCK_SLOTS_2D:
-            blocks[(i, j)] = BandedBlock2D.from_dense(
-                m[i * nsq:(i + 1) * nsq, j * nsq:(j + 1) * nsq], n)
-        levels.append(LevelBlocks2D(level=level, blocks=blocks))
-        cur = m[3 * nsq:, 3 * nsq:]
-    levels.reverse()
-    return NonstandardForm2D(l_max=l_max, l0=l0, levels=levels,
-                             coarse=cur, nb=None)
+                         l0: int) -> NonstandardForm:
+    return build_nonstandard(a, filt, l0, dim=2)
 
 
-def truncate_2d(ns: NonstandardForm2D, nb: int) -> NonstandardForm2D:
-    levels = [LevelBlocks2D(level=lb.level,
-                            blocks={k: b.truncated(nb)
-                                    for k, b in lb.blocks.items()})
-              for lb in ns.levels]
-    return NonstandardForm2D(l_max=ns.l_max, l0=ns.l0, levels=levels,
-                             coarse=ns.coarse.copy(), nb=nb)
+def truncate_2d(ns: NonstandardForm, nb: int) -> NonstandardForm:
+    return truncate(ns, nb)
 
 
-def apply_2d(ns: NonstandardForm2D, v: np.ndarray, filt: WaveletFilter,
+def apply_2d(ns: NonstandardForm, v: np.ndarray, filt: WaveletFilter,
              padding: str = PERIODIC) -> np.ndarray:
-    """Fast 2D matvec on a grid function v (n x n, trailing axes allowed)."""
-    n = 1 << ns.l_max
-    if v.shape[:2] != (n, n):
-        raise ShapeError(f"grid shape {v.shape[:2]} != ({n}, {n})")
-    d: dict[int, tuple] = {}
-    vv: dict[int, np.ndarray] = {}
-    s = v
-    for level in range(ns.l_max - 1, ns.l0 - 1, -1):
-        w1, w2, w3, s = forward_step_2d(s, filt, padding)
-        d[level] = (w1, w2, w3)
-        vv[level] = s
-    u = np.zeros_like(vv[ns.l0])
-    for lb in ns.levels:
-        level = lb.level
-        parts = list(d[level]) + [vv[level]]
-        outs = []
-        for i in range(4):
-            acc = np.zeros_like(parts[0])
-            for j in range(4):
-                if (i, j) == (3, 3):
-                    continue
-                acc += lb.blocks[(i, j)].matvec(parts[j], padding)
-            outs.append(acc)
-        if level == ns.l0:
-            if padding == PERIODIC:
-                nc = 1 << ns.l0
-                flat = vv[level].reshape((nc * nc,) + vv[level].shape[2:])
-                outs[3] = outs[3] + np.tensordot(
-                    ns.coarse, flat, axes=(1, 0)).reshape(outs[3].shape)
-            else:
-                outs[3] = outs[3] + BandedBlock2D.from_dense(
-                    ns.coarse, 1 << ns.l0).matvec(vv[level], padding)
-        u = inverse_step_2d(outs[0], outs[1], outs[2], outs[3] + u,
-                            filt, padding)
-    return u
+    return apply(ns, v, filt, padding)

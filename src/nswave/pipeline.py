@@ -97,12 +97,15 @@ class TrainConfig:
                                   f"{value!r}")
         if self.max_epochs < 1:
             raise ConfigError("need max_epochs >= 1")
-        for name in ("learning_rate", "batch_fraction"):
+        for name in ("learning_rate", "batch_fraction", "target_test_error"):
             value = getattr(self, name)
-            if not 0 < value < np.inf:
+            if value is not None and not 0 < value < np.inf:
                 raise ConfigError(f"training.{name} must be finite and > 0, "
                                   f"got {value!r}")
-        for name in ("seed", "operator_samples"):
+        if not 0 <= self.min_improvement < np.inf:
+            raise ConfigError(f"training.min_improvement must be finite and "
+                              f">= 0, got {self.min_improvement!r}")
+        for name in ("seed", "operator_samples", "patience"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"training.{name} must be >= 0, "
                                   f"got {getattr(self, name)!r}")

@@ -236,44 +236,41 @@ def inverse_transform(pyr: Pyramid, filt: WaveletFilter) -> np.ndarray:
     return s
 
 
-def forward_step_2d(s_in: np.ndarray, filt: WaveletFilter,
-                    padding: str = PERIODIC):
-    """Separable 2D step: (2n x 2n) -> (w1, w2, w3, s), each (n x n).
-
-    w1 pairs scaling in x with wavelet in y, w2 the reverse, w3 is
-    wavelet in both; matches the transform ordering used by nsform.
-    """
-    if s_in.shape[0] != s_in.shape[1]:
-        raise ShapeError(f"expected square input, got {s_in.shape}")
-    hi_y, lo_y = _step_axis(s_in, filt, 1, padding)
-    hi_x_lo, lo_x_lo = _step_axis(lo_y, filt, 0, padding)
-    hi_x_hi, lo_x_hi = _step_axis(hi_y, filt, 0, padding)
-    w1 = lo_x_hi   # phi(x) psi(y)
-    w2 = hi_x_lo   # psi(x) phi(y)
-    w3 = hi_x_hi   # psi(x) psi(y)
-    s = lo_x_lo
-    return w1, w2, w3, s
+#: a step's parts on a dim-D grid, named by their filter per axis (axis 0
+#: first; g wavelet, h scaling): the wavelet parts first, the scaling last
+PARTS = {1: ("g", "h"), 2: ("hg", "gh", "gg", "hh")}
 
 
-def inverse_step_2d(w1: np.ndarray, w2: np.ndarray, w3: np.ndarray,
-                    s: np.ndarray, filt: WaveletFilter,
-                    padding: str = PERIODIC) -> np.ndarray:
-    hi_y = _inverse_axis(w3, w1, filt, 0, padding)
-    lo_y = _inverse_axis(w2, s, filt, 0, padding)
-    return _inverse_axis(hi_y, lo_y, filt, 1, padding)
+def forward_parts(x: np.ndarray, filt: WaveletFilter, dim: int,
+                  padding: str = PERIODIC) -> list[np.ndarray]:
+    """Separable pyramid step on a (2n,)*dim grid: `forward_step` along
+    each axis, the last axis first, giving the (n,)*dim parts in
+    `PARTS[dim]` order.  Extra trailing axes are carried along."""
+    parts = {"": x}
+    for ax in reversed(range(dim)):
+        step = {}
+        for name, arr in parts.items():
+            hi, lo = forward_step(np.moveaxis(arr, ax, 0), filt, padding)
+            step["g" + name] = np.moveaxis(hi, 0, ax)
+            step["h" + name] = np.moveaxis(lo, 0, ax)
+        parts = step
+    return [parts[name] for name in PARTS[dim]]
 
 
-def _step_axis(x: np.ndarray, filt: WaveletFilter, axis: int, padding: str):
-    moved = np.moveaxis(x, axis, 0)
-    hi, lo = forward_step(moved, filt, padding)
-    return np.moveaxis(hi, 0, axis), np.moveaxis(lo, 0, axis)
-
-
-def _inverse_axis(hi: np.ndarray, lo: np.ndarray, filt: WaveletFilter,
-                  axis: int, padding: str) -> np.ndarray:
-    out = inverse_step(np.moveaxis(hi, axis, 0), np.moveaxis(lo, axis, 0),
-                       filt, padding)
-    return np.moveaxis(out, 0, axis)
+def inverse_parts(parts: list[np.ndarray], filt: WaveletFilter, dim: int,
+                  padding: str = PERIODIC) -> np.ndarray:
+    """Exact adjoint (= inverse, periodic case) of :func:`forward_parts`:
+    `inverse_step` along each axis, the first axis first."""
+    named = dict(zip(PARTS[dim], parts))
+    for ax in range(dim):
+        step = {}
+        for rest in dict.fromkeys(name[1:] for name in named):
+            out = inverse_step(np.moveaxis(named["g" + rest], ax, 0),
+                               np.moveaxis(named["h" + rest], ax, 0),
+                               filt, padding)
+            step[rest] = np.moveaxis(out, 0, ax)
+        named = step
+    return named[""]
 
 
 def transform_matrix(n2: int, filt: WaveletFilter) -> np.ndarray:

@@ -163,7 +163,9 @@ def _assert_config_error(rc, capsys):
     "training.target_test_error=[0.1]", "training.batch_fraction=0",
     "training.batch_fraction=Infinity", "training.learning_rate=-0.001",
     "training.learning_rate=NaN", "training.seed=-1", "model.seed=-1",
-    "training.operator_samples=-1", "--operator-samples=-3"])
+    "training.operator_samples=-1", "--operator-samples=-3",
+    "training.patience=-3", "training.min_improvement=NaN",
+    "training.target_test_error=-1", "model.init_noise=NaN"])
 def test_mistyped_training_value_is_a_config_error(micro_config, tmp_path,
                                                    capsys, override):
     if override.startswith("--"):  # the eval flag of the same name
@@ -173,6 +175,21 @@ def test_mistyped_training_value_is_a_config_error(micro_config, tmp_path,
     rc = cli.main(argv + ["--data", str(tmp_path / "d"),
                           "--out", str(tmp_path / "ck")])
     _assert_config_error(rc, capsys)
+
+
+def test_out_of_memory_is_a_config_error(monkeypatch, capsys):
+    # a run too large for the host fails in numpy with the size it asked for
+    size = "Unable to allocate 447. GiB for an array with shape (1, 2)"
+
+    def too_large():
+        raise MemoryError(size)
+
+    monkeypatch.setattr(cli.checks, "run_all", too_large)
+    rc = cli.main(["verify"])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: out of memory:") and size in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe\x00", b"3"],

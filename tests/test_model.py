@@ -66,15 +66,15 @@ def test_keystone_holds_with_channel_replication():
 def test_keystone_equivalence_2d(p, n, levels, l0, padding):
     rng = np.random.default_rng(3)
     filt = wv.daubechies_filter(p)
-    ns = nsf.truncate_2d(nsf.build_nonstandard_2d(
-        rng.standard_normal((n * n, n * n)), filt, l0), 1)
+    ns = nsf.truncate(nsf.build_nonstandard(
+        rng.standard_normal((n * n, n * n)), filt, l0, dim=2), 1)
     cfg = ModelConfig(n=n, levels=levels, alpha=1, depth=1, nb=1, p=p,
                       padding=padding, dim=2, init_noise=0.0, seed=0)
     mdl = exact_model(cfg)
     coll = collection_from_nsform(ns, cfg)
     v = rng.standard_normal((n, n))
     u_model = mdl.forward(np.zeros((n, n)), v, collection=coll)
-    u_ns = nsf.apply_2d(ns, v, filt, padding=padding)
+    u_ns = nsf.apply(ns, v, filt, padding=padding)
     assert np.max(np.abs(u_model - u_ns)) < 1e-10
 
 
@@ -200,12 +200,8 @@ def test_banded_transpose_equals_dense_transpose_diagonals(dim):
                                       + (cfg.alpha, len(offs)))
             out = _transpose_block(arr, lay, slot, axes)
             for b, c in np.ndindex(2, cfg.alpha):
-                if dim == 1:
-                    dense = nsf.BandedBlock(offs[:, 0], arr[b, :, c]).to_dense()
-                    ref = nsf.BandedBlock.from_dense(dense.T, nb).data
-                else:
-                    dense = nsf.BandedBlock2D(offs, arr[b, :, :, c]).to_dense()
-                    ref = nsf.BandedBlock2D.from_dense(dense.T, m, nb).data
+                dense = nsf.BandedBlock(offs, arr[b, ..., c, :]).to_dense()
+                ref = nsf.BandedBlock.from_dense(dense.T, dim, nb).data
                 assert np.array_equal(out[b, ..., c, :], ref)
 
 

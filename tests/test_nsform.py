@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -27,11 +29,12 @@ def test_identity_form():
     for p, l0 in ((1, 0), (3, 3)):
         filt = wv.daubechies_filter(p)
         ns = nsf.build_nonstandard(np.eye(16 if p == 1 else 64), filt, l0)
-        for lb in ns.levels:
-            m = 1 << lb.level
-            assert np.max(np.abs(lb.d1.to_dense() - np.eye(m))) < 1e-12
-            assert np.max(np.abs(lb.d2.to_dense())) < 1e-12
-            assert np.max(np.abs(lb.d3.to_dense())) < 1e-12
+        for level, blocks in enumerate(ns.levels, ns.l0):
+            m = 1 << level
+            assert np.max(np.abs(blocks[(0, 0)].to_dense() - np.eye(m))) \
+                < 1e-12
+            assert np.max(np.abs(blocks[(0, 1)].to_dense())) < 1e-12
+            assert np.max(np.abs(blocks[(1, 0)].to_dense())) < 1e-12
         assert np.max(np.abs(ns.coarse - np.eye(1 << ns.l0))) < 1e-12
 
 
@@ -48,10 +51,11 @@ def test_symmetric_source_gives_symmetric_blocks():
     a = rng.standard_normal((32, 32))
     a = a + a.T
     ns = nsf.build_nonstandard(a, wv.daubechies_filter(2), 2)
-    for lb in ns.levels:
-        d1 = lb.d1.to_dense()
+    for blocks in ns.levels:
+        d1 = blocks[(0, 0)].to_dense()
         assert np.max(np.abs(d1 - d1.T)) < 1e-12
-        assert np.max(np.abs(lb.d3.to_dense() - lb.d2.to_dense().T)) < 1e-12
+        assert np.max(np.abs(blocks[(1, 0)].to_dense()
+                             - blocks[(0, 1)].to_dense().T)) < 1e-12
     assert np.max(np.abs(ns.coarse - ns.coarse.T)) < 1e-12
 
 
@@ -115,8 +119,8 @@ def test_truncate_nb0_keeps_main_diagonal_only():
     ns = nsf.build_nonstandard(rng.standard_normal((16, 16)),
                                wv.daubechies_filter(1), 0)
     t = nsf.truncate(ns, 0)
-    for lb in t.levels:
-        for blk in (lb.d1, lb.d2, lb.d3):
+    for blocks in t.levels:
+        for blk in blocks.values():
             assert list(blk.offsets) == [0]
             dense = blk.to_dense()
             assert np.max(np.abs(dense - np.diag(np.diag(dense)))) == 0.0
@@ -147,9 +151,9 @@ def test_banded_block_dense_roundtrip_and_transpose():
 
 def test_2d_identity_form():
     filt = wv.daubechies_filter(1)
-    ns = nsf.build_nonstandard_2d(np.eye(64), filt, 1)
-    for lb in ns.levels:
-        for (i, j), blk in lb.blocks.items():
+    ns = nsf.build_nonstandard(np.eye(64), filt, 1, dim=2)
+    for blocks in ns.levels:
+        for (i, j), blk in blocks.items():
             dense = blk.to_dense()
             target = np.eye(dense.shape[0]) if i == j else 0.0
             assert np.max(np.abs(dense - target)) < 1e-12
@@ -160,12 +164,12 @@ def test_2d_apply_matches_dense():
     rng = np.random.default_rng(9)
     filt = wv.daubechies_filter(1)
     a = rng.standard_normal((64, 64))
-    ns = nsf.build_nonstandard_2d(a, filt, 1)
+    ns = nsf.build_nonstandard(a, filt, 1, dim=2)
     v = rng.standard_normal((8, 8))
     ref = (a @ v.reshape(-1)).reshape(8, 8)
-    err = np.linalg.norm(nsf.apply_2d(ns, v, filt) - ref) / np.linalg.norm(ref)
+    err = np.linalg.norm(nsf.apply(ns, v, filt) - ref) / np.linalg.norm(ref)
     assert err < 1e-11
-    dense = nsf.apply_2d(ns, np.eye(64).reshape(8, 8, 64), filt)
+    dense = nsf.apply(ns, np.eye(64).reshape(8, 8, 64), filt)
     dense = dense.reshape(64, 64)
     assert np.max(np.abs(dense - a)) < 1e-11
 
@@ -175,12 +179,12 @@ def test_2d_symmetric_source_block_relations():
     filt = wv.daubechies_filter(1)
     a = rng.standard_normal((64, 64))
     a = a + a.T
-    ns = nsf.build_nonstandard_2d(a, filt, 1)
-    for lb in ns.levels:
-        for (i, j), blk in lb.blocks.items():
+    ns = nsf.build_nonstandard(a, filt, 1, dim=2)
+    for blocks in ns.levels:
+        for (i, j), blk in blocks.items():
             if (j, i) == (3, 3):
                 continue
-            partner = lb.blocks[(j, i)]
+            partner = blocks[(j, i)]
             assert np.max(np.abs(blk.to_dense() - partner.to_dense().T)) \
                 < 1e-12
     assert np.max(np.abs(ns.coarse - ns.coarse.T)) < 1e-12
@@ -189,11 +193,26 @@ def test_2d_symmetric_source_block_relations():
 def test_2d_truncation_and_offsets():
     rng = np.random.default_rng(11)
     filt = wv.daubechies_filter(1)
-    ns = nsf.build_nonstandard_2d(rng.standard_normal((64, 64)), filt, 1)
-    t = nsf.truncate_2d(ns, 1)
-    for lb in t.levels:
-        for blk in lb.blocks.values():
+    ns = nsf.build_nonstandard(rng.standard_normal((64, 64)), filt, 1,
+                               dim=2)
+    t = nsf.truncate(ns, 1)
+    for blocks in t.levels:
+        for blk in blocks.values():
             m = blk.n
             circ = np.minimum(np.abs(blk.offsets) % m,
                               m - np.abs(blk.offsets) % m)
             assert np.max(circ) <= 1
+
+
+def test_oracle_imports_nothing_from_the_model():
+    """The oracle stays an independent reference for the model: within the
+    package it imports only the wavelet transforms and the error types."""
+    import ast
+    tree = ast.parse(Path(nsf.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            assert node.module in ("wavelets", "errors"), node.module
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) \
+                else [a.name for a in node.names]
+            assert not any(n.split(".")[0] == "nswave" for n in names), names

@@ -216,7 +216,7 @@ def test_polynomial_suppression_away_from_wrap():
 
 def test_2d_constant_image():
     filt = wv.daubechies_filter(2)
-    w1, w2, w3, s = wv.forward_step_2d(np.full((16, 16), 1.7), filt)
+    w1, w2, w3, s = wv.forward_parts(np.full((16, 16), 1.7), filt, 2)
     for arr in (w1, w2, w3):
         assert np.max(np.abs(arr)) < 1e-13
     assert np.allclose(s, 1.7 * 2.0, atol=1e-13)  # sqrt(2) per axis
@@ -226,8 +226,36 @@ def test_2d_roundtrip_and_energy():
     rng = np.random.default_rng(5)
     filt = wv.daubechies_filter(3)
     x = rng.standard_normal((16, 16))
-    w1, w2, w3, s = wv.forward_step_2d(x, filt)
+    w1, w2, w3, s = wv.forward_parts(x, filt, 2)
     energy = sum(float((a ** 2).sum()) for a in (w1, w2, w3, s))
     assert energy == pytest.approx(float((x ** 2).sum()), rel=1e-10)
-    back = wv.inverse_step_2d(w1, w2, w3, s, filt)
+    back = wv.inverse_parts([w1, w2, w3, s], filt, 2)
     assert np.max(np.abs(back - x)) < 1e-12
+
+
+@pytest.mark.parametrize("padding", ["periodic", "zero"])
+def test_2d_parts_are_the_1d_step_along_each_axis(padding):
+    rng = np.random.default_rng(6)
+    filt = wv.daubechies_filter(2)
+    x = rng.standard_normal((8, 8, 3))
+    # axis 1 first, then axis 0 of each half; letters name the filter on
+    # axis 0, then axis 1 (g wavelet, h scaling)
+    g_y, h_y = (a.swapaxes(0, 1) for a in
+                wv.forward_step(x.swapaxes(0, 1), filt, padding))
+    gh, hh = wv.forward_step(h_y, filt, padding)
+    gg, hg = wv.forward_step(g_y, filt, padding)
+    parts = wv.forward_parts(x, filt, 2, padding)
+    for got, want in zip(parts, (hg, gh, gg, hh)):
+        assert np.array_equal(got, want)
+    assert len(parts) == 4
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_parts_roundtrip(dim, p):
+    rng = np.random.default_rng(7)
+    filt = wv.daubechies_filter(p)
+    x = rng.standard_normal((16,) * dim + (2,))
+    parts = wv.forward_parts(x, filt, dim)
+    assert [a.shape for a in parts] == [(8,) * dim + (2,)] * 2 ** dim
+    assert np.max(np.abs(wv.inverse_parts(parts, filt, dim) - x)) < 1e-12
