@@ -203,9 +203,10 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except MemoryError as exc:  # numpy's message names the size asked for
-        print(f"config error: out of memory: {exc or 'an allocation failed'}",
-              file=sys.stderr)
+    except (MemoryError, OverflowError) as exc:  # an array too large: numpy
+        # names the size asked for, or that it cannot be indexed
+        print(f"config error: out of memory: "
+              f"{str(exc) or 'an allocation failed'}", file=sys.stderr)
         return EXIT_CONFIG
     except (DataError, ConditioningError, DomainError, OSError,
             json.JSONDecodeError) as exc:

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the declared rules
+config fields are checked against when a config is built."""
+
+import dataclasses
 
 
 class ConfigError(ValueError):
@@ -31,3 +34,53 @@ class ConditioningError(RuntimeError):
 
 class InferenceError(RuntimeError):
     """Non-finite values produced during model evaluation."""
+
+
+# -- declared config fields ---------------------------------------------------
+
+_FLOAT_MAX = 1.7976931348623157e308  # the largest finite double
+
+
+def rule(default=dataclasses.MISSING, *, kind=int, low=None, above=None,
+         choices=None):
+    """A config field and the rule `check_fields` holds its value to: of
+    type `kind` (a bool is never a number; a float may be an int, and must
+    be finite), >= `low`, > `above` and one of `choices`.  None is valid
+    where it is the default; without a default the field is required."""
+    return dataclasses.field(default=default, metadata={"rule": dict(
+        kind=kind, low=low, above=above, choices=choices,
+        optional=default is None)})
+
+
+def _obeys(value, kind, low, above, choices, optional) -> bool:
+    if value is None:
+        return optional
+    if isinstance(value, bool) != (kind is bool):
+        return False
+    if kind is float:
+        typed = isinstance(value, (int, float)) and abs(value) <= _FLOAT_MAX
+    else:
+        typed = isinstance(value, kind)
+    return (typed and (choices is None or value in choices)
+            and (low is None or value >= low)
+            and (above is None or value > above))
+
+
+def _need(kind, low, above, choices, optional) -> str:
+    need = {int: "an integer", float: "a finite number", bool: "true or false",
+            str: "a string"}[kind]
+    if choices is not None:
+        need = "one of " + ", ".join(map(repr, choices))
+    need += f" >= {low}" if low is not None else ""
+    need += f" > {above}" if above is not None else ""
+    return need + (" or null" if optional else "")
+
+
+def check_fields(cfg, section: str) -> None:
+    """ConfigError naming the first field of the dataclass `cfg` whose value
+    breaks the rule it was declared with."""
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if not _obeys(value, **f.metadata["rule"]):
+            raise ConfigError(f"{section}.{f.name} must be "
+                              f"{_need(**f.metadata['rule'])}, got {value!r}")

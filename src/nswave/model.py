@@ -39,57 +39,31 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import nsform
-from .errors import ConfigError, InferenceError, ShapeError
+from .errors import ConfigError, InferenceError, ShapeError, check_fields, rule
 from .net import PERIODIC, ZERO, AvgPool, Conv
 from .wavelets import WaveletFilter, daubechies_filter
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    n: int                  # finest grid size per dimension
-    levels: int             # number of wavelet levels
-    alpha: int              # channel width
-    depth: int              # conv layers per eta ConvNet
-    nb: int                 # band half-width of the D blocks
-    p: int                  # filter half-support (window = 2p)
-    padding: str = PERIODIC
-    symmetric: bool = False
-    dim: int = 1
-    init_noise: float = 1e-2
-    seed: int = 0
+    n: int = rule(low=1)        # finest grid size per dimension
+    levels: int = rule(low=1)   # number of wavelet levels
+    alpha: int = rule(low=1)    # channel width
+    depth: int = rule(low=1)    # conv layers per eta ConvNet
+    nb: int = rule(low=0)       # band half-width of the D blocks
+    p: int = rule(choices=(1, 2, 3, 4, 5))  # filter half-support (window 2p)
+    padding: str = rule(PERIODIC, kind=str, choices=(PERIODIC, ZERO))
+    symmetric: bool = rule(False, kind=bool)
+    dim: int = rule(1, choices=(1, 2))
+    init_noise: float = rule(1e-2, kind=float, low=0)
+    seed: int = rule(0, low=0)
 
-    def validate(self) -> "ModelConfig":
-        for name in ("n", "levels", "alpha", "depth", "nb", "p", "dim",
-                     "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if not isinstance(self.symmetric, bool):
-            raise ConfigError(f"symmetric must be true or false, "
-                              f"got {self.symmetric!r}")
-        if (not isinstance(self.init_noise, (int, float))
-                or isinstance(self.init_noise, bool)
-                or not 0 <= self.init_noise < np.inf):
-            raise ConfigError(f"init_noise must be a finite number >= 0, "
-                              f"got {self.init_noise!r}")
-        if self.n < 1:
-            raise ConfigError(f"n must be positive, got {self.n}")
-        if self.dim not in (1, 2):
-            raise ConfigError(f"dim must be 1 or 2, got {self.dim}")
-        if self.levels < 1:
-            raise ConfigError("need at least one level")
-        if self.n % (1 << self.levels):
-            raise ConfigError(
-                f"n={self.n} not divisible by 2^levels={1 << self.levels}")
-        if self.padding not in (PERIODIC, ZERO):
-            raise ConfigError(f"unknown padding {self.padding!r}")
-        if not 1 <= self.p <= 5:
-            raise ConfigError(f"p={self.p} outside 1..5")
-        if self.alpha < 1 or self.depth < 1 or self.nb < 0:
-            raise ConfigError("alpha, depth must be >= 1 and nb >= 0")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        return self
+    def __post_init__(self):
+        check_fields(self, "model")
+        # a levels that fails the bit-length test would make 1 << levels huge
+        if self.levels >= self.n.bit_length() or self.n % (1 << self.levels):
+            raise ConfigError(f"model.n={self.n} is not divisible by "
+                              f"2^levels, levels={self.levels}")
 
 
 # -- halo-padded shifts and their adjoint --------------------------------------
@@ -371,7 +345,7 @@ class MetaModel:
     """Learnable map (eta, f) -> u through the compressed-operator pipeline."""
 
     def __init__(self, cfg: ModelConfig):
-        self.cfg = cfg.validate()
+        self.cfg = cfg
         self.layouts = build_layout(cfg)
         rng = np.random.default_rng(cfg.seed)
         dim = cfg.dim

@@ -1,10 +1,12 @@
 """Dataset generation and persistence, the training loop, and metrics.
 
 A run is described by four blocks (problem / dataset / model / training),
-loaded from JSON with unknown keys rejected.  Datasets are NSTF1 files
-(one per split) with a JSON sidecar carrying the problem descriptor, the
-seed scheme and residual certification; every persisted solution can be
-re-verified against the generating operator on reload.
+loaded from JSON with unknown keys rejected; each field's type and range
+are declared with the field and checked when the config is built.
+Datasets are NSTF1 files (one per split) with a JSON sidecar carrying the
+problem descriptor, the seed scheme and residual certification; every
+persisted solution can be re-verified against the generating operator on
+reload.
 
 Training minimizes the mean squared solution error with Nadam over
 minibatches whose size is a fixed fraction of the training sample count;
@@ -29,7 +31,7 @@ import scipy.sparse.linalg as spla
 
 from . import net, solvers
 from .container import read_tensors, write_tensors
-from .errors import ConfigError, DataError, TrainingError
+from .errors import ConfigError, DataError, TrainingError, check_fields, rule
 from .model import MetaModel, ModelConfig, export_operator
 from .solvers import ProblemSpec
 
@@ -58,58 +60,28 @@ def _from_dict(cls, d: dict):
 
 @dataclass(frozen=True)
 class DatasetConfig:
-    n_eta: int = 500
-    n_f: int = 5
-    seed: int = 7
+    # the train split takes n_eta // 2 draws, so it needs two or more
+    n_eta: int = rule(500, low=2)
+    n_f: int = rule(5, low=1)
+    seed: int = rule(7, low=0)
 
-    def validate(self) -> "DatasetConfig":
-        # the train split takes n_eta // 2 draws, so it needs two or more
-        for name, low in (("n_eta", 2), ("n_f", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if (not isinstance(value, int) or isinstance(value, bool)
-                    or value < low):
-                raise ConfigError(f"dataset.{name} must be an integer "
-                                  f">= {low}, got {value!r}")
-        return self
+    def __post_init__(self):
+        check_fields(self, "dataset")
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    learning_rate: float = 1e-3
-    batch_fraction: float = 0.01
-    max_epochs: int = 500
-    patience: int = 50
-    min_improvement: float = 0.01
-    seed: int = 0
-    target_test_error: float | None = None
-    operator_samples: int = 10
+    learning_rate: float = rule(1e-3, kind=float, above=0)
+    batch_fraction: float = rule(0.01, kind=float, above=0)
+    max_epochs: int = rule(500, low=1)
+    patience: int = rule(50, low=0)
+    min_improvement: float = rule(0.01, kind=float, low=0)
+    seed: int = rule(0, low=0)
+    target_test_error: float | None = rule(None, kind=float, above=0)
+    operator_samples: int = rule(10, low=0)
 
-    def validate(self) -> "TrainConfig":
-        number = float | int
-        for name, kind in (("learning_rate", number),
-                           ("batch_fraction", number), ("max_epochs", int),
-                           ("patience", int), ("min_improvement", number),
-                           ("seed", int), ("target_test_error", number | None),
-                           ("operator_samples", int)):
-            value = getattr(self, name)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ConfigError(f"training.{name} has invalid value "
-                                  f"{value!r}")
-        if self.max_epochs < 1:
-            raise ConfigError("need max_epochs >= 1")
-        for name in ("learning_rate", "batch_fraction", "target_test_error"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < np.inf:
-                raise ConfigError(f"training.{name} must be finite and > 0, "
-                                  f"got {value!r}")
-        if not 0 <= self.min_improvement < np.inf:
-            raise ConfigError(f"training.min_improvement must be finite and "
-                              f">= 0, got {self.min_improvement!r}")
-        for name in ("seed", "operator_samples", "patience"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"training.{name} must be >= 0, "
-                                  f"got {getattr(self, name)!r}")
-        return self
+    def __post_init__(self):
+        check_fields(self, "training")
 
 
 @dataclass(frozen=True)
@@ -119,34 +91,25 @@ class RunConfig:
     model: ModelConfig
     training: TrainConfig
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunConfig":
-        unknown = set(d) - {"problem", "dataset", "model", "training"}
-        if unknown:
-            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-        cfg = cls(problem=_from_dict(ProblemSpec, d.get("problem", {})),
-                  dataset=_from_dict(DatasetConfig, d.get("dataset", {})),
-                  model=_from_dict(ModelConfig, d.get("model", {})),
-                  training=_from_dict(TrainConfig, d.get("training", {})))
-        return cfg.validate()
-
-    def validate(self) -> "RunConfig":
-        self.problem.validate()
-        self.dataset.validate()
-        self.model.validate()
-        self.training.validate()
+    def __post_init__(self):
         if self.model.n != self.problem.n:
             raise ConfigError(
                 f"model n={self.model.n} != problem n={self.problem.n}")
         if self.model.dim != self.problem.dim:
             raise ConfigError("model and problem dimensions differ")
-        return self
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "RunConfig":
+        unknown = set(d) - {"problem", "dataset", "model", "training"}
+        if unknown:
+            raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        return cls(problem=_from_dict(ProblemSpec, d.get("problem", {})),
+                   dataset=_from_dict(DatasetConfig, d.get("dataset", {})),
+                   model=_from_dict(ModelConfig, d.get("model", {})),
+                   training=_from_dict(TrainConfig, d.get("training", {})))
 
     def to_dict(self) -> dict:
-        return {"problem": dataclasses.asdict(self.problem),
-                "dataset": dataclasses.asdict(self.dataset),
-                "model": dataclasses.asdict(self.model),
-                "training": dataclasses.asdict(self.training)}
+        return dataclasses.asdict(self)
 
 
 def load_config(path) -> RunConfig:
@@ -162,7 +125,7 @@ def apply_overrides(d: dict, overrides: list[str]) -> dict:
         key, _, raw = item.partition("=")
         try:
             value = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer of too many digits
             value = raw
         node = d
         parts = key.split(".")
@@ -211,12 +174,6 @@ def _f_seeds(base: int, i: int, n_f: int) -> list[int]:
     return [_eta_seed(base, i) + 300_000 + j for j in range(n_f)]
 
 
-def _gen_one(args):
-    spec_dict, eta_seed, f_seeds = args
-    spec = ProblemSpec(**spec_dict)
-    return solvers.generate_sample(spec, eta_seed, f_seeds)
-
-
 def generate_dataset(cfg: RunConfig, out_dir, threads: int = 1) -> dict:
     """Generate, certify and persist both splits; returns a summary dict.
 
@@ -230,19 +187,17 @@ def generate_dataset(cfg: RunConfig, out_dir, threads: int = 1) -> dict:
     """
     if not isinstance(threads, int) or threads < 1:
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
-    cfg = cfg.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_eta, n_f = cfg.dataset.n_eta, cfg.dataset.n_f
     base = cfg.dataset.seed
-    spec_dict = dataclasses.asdict(cfg.problem)
-    jobs = [(spec_dict, _eta_seed(base, i), _f_seeds(base, i, n_f))
+    jobs = [(cfg.problem, _eta_seed(base, i), _f_seeds(base, i, n_f))
             for i in range(n_eta)]
     if threads > 1:
         with Pool(threads) as pool:
-            results = pool.map(_gen_one, jobs)
+            results = pool.starmap(solvers.generate_sample, jobs)
     else:
-        results = [_gen_one(j) for j in jobs]
+        results = [solvers.generate_sample(*job) for job in jobs]
 
     etas = np.stack([r[0] for r in results])
     fs = np.stack([r[1] for r in results])
@@ -261,7 +216,7 @@ def generate_dataset(cfg: RunConfig, out_dir, threads: int = 1) -> dict:
             "eta_seeds": seeds[sl], "retries": retries[sl]})
 
     summary = {
-        "problem": spec_dict,
+        "problem": dataclasses.asdict(cfg.problem),
         "n_eta": n_eta,
         "n_f": n_f,
         "seed": base,
@@ -287,7 +242,7 @@ def load_sampleset(data_dir, split: str, check: bool = False) -> SampleSet:
     with open(path) as fh:
         summary = json.load(fh)
     try:
-        problem = _from_dict(ProblemSpec, summary["problem"]).validate()
+        problem = _from_dict(ProblemSpec, summary["problem"])
         lo, hi = summary["splits"][split]
         n_f = summary["n_f"]
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: ConfigError
@@ -421,7 +376,6 @@ def train(mdl: MetaModel, train_set: SampleSet, test_set: SampleSet,
     eta ConvNets and the f path once per drawn pair, so an eta drawn
     twice in one step is evaluated twice.
     """
-    tcfg.validate()
     rng = np.random.default_rng(tcfg.seed)
     n_f = train_set.n_f
     n_samples = train_set.n_eta * n_f
@@ -487,7 +441,7 @@ def save_checkpoint(mdl: MetaModel, out_dir) -> None:
 
 def _checkpoint_config(desc, path) -> ModelConfig:
     """The ModelConfig a checkpoint's model.json describes, read strictly:
-    every field present, no unknown key, and values `validate` accepts."""
+    every field present, no unknown key, and every value within its rule."""
     if not isinstance(desc, dict):
         raise DataError(f"{path}: expected a JSON object")
     desc = {k: v for k, v in desc.items()
@@ -496,7 +450,7 @@ def _checkpoint_config(desc, path) -> ModelConfig:
     if missing:
         raise DataError(f"{path}: missing ModelConfig keys {sorted(missing)}")
     try:
-        return _from_dict(ModelConfig, desc).validate()
+        return _from_dict(ModelConfig, desc)
     except ConfigError as exc:
         raise DataError(f"{path}: {exc}") from exc
 

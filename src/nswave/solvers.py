@@ -29,7 +29,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConditioningError, ConfigError, DataError, DomainError
+from .errors import (ConditioningError, ConfigError, DataError, DomainError,
+                     check_fields, rule)
 
 
 # -- exponential integral --------------------------------------------------------
@@ -97,43 +98,20 @@ def fourier_interpolate(values: np.ndarray, n_fine: int) -> np.ndarray:
 class ProblemSpec:
     """Everything needed to sample (eta, f) pairs and solve for u."""
 
-    kind: str                   # schrodinger | divergence | rte
-    dim: int = 1
-    n: int = 64
-    eta_coarse: int = 8
-    eta_scale: float = 10.0
-    eta_shift: float = 0.0
-    eta_max: float | None = None     # rte: rescale eta to this maximum
-    interior: int | None = None      # rte: points inside the unit box
-    f_coarse: int | None = None      # rte 1d: coarse uniform source
-    path_samples: int = 16           # rte path quadrature intervals
-    resample_limit: int = 20         # rte spectral-radius retries
+    kind: str = rule(kind=str, choices=("schrodinger", "divergence", "rte"))
+    dim: int = rule(1, choices=(1, 2))
+    n: int = rule(64, low=1)
+    eta_coarse: int = rule(8, low=1)
+    eta_scale: float = rule(10.0, kind=float)
+    eta_shift: float = rule(0.0, kind=float)
+    eta_max: float | None = rule(None, kind=float, above=0)  # rte: peak eta
+    interior: int | None = rule(None)  # rte: points inside the unit box
+    f_coarse: int | None = rule(None, above=0)  # rte 1d: coarse source size
+    path_samples: int = rule(16, low=1)  # rte path quadrature intervals
+    resample_limit: int = rule(20, low=0)  # rte spectral-radius retries
 
-    def validate(self) -> "ProblemSpec":
-        if self.kind not in ("schrodinger", "divergence", "rte"):
-            raise ConfigError(f"unknown problem kind {self.kind!r}")
-        number = float | int
-        for name, kind in (("dim", int), ("n", int), ("eta_coarse", int),
-                           ("path_samples", int), ("resample_limit", int),
-                           ("interior", int | None), ("f_coarse", int | None),
-                           ("eta_scale", number), ("eta_shift", number),
-                           ("eta_max", number | None)):
-            value = getattr(self, name)
-            if not isinstance(value, kind) or isinstance(value, bool):
-                raise ConfigError(f"problem.{name} has invalid value "
-                                  f"{value!r}")
-        if self.dim not in (1, 2):
-            raise ConfigError("dim must be 1 or 2")
-        for name, low in (("eta_coarse", 1), ("path_samples", 1),
-                          ("resample_limit", 0)):
-            if getattr(self, name) < low:
-                raise ConfigError(f"problem.{name} must be >= {low}, "
-                                  f"got {getattr(self, name)!r}")
-        for name in ("f_coarse", "eta_max"):
-            value = getattr(self, name)
-            if value is not None and not 0 < value < np.inf:
-                raise ConfigError(f"problem.{name} must be finite and > 0 "
-                                  f"when set, got {value!r}")
+    def __post_init__(self):
+        check_fields(self, "problem")
         if self.eta_coarse > self.n:
             raise ConfigError("coarse grid exceeds fine grid")
         if self.kind == "rte":
@@ -141,7 +119,6 @@ class ProblemSpec:
                 raise ConfigError("rte needs 0 < interior <= n")
             if (self.n - self.interior) % 2:
                 raise ConfigError("rte padding must be symmetric")
-        return self
 
     # grid geometry ----------------------------------------------------------
 
@@ -633,7 +610,6 @@ def generate_sample(spec: ProblemSpec, eta_seed: int, f_seeds):
     system gets too close to singular; the retry count lands in the
     metadata too.
     """
-    spec = spec.validate()
     retries = 0
     seed = eta_seed
     while True:

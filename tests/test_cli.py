@@ -108,7 +108,9 @@ def test_config_error_exit_codes(tmp_path, micro_config):
 @pytest.mark.parametrize("override", [
     "dataset.n_eta=1", "dataset.n_eta=0", "dataset.n_f=0",
     "dataset.n_eta=2.5", "dataset.n_f=true", "dataset=3",
-    "dataset.seed=-10000000", 'dataset.seed="x"', "dataset.seed=1.5"])
+    "dataset.seed=-10000000", 'dataset.seed="x"', "dataset.seed=1.5",
+    # more digits than Python converts to an int, so it stays a string
+    pytest.param("dataset.n_eta=" + "9" * 5000, id="dataset.n_eta=9x5000")])
 def test_degenerate_dataset_is_a_config_error(micro_config, tmp_path,
                                               capsys, override):
     rc = cli.main(["gen-data", "--config", str(micro_config),
@@ -126,7 +128,9 @@ RTE_MICRO = {"kind": "rte", "n": 32, "interior": 28, "eta_coarse": 4,
 @pytest.mark.parametrize("edit", [
     "no_kind", "mistyped_n", "mistyped_scale", "eta_coarse=0",
     "resample_limit=-1", "eta_max=0", "rte:path_samples=0",
-    "rte:path_samples=-3", "rte:f_coarse=-4", "rte:f_coarse=0"])
+    "rte:path_samples=-3", "rte:f_coarse=-4", "rte:f_coarse=0",
+    "eta_scale=NaN", "eta_scale=Infinity", "eta_shift=-Infinity",
+    "rte:eta_shift=NaN"])
 def test_malformed_problem_block_is_a_config_error(tmp_path, capsys, edit):
     raw = json.loads(json.dumps(MICRO))
     if edit.startswith("rte:"):
@@ -140,7 +144,7 @@ def test_malformed_problem_block_is_a_config_error(tmp_path, capsys, edit):
         raw["problem"]["eta_scale"] = [10.0]
     else:
         key, _, value = edit.partition("=")
-        raw["problem"][key] = int(value)
+        raw["problem"][key] = json.loads(value)
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(raw))
     rc = cli.main(["gen-data", "--config", str(cfg),
@@ -177,6 +181,20 @@ def test_mistyped_training_value_is_a_config_error(micro_config, tmp_path,
     _assert_config_error(rc, capsys)
 
 
+@pytest.mark.parametrize("levels", [10**30, 2**62])
+def test_huge_level_count_is_a_config_error(micro_config, tmp_path, capsys,
+                                            levels):
+    # rejected by the config, before 1 << levels overflows or exhausts memory
+    rc = cli.main(["train", "--config", str(micro_config),
+                   "--set", f"model.levels={levels}",
+                   "--data", str(tmp_path / "d"),
+                   "--out", str(tmp_path / "ck")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == (f"config error: model.n=32 is not divisible by 2^levels, "
+                   f"levels={levels}\n")
+
+
 def test_out_of_memory_is_a_config_error(monkeypatch, capsys):
     # a run too large for the host fails in numpy with the size it asked for
     size = "Unable to allocate 447. GiB for an array with shape (1, 2)"
@@ -190,6 +208,22 @@ def test_out_of_memory_is_a_config_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error: out of memory:") and size in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("exc,shown", [
+    (MemoryError(), "an allocation failed"),
+    # numpy's error for a shape too large to index
+    (OverflowError("array is too big"), "array is too big")],
+    ids=["bare", "overflow"])
+def test_allocation_failure_is_a_config_error(monkeypatch, capsys, exc,
+                                              shown):
+    def too_large():
+        raise exc
+
+    monkeypatch.setattr(cli.checks, "run_all", too_large)
+    assert cli.main(["verify"]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: out of memory: {shown}\n"
 
 
 @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe\x00", b"3"],
