@@ -32,25 +32,9 @@ EXIT_TRAINING = 4
 EXIT_VERIFY = 5
 
 
-def _load_config(args) -> pipeline.RunConfig:
-    path = Path(args.config)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
-        raise ConfigError(f"config file {path} is not JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    raw = pipeline.apply_overrides(raw, args.set or [])
-    if getattr(args, "seed", None) is not None:
-        raw.setdefault("dataset", {})["seed"] = args.seed
-    return pipeline.RunConfig.from_dict(raw)
-
-
 def _cmd_gen_data(args) -> int:
-    cfg = _load_config(args)
+    seed = [] if args.seed is None else [f"dataset.seed={args.seed}"]
+    cfg = pipeline.load_config(args.config, args.set + seed)
     t0 = time.time()
     summary = pipeline.generate_dataset(cfg, args.out, threads=args.threads)
     pipeline.write_run_json(args.out, cfg.to_dict(), {
@@ -62,7 +46,7 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    cfg = _load_config(args)
+    cfg = pipeline.load_config(args.config, args.set)
     t0 = time.time()
     train_set = pipeline.load_sampleset(args.data, "train")
     test_set = pipeline.load_sampleset(args.data, "test")
@@ -151,12 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "wavelet form: data generation, training, evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", required=True,
-                           help="JSON run configuration")
-            p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                           help="dotted-key config override (JSON value)")
+    def add_common(p):
+        p.add_argument("--config", required=True,
+                       help="JSON run configuration")
+        p.add_argument("--set", action="append", default=[],
+                       metavar="KEY=VALUE",
+                       help="dotted-key config override (JSON value)")
 
     p = sub.add_parser("gen-data", help="generate and persist a dataset")
     add_common(p)

@@ -40,8 +40,8 @@ import numpy as np
 
 from . import nsform
 from .errors import ConfigError, InferenceError, ShapeError, check_fields, rule
-from .net import PERIODIC, ZERO, AvgPool, Conv
-from .wavelets import WaveletFilter, daubechies_filter
+from .net import AvgPool, Conv
+from .wavelets import PARTS, PERIODIC, ZERO, WaveletFilter, daubechies_filter
 
 
 @dataclass(frozen=True)
@@ -264,16 +264,12 @@ def _symmetrize_backward(gblocks: dict, layout: LevelLayout,
 
 # -- transform kernels ---------------------------------------------------------
 
-#: per-axis filters of each f-path part, wavelet parts first
-_PARTS = {1: ("g", "h"), 2: ("hg", "gh", "gg", "hh")}
-
-
 def _fwt_kernel(filt: WaveletFilter, alpha: int, dim: int) -> np.ndarray:
     """Exact forward-transform kernel (2p,)*dim + (alpha, 2**dim * alpha):
     channel c of part q carries the outer product of q's axis filters."""
     f = {"g": filt.g, "h": filt.h}
-    k = np.zeros((filt.width,) * dim + (alpha, len(_PARTS[dim]) * alpha))
-    for q, axes in enumerate(_PARTS[dim]):
+    k = np.zeros((filt.width,) * dim + (alpha, len(PARTS[dim]) * alpha))
+    for q, axes in enumerate(PARTS[dim]):
         outer = functools.reduce(np.multiply.outer, [f[a] for a in axes])
         for c in range(alpha):
             k[..., c, q * alpha + c] = outer

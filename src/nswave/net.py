@@ -31,9 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, ShapeError, StateError, TrainingError
-
-PERIODIC = "periodic"
-ZERO = "zero"
+from .wavelets import PERIODIC, ZERO
 
 _ACTIVATIONS = ("linear", "relu", "sigmoid")
 

@@ -112,9 +112,21 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
-def load_config(path) -> RunConfig:
-    with open(path) as fh:
-        return RunConfig.from_dict(json.load(fh))
+def load_config(path, overrides=()) -> RunConfig:
+    """The run config in the JSON file at `path`, with 'dotted.key=value'
+    overrides applied.  A missing file, or one that does not hold a JSON
+    object, is a ConfigError."""
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"config file not found: {path}")
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"config file {path} is not JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
+    return RunConfig.from_dict(apply_overrides(raw, overrides))
 
 
 def apply_overrides(d: dict, overrides: list[str]) -> dict:
@@ -130,9 +142,10 @@ def apply_overrides(d: dict, overrides: list[str]) -> dict:
         node = d
         parts = key.split(".")
         for part in parts[:-1]:
-            if part not in node or not isinstance(node[part], dict):
-                node[part] = {}
-            node = node[part]
+            node = node.setdefault(part, {})
+            if not isinstance(node, dict):
+                raise ConfigError(f"override {item!r}: {part!r} is not "
+                                  "an object")
         node[parts[-1]] = value
     return d
 

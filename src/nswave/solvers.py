@@ -12,17 +12,24 @@ Every solve is one direct factorization, at every grid size: a sparse LU
 divergence form), or a dense LU solve of the transfer system
 I - K diag(eta) once an upper bound on its Perron root is below 1.
 
-The slab kernel uses the positive convention 0.5*E1(tau*|x-y|); see the
-README for the sign discussion.  Matrix entries whose optical path is
-identically zero (both points on the same padding side) are set to zero:
-they are always multiplied by a vanishing eta or f, so any finite value
-leaves the solution unchanged.
+The slab (1D) and plane (2D) transfer kernels share one Nystrom assembly
+(`_nystrom`): a kernel of the distance r and of the multilinearly
+interpolated eta averaged along the segment (`_path_tau`).  Far cells take
+the midpoint rule; adjacent cells, diagonal neighbours included, tensor
+Gauss-Legendre over the source cell.  Only the kernel function and the
+self-cell rule are written per dimension.  The slab kernel uses the
+positive convention 0.5*E1(tau*|x-y|); see the README for the sign
+discussion.  Matrix entries whose optical path is identically zero (both
+points on the same padding side) are set to zero: they are always
+multiplied by a vanishing eta or f, so any finite value leaves the
+solution unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from itertools import product
 
 import numpy as np
 import scipy.linalg as sla
@@ -114,6 +121,10 @@ class ProblemSpec:
         check_fields(self, "problem")
         if self.eta_coarse > self.n:
             raise ConfigError("coarse grid exceeds fine grid")
+        if self.kind != "rte" and not (self.eta_scale > 0
+                                       and self.eta_shift >= 0):
+            raise ConfigError(f"{self.kind} form needs eta > 0: "
+                              "eta_scale > 0 and eta_shift >= 0")
         if self.kind == "rte":
             if self.interior is None or not 0 < self.interior <= self.n:
                 raise ConfigError("rte needs 0 < interior <= n")
@@ -186,8 +197,8 @@ class ProblemSpec:
         if self.kind != "rte":
             raise ConfigError("kernel is defined for transfer problems only")
         if self.dim == 1:
-            return rte_kernel_1d(eta, self, self.path_samples)
-        return rte_kernel_2d(eta, self, self.path_samples)
+            return rte_kernel_1d(eta, self)
+        return rte_kernel_2d(eta, self)
 
     def solve(self, eta: np.ndarray, f: np.ndarray) -> np.ndarray:
         return self.solve_batch(eta, f[None])[0]
@@ -237,14 +248,11 @@ class ProblemSpec:
     def reference_matrix(self, eta: np.ndarray) -> np.ndarray:
         """Dense solution operator at eta (column solves)."""
         nn = eta.size
-        op = self.operator(eta)
-        if self.kind == "rte":
-            return sla.solve(np.eye(nn) - op * eta.reshape(-1)[None, :], op)
         basis = np.eye(nn)
         if self.kind == "divergence":
             # pseudo-inverse through the zero-mean projection
             basis -= 1.0 / nn
-        return self._solve_against(op, eta, basis).T
+        return self._solve_against(self.operator(eta), eta, basis).T
 
 
 # -- elliptic operators ---------------------------------------------------------------
@@ -326,7 +334,11 @@ def solve_divergence(eta: np.ndarray, f: np.ndarray,
     return _solve_divergence_batch(divergence_matrix(eta, h), f[None])[0]
 
 
-# -- radiative transfer: 1D slab ------------------------------------------------------
+# -- radiative transfer: one Nystrom assembly for the slab and the plane --------
+
+_PASS = 131_072  # path samples per row pass: the working set stays in cache
+_NEAR_ORDER = {1: 64, 2: 8}  # Gauss-Legendre order per axis, adjacent cells
+
 
 @lru_cache(maxsize=16)
 def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -344,27 +356,55 @@ def _trap_weights(m: int) -> np.ndarray:
     return w
 
 
-def _interp_eta_1d(eta: np.ndarray, y: np.ndarray, h: float,
-                   x_first: float) -> np.ndarray:
+def _interp_eta(eta: np.ndarray, pts, h: float, x_first: float) -> np.ndarray:
+    """Multilinear interpolation of the cell-centered eta at points given
+    by one coordinate array per axis in `pts`, clamped to the grid.
+    Corners are summed with the first axis varying fastest."""
     n = eta.shape[0]
-    c = (y - x_first) / h
-    i0 = np.clip(np.floor(c).astype(int), 0, n - 2)
-    frac = np.clip(c - i0, 0.0, 1.0)
-    return eta[i0] * (1.0 - frac) + eta[i0 + 1] * frac
+    flat, weights = None, []
+    for p in pts:  # updates in place: fewer temporaries of the full size
+        frac = p - x_first
+        frac /= h
+        low = np.clip(np.floor(frac).astype(int), 0, n - 2)
+        frac -= low
+        np.clip(frac, 0.0, 1.0, out=frac)
+        flat = low if flat is None else flat * n + low  # row-major cell
+        weights.append((1.0 - frac, frac))
+    values = eta.reshape(-1)
+    out = None
+    for corner in product((0, 1), repeat=len(pts)):
+        bits = corner[::-1]
+        term = values[np.ravel_multi_index(bits, eta.shape):][flat]
+        for w, b in zip(weights, bits):
+            term *= w[b]
+        if out is None:
+            out = term
+        else:
+            out += term
+    return out
 
 
-def _path_average_1d(eta, x, h, m):
-    """tau_bar[i, j]: trapezoid average of interpolated eta on [x_j, x_i]."""
+def _path_tau(eta: np.ndarray, xs, ys, h: float, x_first: float,
+              m: int) -> np.ndarray:
+    """Trapezoid average (m intervals) of the interpolated eta along the
+    segments from the points xs to the points ys, each given as one
+    coordinate array per axis; all of them broadcast together.  Rows of
+    the broadcast shape are taken in passes of up to `_PASS` samples (one
+    row at least)."""
+    arrays = np.broadcast_arrays(*xs, *ys)
+    xs, ys = arrays[:len(xs)], arrays[len(xs):]
     s = np.linspace(0.0, 1.0, m + 1)
-    y = x[:, None, None] - s[None, None, :] * (x[:, None, None]
-                                               - x[None, :, None])
-    return _interp_eta_1d(eta, y, h, x[0]) @ _trap_weights(m)
-
-
-def _cell_tau_1d(eta, xi, y, h, x_first, m):
-    s = np.linspace(0.0, 1.0, m + 1)
-    pts = xi[:, None, None] - s * (xi[:, None, None] - y[..., None])
-    return _interp_eta_1d(eta, pts, h, x_first) @ _trap_weights(m)
+    w = _trap_weights(m)
+    out = np.empty(arrays[0].shape)
+    step = max(1, _PASS // (out[0].size * (m + 1)))
+    for lo in range(0, out.shape[0], step):
+        rows = slice(lo, lo + step)
+        pts = []
+        for x, y in zip(xs, ys):
+            d = s * (x[rows, ..., None] - y[rows, ..., None])
+            pts.append(np.subtract(x[rows, ..., None], d, out=d))
+        out[rows] = _interp_eta(eta, pts, h, x_first) @ w
+    return out
 
 
 def _clean_tau(tau: np.ndarray, eta_max: float) -> np.ndarray:
@@ -379,8 +419,61 @@ def _clean_tau(tau: np.ndarray, eta_max: float) -> np.ndarray:
     return tau
 
 
-def _half_e1(t: np.ndarray) -> np.ndarray:
-    """0.5*E1 elementwise; zero where the optical argument vanishes."""
+def _nystrom(eta: np.ndarray, spec: ProblemSpec, kernel,
+             self_panels) -> np.ndarray:
+    """Nystrom matrix of a transfer kernel `kernel(r, tau)` of the distance
+    r and the path-averaged eta, on the cell centers of any dimension.
+
+    Cells two or more apart on some axis take the midpoint rule (weight
+    h**dim).  The adjacent cells, diagonal neighbours included, integrate
+    the kernel over the source cell by tensor Gauss-Legendre of order
+    `_NEAR_ORDER[dim]` per axis.  The self cell sums the given panels:
+    each is one offset array per axis, from the cell center, and the
+    quadrature weights of those nodes.
+    """
+    if np.any(eta < 0):
+        raise DomainError("scattering coefficient must be nonnegative")
+    dim, n, h = eta.ndim, eta.shape[0], spec.h
+    ax = spec.coords()
+    top = float(eta.max())
+    centers = [c.reshape(-1) for c in np.meshgrid(*[ax] * dim, indexing="ij")]
+
+    def values(rows, ys, r=None):
+        """The kernel from the centers of cells `rows` to the points ys;
+        r defaults to the distance between them."""
+        xs = [c[rows, None] for c in centers]
+        tau = _path_tau(eta, xs, ys, h, ax[0], spec.path_samples)
+        if r is None:
+            r = reduce(np.hypot, [x - y for x, y in zip(xs, ys)], 0.0)
+        return kernel(np.broadcast_to(r, tau.shape), _clean_tau(tau, top))
+
+    kern = h ** dim * values(slice(None), [c[None, :] for c in centers])
+
+    nodes, wts = _gauss_legendre(_NEAR_ORDER[dim])
+    offsets = np.meshgrid(*[0.5 * (nodes + 1.0) - 0.5] * dim, indexing="ij")
+    weights = reduce(np.multiply.outer, [0.5 * wts] * dim).reshape(-1)
+    cells = np.indices((n,) * dim).reshape(dim, -1)
+    for step in product((-1, 0, 1), repeat=dim):
+        if not any(step):
+            continue
+        src = cells + np.array(step)[:, None]
+        keep = np.all((src >= 0) & (src < n), axis=0)
+        rows = np.flatnonzero(keep)
+        cols = np.ravel_multi_index(src[:, keep], (n,) * dim)
+        ys = [c[cols, None] + o.reshape(-1) * h
+              for c, o in zip(centers, offsets)]
+        kern[rows, cols] = h ** dim * (values(rows, ys) @ weights)
+
+    kern[np.diag_indices(n ** dim)] = sum(
+        values(slice(None), [c[:, None] + o for c, o in zip(centers, offs)],
+               reduce(np.hypot, offs, 0.0)) @ w
+        for offs, w in self_panels)
+    return kern
+
+
+def _slab_kernel(r: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """0.5*E1(r tau) elementwise; zero where the optical argument vanishes."""
+    t = r * tau
     out = np.zeros_like(t)
     pos = t > 0.0
     if pos.any():
@@ -388,53 +481,49 @@ def _half_e1(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def rte_kernel_1d(eta: np.ndarray, spec: ProblemSpec,
-                  m: int | None = None) -> np.ndarray:
+def _plane_kernel(r: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """exp(-r tau) / (4 pi r) elementwise; zero at r = 0."""
+    out = np.zeros_like(r)
+    pos = r > 0.0
+    out[pos] = np.exp(-r[pos] * tau[pos]) / (4.0 * np.pi * r[pos])
+    return out
+
+
+def rte_kernel_1d(eta: np.ndarray, spec: ProblemSpec) -> np.ndarray:
     """Nystrom matrix of the slab kernel 0.5*E1(|x-y| * path-average eta).
 
-    Off-diagonal entries use the midpoint rule (weight h); entries with
-    |i-j| <= 1 integrate the log-singular kernel over the source cell
-    with Gauss-Legendre refinement (sqrt substitution at the center).
+    The self cell integrates the log-singular kernel split at the
+    singularity, one 32-node panel per half with a sqrt substitution.
     """
-    if np.any(eta < 0):
-        raise DomainError("scattering coefficient must be nonnegative")
-    if eta.max() == 0.0:
+    if not eta.any():
         raise DomainError("eta identically zero: slab kernel is singular")
-    m = m or spec.path_samples
-    n = eta.shape[0]
-    h = spec.h
-    x = spec.coords()
-    top = float(eta.max())
-    tau = _clean_tau(_path_average_1d(eta, x, h, m), top)
-    dist = np.abs(x[:, None] - x[None, :])
-    kern = h * _half_e1(dist * tau)
-
-    g64, w64 = _gauss_legendre(64)
-    g64 = 0.5 * (g64 + 1.0)
-    w64 = 0.5 * w64
-    idx = np.arange(n)
-    for dlt in (-1, 1):  # adjacent cell: smooth integrand, plain GL
-        j = idx + dlt
-        keep = (j >= 0) & (j < n)
-        i_k, j_k = idx[keep], j[keep]
-        y = x[j_k][:, None] + (g64[None, :] - 0.5) * h
-        t = _clean_tau(_cell_tau_1d(eta, x[i_k], y, h, x[0], m), top)
-        vals = _half_e1(np.abs(x[i_k][:, None] - y) * t)
-        kern[i_k, j_k] = h * (vals @ w64)
-    # self cell: split at the log singularity, sqrt substitution per half
-    # (two 32-node panels)
     nodes, wts = _gauss_legendre(32)
     nodes = 0.5 * (nodes + 1.0)
     wts = 0.5 * wts
-    y_half = nodes ** 2 * (0.5 * h)
-    w_half = wts * (2.0 * nodes) * (0.5 * h)
-    diag = np.zeros(n)
-    for sign in (-1.0, 1.0):
-        y = x[:, None] + sign * y_half[None, :]
-        t = _clean_tau(_cell_tau_1d(eta, x, y, h, x[0], m), top)
-        diag += _half_e1(y_half[None, :] * t) @ w_half
-    kern[idx, idx] = diag
-    return kern
+    y_half = nodes ** 2 * (0.5 * spec.h)
+    w_half = wts * (2.0 * nodes) * (0.5 * spec.h)
+    return _nystrom(eta, spec, _slab_kernel,
+                    [((sign * y_half,), w_half) for sign in (-1.0, 1.0)])
+
+
+def rte_kernel_2d(eta: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """Nystrom matrix of exp(-|x-y| tau_bar)/(4 pi |x-y|) on cell centers.
+
+    The self cell uses polar quadrature with one panel per octant, so the
+    ray length R(theta) stays smooth inside each theta panel, and the
+    adjacent cells' Gauss-Legendre order in angle and radius.  Its weights
+    carry the Jacobian r, which cancels the 1/r singularity.
+    """
+    nodes, wts = _gauss_legendre(_NEAR_ORDER[2])
+    unit = 0.5 * (nodes + 1.0)
+    theta = ((np.arange(8)[:, None] + unit) * (np.pi / 4.0)).reshape(-1)
+    cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
+    rmax = 0.5 * spec.h / np.maximum(np.abs(cos), np.abs(sin))
+    r = unit * rmax
+    w = np.tile(wts * (np.pi / 8.0), 8)[:, None] * wts * (0.5 * rmax) * r
+    return _nystrom(eta, spec, _plane_kernel,
+                    [(((r * cos).reshape(-1), (r * sin).reshape(-1)),
+                      w.reshape(-1))])
 
 
 def spectral_radius(mat: np.ndarray) -> float:
@@ -472,128 +561,6 @@ def _rte_solve_batch(kern: np.ndarray, eta: np.ndarray,
     flat = np.asarray(fs, dtype=float).reshape(fs.shape[0], nn)
     u = sla.solve(np.eye(nn) - keta, kern @ flat.T).T
     return u.reshape(fs.shape)
-
-
-# -- radiative transfer: 2D ------------------------------------------------------------
-
-def _interp_eta_2d(eta, y1, y2, h, x_first):
-    n = eta.shape[0]
-    c1 = (y1 - x_first) / h
-    c2 = (y2 - x_first) / h
-    i1 = np.clip(np.floor(c1).astype(int), 0, n - 2)
-    i2 = np.clip(np.floor(c2).astype(int), 0, n - 2)
-    f1 = np.clip(c1 - i1, 0.0, 1.0)
-    f2 = np.clip(c2 - i2, 0.0, 1.0)
-    return (eta[i1, i2] * (1 - f1) * (1 - f2)
-            + eta[i1 + 1, i2] * f1 * (1 - f2)
-            + eta[i1, i2 + 1] * (1 - f1) * f2
-            + eta[i1 + 1, i2 + 1] * f1 * f2)
-
-
-def _kernel_2d_value(r: np.ndarray, tau: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(r)
-    pos = r > 0.0
-    out[pos] = np.exp(-r[pos] * tau[pos]) / (4.0 * np.pi * r[pos])
-    return out
-
-
-def rte_kernel_2d(eta: np.ndarray, spec: ProblemSpec, m: int | None = None,
-                  near_quad: int = 8) -> np.ndarray:
-    """Nystrom matrix of exp(-|x-y| tau_bar)/(4 pi |x-y|) on cell centers.
-
-    tau_bar averages bilinearly interpolated eta along the segment.
-    Cell-adjacent entries use tensor Gauss-Legendre over the source cell;
-    the self cell uses per-octant polar quadrature (1/r cancels the
-    Jacobian).  `near_quad` sets the Gauss order of those refinements.
-    """
-    if np.any(eta < 0):
-        raise DomainError("scattering coefficient must be nonnegative")
-    m = m or spec.path_samples
-    n = eta.shape[0]
-    nn = n * n
-    h = spec.h
-    ax = spec.coords()
-    p1 = np.repeat(ax, n)
-    p2 = np.tile(ax, n)
-    s = np.linspace(0.0, 1.0, m + 1)
-    w_path = _trap_weights(m)
-
-    kern = np.empty((nn, nn))
-    chunk = max(1, 4_000_000 // (nn * (m + 1)))
-    for lo in range(0, nn, chunk):
-        hi = min(lo + chunk, nn)
-        y1 = p1[lo:hi, None, None] - s[None, None, :] * (
-            p1[lo:hi, None, None] - p1[None, :, None])
-        y2 = p2[lo:hi, None, None] - s[None, None, :] * (
-            p2[lo:hi, None, None] - p2[None, :, None])
-        tau = _interp_eta_2d(eta, y1, y2, h, ax[0]) @ w_path
-        r = np.hypot(p1[lo:hi, None] - p1[None, :],
-                     p2[lo:hi, None] - p2[None, :])
-        kern[lo:hi] = h * h * _kernel_2d_value(r, tau)
-
-    _refine_near_2d(kern, eta, spec, m, near_quad)
-    return kern
-
-
-def _refine_near_2d(kern, eta, spec, m, order):
-    n = eta.shape[0]
-    h = spec.h
-    ax = spec.coords()
-    w_path = _trap_weights(m)
-    s = np.linspace(0.0, 1.0, m + 1)
-
-    def tau_of(xi1, xi2, y1, y2):
-        q1 = xi1[..., None] - s * (xi1[..., None] - y1[..., None])
-        q2 = xi2[..., None] - s * (xi2[..., None] - y2[..., None])
-        return _interp_eta_2d(eta, q1, q2, h, ax[0]) @ w_path
-
-    nodes, wts = _gauss_legendre(order)
-    g_nodes = 0.5 * nodes  # cell offsets in units of h
-    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    flat_i = (ii * n + jj).reshape(-1)
-
-    for d1 in (-1, 0, 1):  # cell-adjacent, excluding self
-        for d2 in (-1, 0, 1):
-            if d1 == 0 and d2 == 0:
-                continue
-            src1 = ii + d1
-            src2 = jj + d2
-            keep = ((src1 >= 0) & (src1 < n) & (src2 >= 0)
-                    & (src2 < n)).reshape(-1)
-            if not keep.any():
-                continue
-            rows = flat_i[keep]
-            cols = (np.clip(src1, 0, n - 1) * n
-                    + np.clip(src2, 0, n - 1)).reshape(-1)[keep]
-            xi1, xi2 = ax[rows // n], ax[rows % n]
-            yc1, yc2 = ax[cols // n], ax[cols % n]
-            acc = np.zeros(rows.shape[0])
-            for a, wa in zip(g_nodes, wts):
-                for b, wb in zip(g_nodes, wts):
-                    y1 = yc1 + a * h
-                    y2 = yc2 + b * h
-                    r = np.hypot(xi1 - y1, xi2 - y2)
-                    acc += (wa * wb * 0.25) * h * h * _kernel_2d_value(
-                        r, tau_of(xi1, xi2, y1, y2))
-            kern[rows, cols] = acc
-
-    # self cell in polar coordinates; one panel per octant so the ray
-    # length R(theta) stays smooth inside each theta panel
-    xi1, xi2 = ax[flat_i // n], ax[flat_i % n]
-    acc = np.zeros(flat_i.shape[0])
-    for q in range(8):
-        theta = (q + 0.5 * (nodes + 1.0)) * (np.pi / 4.0)
-        w_t = wts * (np.pi / 8.0)
-        for th, wt in zip(theta, w_t):
-            rmax = 0.5 * h / max(abs(np.cos(th)), abs(np.sin(th)))
-            rr = 0.5 * (nodes + 1.0) * rmax
-            wr = wts * (0.5 * rmax)
-            for r_val, w_r in zip(rr, wr):
-                y1 = xi1 + r_val * np.cos(th)
-                y2 = xi2 + r_val * np.sin(th)
-                acc += wt * w_r * np.exp(
-                    -r_val * tau_of(xi1, xi2, y1, y2)) / (4.0 * np.pi)
-    kern[flat_i, flat_i] = acc
 
 
 # -- sample generation with retry ------------------------------------------------

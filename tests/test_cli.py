@@ -121,6 +121,14 @@ def test_degenerate_dataset_is_a_config_error(micro_config, tmp_path,
     assert "Traceback" not in err
 
 
+def test_seed_override_through_a_non_object_is_a_config_error(
+        micro_config, tmp_path, capsys):
+    rc = cli.main(["gen-data", "--config", str(micro_config),
+                   "--out", str(tmp_path / "d"), "--set", "dataset=3",
+                   "--seed", "7"])
+    _assert_config_error(rc, capsys)
+
+
 RTE_MICRO = {"kind": "rte", "n": 32, "interior": 28, "eta_coarse": 4,
              "eta_scale": 1.0, "f_coarse": 8}
 
@@ -130,7 +138,7 @@ RTE_MICRO = {"kind": "rte", "n": 32, "interior": 28, "eta_coarse": 4,
     "resample_limit=-1", "eta_max=0", "rte:path_samples=0",
     "rte:path_samples=-3", "rte:f_coarse=-4", "rte:f_coarse=0",
     "eta_scale=NaN", "eta_scale=Infinity", "eta_shift=-Infinity",
-    "rte:eta_shift=NaN"])
+    "rte:eta_shift=NaN", "eta_scale=-10", "eta_scale=0", "eta_shift=-1"])
 def test_malformed_problem_block_is_a_config_error(tmp_path, capsys, edit):
     raw = json.loads(json.dumps(MICRO))
     if edit.startswith("rte:"):
