@@ -100,6 +100,15 @@ def check_solvers() -> list[tuple[str, bool, str]]:
     eta, fs, us, _ = solvers.generate_sample(rspec, 100, [200])
     res = rspec.residual(eta, fs[0], us[0])
     out.append(("transfer residual", res < 1e-10, f"{res:.2e}"))
+
+    field = eta + 1.0  # nonzero at the grid edge, where the clamp acts
+    disp, _, tau = solvers._near_paths(field, rspec.path_samples,
+                                       solvers._slab_self_cell)
+    x = rspec.coords()[:, None]
+    direct = solvers._path_tau(field, [x], [x + rspec.h * disp[0]], rspec.h,
+                               x[0, 0], rspec.path_samples)
+    err = np.max(np.abs(tau - direct)) / np.max(direct)
+    out.append(("transfer stencil path averages", err < 1e-14, f"{err:.2e}"))
     return out
 
 

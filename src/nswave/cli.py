@@ -187,10 +187,13 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (MemoryError, OverflowError) as exc:  # an array too large: numpy
-        # names the size asked for, or that it cannot be indexed
+    except MemoryError as exc:  # an array too large: numpy names its size
         print(f"config error: out of memory: "
               f"{str(exc) or 'an allocation failed'}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OverflowError as exc:
+        print(f"config error: a size too large to index: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     except (DataError, ConditioningError, DomainError, OSError,
             json.JSONDecodeError) as exc:

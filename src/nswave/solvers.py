@@ -16,8 +16,9 @@ The slab (1D) and plane (2D) transfer kernels share one Nystrom assembly
 (`_nystrom`): a kernel of the distance r and of the multilinearly
 interpolated eta averaged along the segment (`_path_tau`).  Far cells take
 the midpoint rule; adjacent cells, diagonal neighbours included, tensor
-Gauss-Legendre over the source cell.  Only the kernel function and the
-self-cell rule are written per dimension.  The slab kernel uses the
+Gauss-Legendre over the source cell, whose path averages (and the self
+cell's) are one product of eta's (5,)*dim windows with a cached stencil.
+Only the kernel function and the self-cell rule are written per dimension.  The slab kernel uses the
 positive convention 0.5*E1(tau*|x-y|); see the README for the sign
 discussion.  Matrix entries whose optical path is identically zero (both
 points on the same padding side) are set to zero: they are always
@@ -32,6 +33,7 @@ from functools import lru_cache, reduce
 from itertools import product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -109,8 +111,8 @@ class ProblemSpec:
     dim: int = rule(1, choices=(1, 2))
     n: int = rule(64, low=1)
     eta_coarse: int = rule(8, low=1)
-    eta_scale: float = rule(10.0, kind=float)
-    eta_shift: float = rule(0.0, kind=float)
+    eta_scale: float = rule(10.0, kind=float, low=0)  # elliptic: > 0
+    eta_shift: float = rule(0.0, kind=float, low=0)
     eta_max: float | None = rule(None, kind=float, above=0)  # rte: peak eta
     interior: int | None = rule(None)  # rte: points inside the unit box
     f_coarse: int | None = rule(None, above=0)  # rte 1d: coarse source size
@@ -121,10 +123,9 @@ class ProblemSpec:
         check_fields(self, "problem")
         if self.eta_coarse > self.n:
             raise ConfigError("coarse grid exceeds fine grid")
-        if self.kind != "rte" and not (self.eta_scale > 0
-                                       and self.eta_shift >= 0):
+        if self.kind != "rte" and not self.eta_scale > 0:
             raise ConfigError(f"{self.kind} form needs eta > 0: "
-                              "eta_scale > 0 and eta_shift >= 0")
+                              "eta_scale > 0")
         if self.kind == "rte":
             if self.interior is None or not 0 < self.interior <= self.n:
                 raise ConfigError("rte needs 0 < interior <= n")
@@ -419,17 +420,51 @@ def _clean_tau(tau: np.ndarray, eta_max: float) -> np.ndarray:
     return tau
 
 
+@lru_cache(maxsize=16)
+def _near_stencil(dim: int, m: int, order: int, self_cell):
+    """Adjacent-cell and self-cell quadrature nodes in units of h, the same
+    for every cell: offsets from the center (one row per axis), weights W
+    (nodes x 3**dim, one column per step of `product((-1, 0, 1))`, the
+    self cell at the zero step) and the stencil S (nodes x 5**dim).  A
+    node's path average from the center is linear in the (5,)*dim window
+    of eta around it, so S is `_path_tau` on the unit fields of a 5**dim
+    grid.  Read-only, computed once per key and process."""
+    nodes, wts = _gauss_legendre(order)
+    offsets = np.meshgrid(*[0.5 * (nodes + 1.0) - 0.5] * dim, indexing="ij")
+    gauss = reduce(np.multiply.outer, [0.5 * wts] * dim).reshape(-1)
+    blocks = [([s + o.reshape(-1) for s, o in zip(step, offsets)], gauss)
+              if any(step) else self_cell()
+              for step in product((-1, 0, 1), repeat=dim)]
+    disp = np.concatenate([np.array(offs) for offs, _ in blocks], axis=1)
+    weights = sla.block_diag(*[w[:, None] for _, w in blocks])
+    units = np.eye(5 ** dim).reshape((-1,) + (5,) * dim)
+    stencil = np.stack([_path_tau(u, [2.0] * dim, list(2.0 + disp), 1.0, 0.0,
+                                  m) for u in units], axis=1)
+    for a in (disp, weights, stencil):
+        a.setflags(write=False)
+    return disp, weights, stencil
+
+
+def _near_paths(eta: np.ndarray, m: int, self_cell):
+    """The nodes of `_near_stencil` and the path averages from every cell
+    center to them (cells x nodes); edge padding is `_interp_eta`'s clamp."""
+    dim, n = eta.ndim, eta.shape[0]
+    disp, weights, stencil = _near_stencil(dim, m, _NEAR_ORDER[dim],
+                                           self_cell)
+    windows = sliding_window_view(np.pad(eta, 2, mode="edge"), (5,) * dim)
+    return disp, weights, windows.reshape(n ** dim, -1) @ stencil.T
+
+
 def _nystrom(eta: np.ndarray, spec: ProblemSpec, kernel,
-             self_panels) -> np.ndarray:
+             self_cell) -> np.ndarray:
     """Nystrom matrix of a transfer kernel `kernel(r, tau)` of the distance
     r and the path-averaged eta, on the cell centers of any dimension.
 
     Cells two or more apart on some axis take the midpoint rule (weight
     h**dim).  The adjacent cells, diagonal neighbours included, integrate
     the kernel over the source cell by tensor Gauss-Legendre of order
-    `_NEAR_ORDER[dim]` per axis.  The self cell sums the given panels:
-    each is one offset array per axis, from the cell center, and the
-    quadrature weights of those nodes.
+    `_NEAR_ORDER[dim]` per axis, and the self cell by `self_cell()`: one
+    offset array per axis and the weights, in units of h (`_near_paths`).
     """
     if np.any(eta < 0):
         raise DomainError("scattering coefficient must be nonnegative")
@@ -437,37 +472,20 @@ def _nystrom(eta: np.ndarray, spec: ProblemSpec, kernel,
     ax = spec.coords()
     top = float(eta.max())
     centers = [c.reshape(-1) for c in np.meshgrid(*[ax] * dim, indexing="ij")]
+    xs, ys = [c[:, None] for c in centers], [c[None, :] for c in centers]
+    tau = _path_tau(eta, xs, ys, h, ax[0], spec.path_samples)
+    r = reduce(np.hypot, [x - y for x, y in zip(xs, ys)], 0.0)
+    kern = h ** dim * kernel(r, _clean_tau(tau, top))
 
-    def values(rows, ys, r=None):
-        """The kernel from the centers of cells `rows` to the points ys;
-        r defaults to the distance between them."""
-        xs = [c[rows, None] for c in centers]
-        tau = _path_tau(eta, xs, ys, h, ax[0], spec.path_samples)
-        if r is None:
-            r = reduce(np.hypot, [x - y for x, y in zip(xs, ys)], 0.0)
-        return kernel(np.broadcast_to(r, tau.shape), _clean_tau(tau, top))
-
-    kern = h ** dim * values(slice(None), [c[None, :] for c in centers])
-
-    nodes, wts = _gauss_legendre(_NEAR_ORDER[dim])
-    offsets = np.meshgrid(*[0.5 * (nodes + 1.0) - 0.5] * dim, indexing="ij")
-    weights = reduce(np.multiply.outer, [0.5 * wts] * dim).reshape(-1)
+    disp, weights, tau = _near_paths(eta, spec.path_samples, self_cell)
+    r = np.broadcast_to(h * reduce(np.hypot, disp, 0.0), tau.shape)
+    near = h ** dim * (kernel(r, _clean_tau(tau, top)) @ weights)
     cells = np.indices((n,) * dim).reshape(dim, -1)
-    for step in product((-1, 0, 1), repeat=dim):
-        if not any(step):
-            continue
+    for col, step in enumerate(product((-1, 0, 1), repeat=dim)):
         src = cells + np.array(step)[:, None]
         keep = np.all((src >= 0) & (src < n), axis=0)
-        rows = np.flatnonzero(keep)
         cols = np.ravel_multi_index(src[:, keep], (n,) * dim)
-        ys = [c[cols, None] + o.reshape(-1) * h
-              for c, o in zip(centers, offsets)]
-        kern[rows, cols] = h ** dim * (values(rows, ys) @ weights)
-
-    kern[np.diag_indices(n ** dim)] = sum(
-        values(slice(None), [c[:, None] + o for c, o in zip(centers, offs)],
-               reduce(np.hypot, offs, 0.0)) @ w
-        for offs, w in self_panels)
+        kern[keep, cols] = near[keep, col]
     return kern
 
 
@@ -489,41 +507,41 @@ def _plane_kernel(r: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return out
 
 
-def rte_kernel_1d(eta: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Nystrom matrix of the slab kernel 0.5*E1(|x-y| * path-average eta).
-
-    The self cell integrates the log-singular kernel split at the
-    singularity, one 32-node panel per half with a sqrt substitution.
-    """
-    if not eta.any():
-        raise DomainError("eta identically zero: slab kernel is singular")
+def _slab_self_cell():
+    """The slab self cell in units of h: the log-singular kernel split at
+    the singularity, one 32-node panel per half with a sqrt substitution."""
     nodes, wts = _gauss_legendre(32)
     nodes = 0.5 * (nodes + 1.0)
-    wts = 0.5 * wts
-    y_half = nodes ** 2 * (0.5 * spec.h)
-    w_half = wts * (2.0 * nodes) * (0.5 * spec.h)
-    return _nystrom(eta, spec, _slab_kernel,
-                    [((sign * y_half,), w_half) for sign in (-1.0, 1.0)])
+    half, w = 0.5 * nodes ** 2, 0.5 * wts * nodes
+    return [np.concatenate([-half, half])], np.concatenate([w, w])
 
 
-def rte_kernel_2d(eta: np.ndarray, spec: ProblemSpec) -> np.ndarray:
-    """Nystrom matrix of exp(-|x-y| tau_bar)/(4 pi |x-y|) on cell centers.
-
-    The self cell uses polar quadrature with one panel per octant, so the
-    ray length R(theta) stays smooth inside each theta panel, and the
-    adjacent cells' Gauss-Legendre order in angle and radius.  Its weights
-    carry the Jacobian r, which cancels the 1/r singularity.
-    """
+def _plane_self_cell():
+    """The plane self cell in units of h: polar quadrature with one panel
+    per octant, so the ray length R(theta) stays smooth inside each theta
+    panel, and the adjacent cells' Gauss-Legendre order in angle and
+    radius.  Its weights carry the Jacobian r, which cancels the 1/r
+    singularity."""
     nodes, wts = _gauss_legendre(_NEAR_ORDER[2])
     unit = 0.5 * (nodes + 1.0)
     theta = ((np.arange(8)[:, None] + unit) * (np.pi / 4.0)).reshape(-1)
     cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]
-    rmax = 0.5 * spec.h / np.maximum(np.abs(cos), np.abs(sin))
+    rmax = 0.5 / np.maximum(np.abs(cos), np.abs(sin))
     r = unit * rmax
     w = np.tile(wts * (np.pi / 8.0), 8)[:, None] * wts * (0.5 * rmax) * r
-    return _nystrom(eta, spec, _plane_kernel,
-                    [(((r * cos).reshape(-1), (r * sin).reshape(-1)),
-                      w.reshape(-1))])
+    return [(r * cos).reshape(-1), (r * sin).reshape(-1)], w.reshape(-1)
+
+
+def rte_kernel_1d(eta: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """Nystrom matrix of the slab kernel 0.5*E1(|x-y| * path-average eta)."""
+    if not eta.any():
+        raise DomainError("eta identically zero: slab kernel is singular")
+    return _nystrom(eta, spec, _slab_kernel, _slab_self_cell)
+
+
+def rte_kernel_2d(eta: np.ndarray, spec: ProblemSpec) -> np.ndarray:
+    """Nystrom matrix of exp(-|x-y| tau_bar)/(4 pi |x-y|) on cell centers."""
+    return _nystrom(eta, spec, _plane_kernel, _plane_self_cell)
 
 
 def spectral_radius(mat: np.ndarray) -> float:

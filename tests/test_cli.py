@@ -138,7 +138,8 @@ RTE_MICRO = {"kind": "rte", "n": 32, "interior": 28, "eta_coarse": 4,
     "resample_limit=-1", "eta_max=0", "rte:path_samples=0",
     "rte:path_samples=-3", "rte:f_coarse=-4", "rte:f_coarse=0",
     "eta_scale=NaN", "eta_scale=Infinity", "eta_shift=-Infinity",
-    "rte:eta_shift=NaN", "eta_scale=-10", "eta_scale=0", "eta_shift=-1"])
+    "rte:eta_shift=NaN", "eta_scale=-10", "eta_scale=0", "eta_shift=-1",
+    "rte:eta_shift=-5", "rte:eta_scale=-1"])
 def test_malformed_problem_block_is_a_config_error(tmp_path, capsys, edit):
     raw = json.loads(json.dumps(MICRO))
     if edit.startswith("rte:"):
@@ -219,9 +220,10 @@ def test_out_of_memory_is_a_config_error(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("exc,shown", [
-    (MemoryError(), "an allocation failed"),
-    # numpy's error for a shape too large to index
-    (OverflowError("array is too big"), "array is too big")],
+    (MemoryError(), "out of memory: an allocation failed"),
+    # numpy's error for a shape too large to index: not a lack of memory
+    (OverflowError("array is too big"),
+     "a size too large to index: array is too big")],
     ids=["bare", "overflow"])
 def test_allocation_failure_is_a_config_error(monkeypatch, capsys, exc,
                                               shown):
@@ -231,7 +233,21 @@ def test_allocation_failure_is_a_config_error(monkeypatch, capsys, exc,
     monkeypatch.setattr(cli.checks, "run_all", too_large)
     assert cli.main(["verify"]) == cli.EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == f"config error: out of memory: {shown}\n"
+    assert err == f"config error: {shown}\n"
+
+
+def test_overflowing_size_is_not_reported_as_out_of_memory(
+        micro_config, tmp_path, capsys):
+    assert cli.main(["gen-data", "--config", str(micro_config),
+                     "--out", str(tmp_path / "d")]) == 0
+    rc = cli.main(["train", "--config", str(micro_config),
+                   "--set", "model.alpha=100000000000000000000",
+                   "--data", str(tmp_path / "d"),
+                   "--out", str(tmp_path / "ck")])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: a size too large to index:")
+    assert "out of memory" not in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe\x00", b"3"],

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -396,6 +397,60 @@ def test_2d_near_entries_converge_under_refinement(monkeypatch):
     # converge orders of magnitude faster
     assert rel.max() < 1e-3
     assert np.median(rel) < 1e-5
+
+
+SELF_CELL = {1: sv._slab_self_cell, 2: sv._plane_self_cell}
+
+
+@pytest.mark.parametrize("spec", [SPEC_1D, SPEC_2D], ids=["1d", "2d"])
+def test_stencil_path_averages_match_direct_sampling(spec):
+    # every cell, the two edge cells on each side included: edge padding of
+    # the windows and the grid clamp of the interpolation must agree
+    dim, h, ax = spec.dim, spec.h, spec.coords()
+    eta = np.random.default_rng(dim).uniform(0.5, 2.0, (spec.n,) * dim)
+    disp, _, got = sv._near_paths(eta, spec.path_samples, SELF_CELL[dim])
+    centers = [c.reshape(-1, 1)
+               for c in np.meshgrid(*[ax] * dim, indexing="ij")]
+    direct = sv._path_tau(eta, centers,
+                          [c + h * d for c, d in zip(centers, disp)],
+                          h, ax[0], spec.path_samples)
+    assert got.shape == direct.shape == (spec.n ** dim, disp.shape[1])
+    assert np.max(np.abs(got - direct) / direct) < 1e-14
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_stencil_rows_are_averages_and_cached_read_only(dim, monkeypatch):
+    key = (dim, 16, sv._NEAR_ORDER[dim], SELF_CELL[dim])
+    disp, weights, stencil = sv._near_stencil(*key)
+    assert stencil.shape == (disp.shape[1], 5 ** dim)
+    assert np.max(np.abs(stencil.sum(axis=1) - 1.0)) < 1e-15
+    # every step of the 3**dim neighbourhood, self cell included,
+    # integrates over one cell of unit area
+    assert np.allclose(weights.sum(axis=0), 1.0, rtol=0, atol=1e-10)
+    assert sv._near_stencil(*key)[2] is stencil
+    for a in (disp, weights, stencil):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    monkeypatch.setitem(sv._NEAR_ORDER, dim, 4)
+    coarser = sv._near_paths(np.ones((8,) * dim), 16, SELF_CELL[dim])
+    assert coarser[0].shape[1] < disp.shape[1]
+
+
+@pytest.mark.parametrize("spec", [SPEC_1D, SPEC_2D], ids=["1d", "2d"])
+def test_far_field_is_the_midpoint_rule_bit_for_bit(spec):
+    dim, h, ax = spec.dim, spec.h, spec.coords()
+    eta = spec.sample_eta(9)
+    kern = spec.kernel(eta)
+    centers = [c.reshape(-1) for c in np.meshgrid(*[ax] * dim, indexing="ij")]
+    xs, ys = [c[:, None] for c in centers], [c[None, :] for c in centers]
+    tau = sv._clean_tau(sv._path_tau(eta, xs, ys, h, ax[0],
+                                     spec.path_samples), float(eta.max()))
+    r = reduce(np.hypot, [x - y for x, y in zip(xs, ys)], 0.0)
+    kernel = sv._slab_kernel if dim == 1 else sv._plane_kernel
+    expect = h ** dim * kernel(np.broadcast_to(r, tau.shape), tau)
+    cells = np.indices((spec.n,) * dim).reshape(dim, -1)
+    far = np.abs(cells[:, :, None] - cells[:, None, :]).max(axis=0) >= 2
+    assert np.array_equal(kern[far], expect[far])
 
 
 def test_2d_solve_residual_and_positivity():
