@@ -2,8 +2,8 @@
 
 Each check returns (name, passed, detail).  These are the fast,
 assumption-free invariants: transform round trips, dense equivalence of
-the fast matvec, finite-difference gradients, solver residuals and
-closed forms.
+the fast matvec, the model's containment of that matvec,
+finite-difference gradients, solver residuals and closed forms.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import nsform, solvers, wavelets
-from .model import MetaModel, ModelConfig
+from .model import MetaModel, ModelConfig, collection_from_nsform
 from .net import finite_difference_check
 
 
@@ -48,6 +48,17 @@ def check_nsform() -> list[tuple[str, bool, str]]:
         rerr = np.max(np.abs(nsform.assemble_dense(ns, filt) - a))
         out.append((f"nonstandard reconstruction {dim}D p={p}", rerr < 1e-10,
                     f"{rerr:.2e}"))
+        # the exact-filter model, fed the truncated form, is its fast matvec
+        ns = nsform.truncate(ns, 1)
+        for pad in (wavelets.PERIODIC, wavelets.ZERO):
+            cfg = ModelConfig(n=side, levels=ns.l_max - l0, alpha=1, depth=1,
+                              nb=1, p=p, padding=pad, dim=dim, init_noise=0.0)
+            coll = collection_from_nsform(ns, cfg)
+            u = MetaModel(cfg).forward(np.zeros(v.shape), v, collection=coll)
+            ref = nsform.apply(ns, v, filt, pad)
+            cerr = np.max(np.abs(u - ref)) / np.max(np.abs(ref))
+            out.append((f"model vs truncated matvec {dim}D p={p} {pad}",
+                        cerr < 1e-10, f"{cerr:.2e}"))
     return out
 
 

@@ -8,7 +8,8 @@ Four stages, mirroring the fast nonstandard-form matvec:
 2. learnable forward-transform convolutions (window 2p, stride 2, linear,
    no bias) split each scale into detail and smooth channels;
 3. per-channel banded multiplication in coefficient space, with the
-   scaling-to-scaling block zero except at the coarsest level;
+   scaling-to-scaling block zero except at the coarsest level: the
+   oracle's own `nsform.band_multiply`, whose adjoint lives here;
 4. learnable inverse-transform convolutions (window p, stride 1) with the
    interleaving reshape, followed by a channel average.
 
@@ -64,56 +65,6 @@ class ModelConfig:
         if self.levels >= self.n.bit_length() or self.n % (1 << self.levels):
             raise ConfigError(f"model.n={self.n} is not divisible by "
                               f"2^levels, levels={self.levels}")
-
-
-# -- halo-padded shifts and their adjoint --------------------------------------
-#
-# An array padded once along its spatial axes by a halo as wide as the widest
-# offset (periodic wrap or zeros) serves every shift as a sliced view:
-# shift_o(x)[k] = x[k + o] = xp[k + o + width].  The adjoint accumulates into
-# a padded buffer the same way and folds the halo back.
-
-def _axis_slice(x: np.ndarray, axis: int, lo: int, hi: int) -> np.ndarray:
-    sl = [slice(None)] * x.ndim
-    sl[axis] = slice(lo, hi)
-    return x[tuple(sl)]
-
-
-def _pad_halo(x: np.ndarray, width: int, axes, padding: str) -> np.ndarray:
-    for ax in axes:
-        n = x.shape[ax]
-        if padding == PERIODIC:
-            lo = _axis_slice(x, ax, n - width, n)
-            hi = _axis_slice(x, ax, 0, width)
-        else:
-            shape = list(x.shape)
-            shape[ax] = width
-            lo = hi = np.zeros(shape)
-        x = np.concatenate((lo, x, hi), axis=ax)
-    return x
-
-
-def _halo_view(xp: np.ndarray, off, width: int, axes) -> np.ndarray:
-    """View of a halo-padded array shifted by `off` (one entry per axis)."""
-    sl = [slice(None)] * xp.ndim
-    for o, ax in zip(off, axes):
-        sl[ax] = slice(width + o, width + o + xp.shape[ax] - 2 * width)
-    return xp[tuple(sl)]
-
-
-def _fold_halo(gp: np.ndarray, width: int, axes, padding: str) -> np.ndarray:
-    """Adjoint of `_pad_halo`: periodic halos add into the cells they wrap
-    (width <= n, which canonical offsets guarantee); zero halos drop."""
-    for ax in axes:
-        n = gp.shape[ax] - 2 * width
-        core = _axis_slice(gp, ax, width, width + n)
-        if padding == PERIODIC and width:
-            _axis_slice(core, ax, n - width, n)[...] += \
-                _axis_slice(gp, ax, 0, width)
-            _axis_slice(core, ax, 0, width)[...] += \
-                _axis_slice(gp, ax, width + n, 2 * width + n)
-        gp = core
-    return gp
 
 
 def _transpose_index(offsets: np.ndarray, size: int,
@@ -495,16 +446,6 @@ class MetaModel:
 
     # -- band multiply ----------------------------------------------------------
 
-    def _band_terms(self, blocks: dict, lay: LevelLayout):
-        """(slot, offsets, block array) of each block the level applies,
-        and the halo width its offsets need."""
-        terms, width = [], 0
-        for slot, arr in blocks.items():
-            offs = lay.offsets[slot]
-            terms.append((slot, offs.tolist(), arr))
-            width = max(width, int(np.abs(offs).max()))
-        return terms, width
-
     def _band_matvec(self, blocks: dict, lay: LevelLayout, parts: list):
         """Output parts from the level's input parts via the per-channel
         banded blocks.
@@ -512,42 +453,33 @@ class MetaModel:
         f-path parts are (Be, Bf, spatial.., alpha); block arrays are
         (Be, spatial.., alpha, n_off) and broadcast over Bf.
         """
-        axes = tuple(range(2, 2 + self.cfg.dim))
-        terms, width = self._band_terms(blocks, lay)
-        padded = [_pad_halo(x, width, axes, self.cfg.padding)
-                  for x in parts]
-        outs = [0.0] * len(parts)
-        for (i, j), offs, arr in terms:
-            xp = padded[j]
-            acc = arr[:, None, ..., 0] * _halo_view(xp, offs[0], width, axes)
-            tmp = np.empty_like(acc)
-            for t in range(1, len(offs)):
-                np.multiply(arr[:, None, ..., t],
-                            _halo_view(xp, offs[t], width, axes), out=tmp)
-                acc += tmp
-            outs[i] = outs[i] + acc
-        return outs
+        return nsform.band_multiply(
+            [(slot, lay.offsets[slot], arr[:, None])
+             for slot, arr in blocks.items()],
+            parts, tuple(range(2, 2 + self.cfg.dim)), self.cfg.padding)
 
     def _band_matvec_backward(self, blocks, lay, parts, gouts):
-        """(block grads, input-part grads) of `_band_matvec`."""
+        """(block grads, input-part grads) of `_band_matvec`, over the same
+        halo-padded views as `nsform.band_multiply`."""
         axes = tuple(range(2, 2 + self.cfg.dim))
         pad = self.cfg.padding
-        terms, width = self._band_terms(blocks, lay)
-        padded = [_pad_halo(x, width, axes, pad) for x in parts]
+        width = max(int(np.abs(lay.offsets[slot]).max()) for slot in blocks)
+        padded = [nsform._pad_halo(x, width, axes, pad) for x in parts]
         g_padded = [np.zeros_like(xp) for xp in padded]
         g_blocks = {}
-        for (i, j), offs, arr in terms:
+        for (i, j), arr in blocks.items():
             xp, gp = padded[j], g_padded[j]
             go = gouts[i]
             g_arr = np.empty_like(arr)
             tmp = np.empty(go.shape)
-            for t, o in enumerate(offs):
-                xs = _halo_view(xp, o, width, axes)
+            for t, o in enumerate(lay.offsets[i, j].tolist()):
+                xs = nsform._halo_view(xp, o, width, axes)
                 g_arr[..., t] = np.sum(np.multiply(go, xs, out=tmp), axis=1)
-                _halo_view(gp, o, width, axes)[...] += np.multiply(
+                nsform._halo_view(gp, o, width, axes)[...] += np.multiply(
                     arr[:, None, ..., t], go, out=tmp)
             g_blocks[i, j] = g_arr
-        return g_blocks, [_fold_halo(gp, width, axes, pad) for gp in g_padded]
+        return g_blocks, [nsform._fold_halo(gp, width, axes, pad)
+                          for gp in g_padded]
 
     # -- forward / backward ----------------------------------------------------
 

@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError, StateError, TrainingError
 from .wavelets import PERIODIC, ZERO
 
-_ACTIVATIONS = ("linear", "relu", "sigmoid")
+_ACTIVATIONS = ("linear", "relu")
 
 
 def _act_forward(z: np.ndarray, kind: str):
@@ -42,18 +42,13 @@ def _act_forward(z: np.ndarray, kind: str):
     if kind == "relu":
         mask = z > 0
         return np.where(mask, z, 0.0), mask
-    if kind == "sigmoid":
-        y = 1.0 / (1.0 + np.exp(-z))
-        return y, y
     raise ConfigError(f"unknown activation {kind!r}")
 
 
 def _act_backward(gy: np.ndarray, kind: str, saved) -> np.ndarray:
     if kind == "linear":
         return gy
-    if kind == "relu":
-        return np.where(saved, gy, 0.0)
-    return gy * saved * (1.0 - saved)  # sigmoid
+    return np.where(saved, gy, 0.0)  # relu
 
 
 def _axis_runs(n: int, stride: int, a: int, padding: str) -> list:

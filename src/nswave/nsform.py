@@ -15,11 +15,14 @@ per axis, with data[k.., t] = block[k.., (k + o_t) mod n..].  Truncation
 keeps max |o| <= nb in circular distance; the coarse block is never
 truncated (it is tiny).
 
-`apply` implements the four-step fast matvec (pyramid transform, banded
+`apply` implements the four-step fast product (pyramid transform, banded
 block multiply with the (last, last) block zero except at the coarsest
 level, inverse pyramid).  With `padding="zero"` every periodic wrap is
 replaced by zero extension; this variant exists as the oracle for the
 zero-padded network architecture and is *not* a factorization of A.
+
+`band_multiply` reads every shift as a view of its input padded once by
+a halo; the model's f path calls it too, with learned block arrays.
 """
 
 from __future__ import annotations
@@ -58,21 +61,6 @@ def band_offsets(n: int, nb: int | None) -> np.ndarray:
     return np.arange(-nb, nb + 1)
 
 
-def _shift(v: np.ndarray, offs, padding: str) -> np.ndarray:
-    """shift_o(v)[k..] = v[k + o..] over the leading len(o) axes, periodic
-    wrap or zero fill."""
-    if padding == PERIODIC:
-        return np.roll(v, [-int(o) for o in offs],
-                       axis=tuple(range(len(offs))))
-    out = np.zeros_like(v)
-    src, dst = [], []
-    for o, n in zip(offs, v.shape):
-        src.append(slice(max(o, 0), n + min(o, 0)))
-        dst.append(slice(max(-o, 0), n - max(o, 0)))
-    out[tuple(dst)] = v[tuple(src)]
-    return out
-
-
 def _diagonal_index(n: int, offsets: np.ndarray):
     """Flat (row, column) in the dense block of each stored entry:
     data[k.., t] sits at row k.. and column (k + o_t) mod n.."""
@@ -81,6 +69,78 @@ def _diagonal_index(n: int, offsets: np.ndarray):
     o = offsets.T.reshape((dim,) + (1,) * dim + (-1,))  # (dim, 1.., n_off)
     return (np.ravel_multi_index(tuple(k), (n,) * dim),
             np.ravel_multi_index(tuple((k + o) % n), (n,) * dim))
+
+
+# -- halo-padded shifts --------------------------------------------------------
+#
+# An array padded once along its spatial axes by a halo as wide as the widest
+# offset (periodic wrap or zeros) serves every shift as a sliced view:
+# shift_o(x)[k] = x[k + o] = xp[k + o + width].  The adjoint accumulates into
+# a padded buffer the same way and folds the halo back.
+
+def _axis_slice(x: np.ndarray, axis: int, lo: int, hi: int) -> np.ndarray:
+    sl = [slice(None)] * x.ndim
+    sl[axis] = slice(lo, hi)
+    return x[tuple(sl)]
+
+
+def _pad_halo(x: np.ndarray, width: int, axes, padding: str) -> np.ndarray:
+    for ax in axes:
+        n = x.shape[ax]
+        if padding == PERIODIC:
+            lo = _axis_slice(x, ax, n - width, n)
+            hi = _axis_slice(x, ax, 0, width)
+        else:
+            shape = list(x.shape)
+            shape[ax] = width
+            lo = hi = np.zeros(shape)
+        x = np.concatenate((lo, x, hi), axis=ax)
+    return x
+
+
+def _halo_view(xp: np.ndarray, off, width: int, axes) -> np.ndarray:
+    """View of a halo-padded array shifted by `off` (one entry per axis)."""
+    sl = [slice(None)] * xp.ndim
+    for o, ax in zip(off, axes):
+        sl[ax] = slice(width + o, width + o + xp.shape[ax] - 2 * width)
+    return xp[tuple(sl)]
+
+
+def _fold_halo(gp: np.ndarray, width: int, axes, padding: str) -> np.ndarray:
+    """Adjoint of `_pad_halo`: periodic halos add into the cells they wrap
+    (width <= n, which canonical offsets guarantee); zero halos drop."""
+    for ax in axes:
+        n = gp.shape[ax] - 2 * width
+        core = _axis_slice(gp, ax, width, width + n)
+        if padding == PERIODIC and width:
+            _axis_slice(core, ax, n - width, n)[...] += \
+                _axis_slice(gp, ax, 0, width)
+            _axis_slice(core, ax, 0, width)[...] += \
+                _axis_slice(gp, ax, width + n, 2 * width + n)
+        gp = core
+    return gp
+
+
+def band_multiply(terms, parts: list, axes, padding: str) -> list:
+    """outs[i] = sum of coef[.., t] * shift_o_t(parts[j]) over the terms
+    ((i, j), offsets (n_off, len(axes)), coef) and their offsets o_t.
+
+    coef[.., t] broadcasts against parts[j]; shifts act on `axes` with
+    periodic wrap or zero fill and need |o| <= n (canonical offsets do).
+    """
+    width = max(int(np.abs(offs).max()) for _, offs, _ in terms)
+    padded = [_pad_halo(x, width, axes, padding) for x in parts]
+    outs = [0.0] * len(parts)
+    for (i, j), offs, coef in terms:
+        offs, xp = offs.tolist(), padded[j]
+        acc = coef[..., 0] * _halo_view(xp, offs[0], width, axes)
+        tmp = np.empty_like(acc)
+        for t in range(1, len(offs)):
+            np.multiply(coef[..., t], _halo_view(xp, offs[t], width, axes),
+                        out=tmp)
+            acc += tmp
+        outs[i] = outs[i] + acc
+    return outs
 
 
 @dataclass
@@ -109,14 +169,6 @@ class BandedBlock:
         a = np.zeros((rows.size, rows.size))
         a[rows, cols] = self.data
         return a
-
-    def matvec(self, v: np.ndarray, padding: str = PERIODIC) -> np.ndarray:
-        dim = self.offsets.shape[1]
-        out = np.zeros_like(v, dtype=float)
-        shape = self.data.shape[:dim] + (1,) * (v.ndim - dim)
-        for t, o in enumerate(self.offsets):
-            out += self.data[..., t].reshape(shape) * _shift(v, o, padding)
-        return out
 
     def truncated(self, nb: int) -> "BandedBlock":
         n = self.n
@@ -182,7 +234,7 @@ def truncate(ns: NonstandardForm, nb: int) -> NonstandardForm:
 
 def apply(ns: NonstandardForm, v: np.ndarray, filt: WaveletFilter,
           padding: str = PERIODIC) -> np.ndarray:
-    """Fast matvec u = W S W^T v on a (2^L,)*dim grid function v; v may
+    """Fast product u = W S W^T v on a (2^L,)*dim grid function v; v may
     carry trailing column axes."""
     dim, last = ns.dim, (1 << ns.dim) - 1
     grid = (1 << ns.l_max,) * dim
@@ -193,21 +245,24 @@ def apply(ns: NonstandardForm, v: np.ndarray, filt: WaveletFilter,
     for level in range(ns.l_max - 1, ns.l0 - 1, -1):
         parts[level] = forward_parts(s, filt, dim, padding)
         s = parts[level][last]
+    cols = (1,) * (v.ndim - dim)
     u = np.zeros_like(s)
     for level, blocks in enumerate(ns.levels, ns.l0):
         xs = parts[level]
-        outs = [np.zeros_like(x) for x in xs]
-        for (i, j), blk in blocks.items():
-            outs[i] += blk.matvec(xs[j], padding)
-        if level == ns.l0 and padding == PERIODIC:
+        coarse = level == ns.l0
+        if coarse and padding != PERIODIC:
+            # zero mode follows the architecture: the dense block acts
+            # through its periodic diagonals with zero-filled shifts
+            blocks = {**blocks,
+                      (last, last): BandedBlock.from_dense(ns.coarse, dim)}
+        outs = band_multiply(
+            [(slot, blk.offsets,
+              blk.data.reshape(blk.data.shape[:dim] + cols + (-1,)))
+             for slot, blk in blocks.items()], xs, tuple(range(dim)), padding)
+        if coarse and padding == PERIODIC:
             flat = xs[last].reshape((-1,) + xs[last].shape[dim:])
             outs[last] = outs[last] + np.tensordot(
                 ns.coarse, flat, axes=(1, 0)).reshape(outs[last].shape)
-        elif level == ns.l0:
-            # zero mode follows the architecture: the dense block acts
-            # through its periodic diagonals with zero-filled shifts
-            outs[last] = outs[last] + BandedBlock.from_dense(
-                ns.coarse, dim).matvec(xs[last], padding)
         outs[last] = outs[last] + u
         u = inverse_parts(outs, filt, dim, padding)
     return u

@@ -40,6 +40,9 @@ RESIDUAL_TOL = 1e-10
 #: largest smaller side for which power_norm2 takes the dense SVD path
 DENSE_NORM_LIMIT = 128
 
+#: parameter fields `evaluate` pushes through the model per forward pass
+EVAL_CHUNK_ETAS = 32
+
 
 # -- configuration ---------------------------------------------------------------
 
@@ -322,11 +325,11 @@ class Metrics:
                 fh.write(f"{e},{lo:.10e},{tr:.10e},{te:.10e}\n")
 
 
-def evaluate(mdl: MetaModel, ss: SampleSet, chunk_etas: int = 32) -> float:
+def evaluate(mdl: MetaModel, ss: SampleSet) -> float:
     """Mean relative l2 solution error over every sample in the set."""
     errs = []
-    for lo in range(0, ss.n_eta, chunk_etas):
-        hi = min(lo + chunk_etas, ss.n_eta)
+    for lo in range(0, ss.n_eta, EVAL_CHUNK_ETAS):
+        hi = min(lo + EVAL_CHUNK_ETAS, ss.n_eta)
         u_hat, _ = mdl.forward_with_tape(ss.eta[lo:hi], ss.f[lo:hi])
         axes = tuple(range(2, u_hat.ndim))
         num = np.sqrt(((u_hat - ss.u[lo:hi]) ** 2).sum(axis=axes))
@@ -490,6 +493,8 @@ def load_checkpoint(ckpt_dir) -> MetaModel:
     for name, arr in tensors.items():
         if params[name].shape != arr.shape:
             raise DataError(f"checkpoint shape mismatch for {name}")
+        if not np.isfinite(arr).all():
+            raise DataError(f"checkpoint parameter {name} is not finite")
         params[name][...] = arr
     return mdl
 

@@ -18,12 +18,12 @@ interpolated eta averaged along the segment (`_path_tau`).  Far cells take
 the midpoint rule; adjacent cells, diagonal neighbours included, tensor
 Gauss-Legendre over the source cell, whose path averages (and the self
 cell's) are one product of eta's (5,)*dim windows with a cached stencil.
-Only the kernel function and the self-cell rule are written per dimension.  The slab kernel uses the
-positive convention 0.5*E1(tau*|x-y|); see the README for the sign
-discussion.  Matrix entries whose optical path is identically zero (both
-points on the same padding side) are set to zero: they are always
-multiplied by a vanishing eta or f, so any finite value leaves the
-solution unchanged.
+Only the kernel function and the self-cell rule are written per
+dimension.  The slab kernel uses the positive convention
+0.5*E1(tau*|x-y|); see the README for the sign discussion.  Matrix
+entries whose optical path is identically zero (both points on the same
+padding side) are set to zero: they are always multiplied by a vanishing
+eta or f, so any finite value leaves the solution unchanged.
 """
 
 from __future__ import annotations

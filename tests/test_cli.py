@@ -363,6 +363,23 @@ def test_malformed_model_json_is_a_data_error(data_and_ckpt, tmp_path,
     _assert_data_error(rc, capsys)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("convnet0.0.weight", np.nan),   # ReLU maps it to a finite output
+    ("fwt0.weight", np.nan),         # reads as a training divergence
+    ("fwt0.weight", np.inf)])
+def test_non_finite_checkpoint_parameter_is_a_data_error(
+        data_and_ckpt, tmp_path, capsys, name, value):
+    data, ckpt = data_and_ckpt
+    tensors = container.read_tensors(ckpt / "model.nstf")
+    tensors[name].reshape(-1)[0] = value
+    container.write_tensors(ckpt / "model.nstf", tensors)
+    out = tmp_path / "ev"
+    rc = cli.main(["eval", "--model", str(ckpt), "--data", str(data),
+                   "--out", str(out)])
+    _assert_data_error(rc, capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model_cfg", [
     {"dim": 2},                  # same n, other dimension
     {"n": 64, "levels": 3}])     # same dimension, other grid

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference
 
 from nswave import nsform as nsf
 from nswave import pipeline as pl
@@ -265,30 +266,6 @@ def test_export_equals_forward_column_by_column(dim, n, levels, padding,
         assert np.max(np.abs(g[:, k] - col)) <= 1e-13 * scale
 
 
-def _band_reference(blocks, lay, parts, dim, padding, coarsest):
-    """Per-offset shifted products written out with np.roll / zero fill."""
-    axes = tuple(range(2, 2 + dim))
-    outs = [np.zeros_like(p) for p in parts]
-    last = (1 << dim) - 1
-    for key, arr in blocks.items():
-        if key == (last, last) and not coarsest:
-            continue
-        i, j = key
-        for t, off in enumerate(lay.offsets[key].reshape(
-                len(lay.offsets[key]), -1)):
-            x = parts[j]
-            for o, ax in zip(off, axes):
-                x = np.roll(x, -int(o), axis=ax)
-                if padding == "zero" and o:
-                    m = x.shape[ax]
-                    idx = np.arange(m) + int(o)
-                    keep = ((idx >= 0) & (idx < m)).reshape(
-                        [m if a == ax else 1 for a in range(x.ndim)])
-                    x = np.where(keep, x, 0.0)
-            outs[i] = outs[i] + arr[:, None, ..., t] * x
-    return outs
-
-
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
 @pytest.mark.parametrize("padding", ["periodic", "zero"])
 @pytest.mark.parametrize("level", [0, 1])
@@ -312,7 +289,9 @@ def test_band_matvec_matches_reference_and_its_adjoint(dim, n, padding,
     gouts = [rng.standard_normal(p.shape) for p in parts]
     coarsest = level == 0
     outs = mdl._band_matvec(blocks, lay, parts)
-    ref = _band_reference(blocks, lay, parts, dim, padding, coarsest)
+    ref = reference.band_multiply(
+        [(key, lay.offsets[key], arr[:, None]) for key, arr in blocks.items()],
+        parts, tuple(range(2, 2 + dim)), padding)
     for o, r in zip(outs, ref):
         assert np.max(np.abs(o - r)) <= 1e-13 * np.max(np.abs(r))
     g_blocks, g_parts = mdl._band_matvec_backward(blocks, lay, parts, gouts)

@@ -112,7 +112,7 @@ def test_periodic_conv_commutes_with_cyclic_shift_exactly():
 
 def test_forward_deterministic_bitwise():
     rng = np.random.default_rng(10)
-    conv = net.Conv(2, 3, 4, 3, stride=1, activation="sigmoid", rng=rng)
+    conv = net.Conv(2, 3, 4, 3, stride=1, activation="relu", rng=rng)
     x = rng.standard_normal((2, 8, 8, 3))
     y1, _ = conv.forward(x)
     y2, _ = conv.forward(x)
@@ -156,7 +156,7 @@ def test_conv1d_gradients_random_seeds(seed):
 
 def test_conv2d_and_pool_gradients():
     rng = np.random.default_rng(42)
-    conv = net.Conv(2, 2, 2, 3, stride=1, activation="sigmoid",
+    conv = net.Conv(2, 2, 2, 3, stride=1, activation="relu",
                       padding="zero", base_offset=-1, rng=rng)
     pool = net.AvgPool(2)
     x = rng.standard_normal((1, 6, 6, 2))
@@ -181,7 +181,7 @@ def test_conv2d_and_pool_gradients():
 @pytest.mark.parametrize("padding", ["periodic", "zero"])
 def test_conv2d_strided_gradients_with_negative_offset(padding):
     rng = np.random.default_rng(43)
-    conv = net.Conv(2, 2, 3, 4, stride=2, activation="sigmoid",
+    conv = net.Conv(2, 2, 3, 4, stride=2, activation="relu",
                       padding=padding, base_offset=-2, rng=rng)
     x = rng.standard_normal((2, 8, 8, 2))
     tgt = rng.standard_normal((2, 4, 4, 3))

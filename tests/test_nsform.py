@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -146,7 +147,28 @@ def test_banded_block_dense_roundtrip_and_transpose():
     blk = nsf.BandedBlock.from_dense(a)
     assert np.max(np.abs(blk.to_dense() - a)) == 0.0
     v = rng.standard_normal(8)
-    assert np.allclose(blk.matvec(v), a @ v, atol=1e-13)
+    out, = nsf.band_multiply([((0, 0), blk.offsets, blk.data)], [v], (0,),
+                             "periodic")
+    assert np.allclose(out, a @ v, atol=1e-13)
+
+
+@pytest.mark.parametrize("dim,side,p,l0", [(1, 32, 1, 0), (1, 64, 3, 3),
+                                           (2, 16, 1, 1), (2, 16, 2, 2)])
+@pytest.mark.parametrize("nb", [None, 1])
+def test_zero_padded_apply_matches_roll_and_mask_reference(dim, side, p, l0,
+                                                           nb):
+    """The zero-padding oracle, coarse block included, against the banded
+    multiply written out with np.roll and a zero mask."""
+    rng = np.random.default_rng(12)
+    filt = wv.daubechies_filter(p)
+    ns = nsf.build_nonstandard(rng.standard_normal((side ** dim,) * 2),
+                               filt, l0, dim=dim)
+    if nb is not None:
+        ns = nsf.truncate(ns, nb)
+    v = rng.standard_normal((side,) * dim)
+    ref = reference.zero_padded_apply(ns, v, filt)
+    out = nsf.apply(ns, v, filt, padding="zero")
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_2d_identity_form():
