@@ -1,8 +1,9 @@
 """Command-line entry point: gen-data / train / eval / export-op / verify,
 driven by a JSON config with dotted-key overrides.
 
-Exit codes: 0 ok, 2 config error, 3 data error, 4 training divergence,
-5 verification failure.
+Exit codes: 0 ok, 2 config error, 3 data error, 4 training divergence
+or failed inference (a non-finite model output, an operator-error norm
+ARPACK cannot converge), 5 verification failure.
 """
 
 from __future__ import annotations
@@ -199,8 +200,11 @@ def main(argv=None) -> int:
             json.JSONDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (TrainingError, InferenceError) as exc:
+    except TrainingError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
+        return EXIT_TRAINING
+    except InferenceError as exc:
+        print(f"inference failed: {exc}", file=sys.stderr)
         return EXIT_TRAINING
 
 

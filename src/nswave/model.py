@@ -17,8 +17,8 @@ The f path is linear in f for every parameter value (no biases, no
 activations).  In symmetric mode the inverse-transform weights are tied
 to the adjoint of the forward-transform weights and the collection is
 symmetrized (D1 and coarse block symmetric, D3 the banded transpose of
-D2), which makes the exported operator symmetric for arbitrary
-parameters.
+D2), which with periodic padding makes the exported operator symmetric
+for arbitrary parameters (zero padding breaks it).
 
 With the transform convs initialized to the exact Daubechies filters and
 the collection taken from a truncated nonstandard form, the forward pass
@@ -38,6 +38,7 @@ import itertools
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from . import nsform
 from .errors import ConfigError, InferenceError, ShapeError, check_fields, rule
@@ -491,13 +492,15 @@ class MetaModel:
         return x.reshape((be, bf) + x.shape[1:])
 
     def forward_with_tape(self, eta: np.ndarray, f: np.ndarray,
-                          collection: list | None = None):
+                          collection: list | None = None, keep: bool = True):
         """Forward pass keeping the intermediates `backward` needs.
 
         eta: (spatial) or (Be, spatial); f: (spatial), (Bf, spatial) or
         (Be, Bf, spatial).  Returns (u, tape), u of shape (Be, Bf, spatial).
         When `collection` is given (materialized block dicts) the eta path
-        is skipped entirely.
+        is skipped entirely.  `keep=False` drops each layer's cache as soon
+        as the next layer has run, so the tape holds no intermediates and
+        the pass's working set is one layer's; `backward` cannot use it.
         """
         cfg = self.cfg
         spatial = self._expect_spatial()
@@ -520,10 +523,12 @@ class MetaModel:
 
         tape: dict = {"be": be, "bf": bf}
         if collection is None:
-            raw, eta_caches = self.eta_to_C(eta_b, with_caches=True)
-            blocks, leads = self._materialize(raw)
-            tape["eta_caches"] = eta_caches
-            tape["leads"] = leads
+            if keep:
+                raw, tape["eta_caches"] = self.eta_to_C(eta_b,
+                                                        with_caches=True)
+            else:
+                raw = self.eta_to_C(eta_b)
+            blocks, tape["leads"] = self._materialize(raw)
         else:
             blocks = collection
         tape["blocks"] = blocks
@@ -540,7 +545,7 @@ class MetaModel:
         cur = x
         for i in range(cfg.levels - 1, -1, -1):
             y, cache = self.fwt[i].forward(self._flatten_bf(cur))
-            fwt_caches[i] = cache
+            fwt_caches[i] = cache if keep else None
             parts[i] = _split_parts(self._unflatten_bf(y, be, bf), cfg.alpha)
             cur = parts[i][-1]
         tape["fwt_caches"] = fwt_caches
@@ -553,7 +558,7 @@ class MetaModel:
             last = outs[-1] if u is None else outs[-1] + u
             stacked = np.concatenate(outs[:-1] + [last], axis=-1)
             z, cache = self.iwt[i].forward(self._flatten_bf(stacked))
-            iwt_caches[i] = cache
+            iwt_caches[i] = cache if keep else None
             u = _interleave(self._unflatten_bf(z, be, bf))
         tape["iwt_caches"] = iwt_caches
 
@@ -567,7 +572,8 @@ class MetaModel:
         """Model output with the batch axes squeezed to match the inputs."""
         f_arr = np.asarray(f, dtype=float)
         eta_arr = np.asarray(eta, dtype=float)
-        u, _ = self.forward_with_tape(eta_arr, f_arr, collection=collection)
+        u, _ = self.forward_with_tape(eta_arr, f_arr, collection=collection,
+                                      keep=False)
         sdim = len(self._expect_spatial())
         if eta_arr.ndim == sdim:
             if f_arr.ndim == sdim:
@@ -686,3 +692,44 @@ def export_operator(mdl: MetaModel, eta: np.ndarray,
                         collection=collection)
         g[:, lo:hi] = u.reshape(hi - lo, nn).T
     return g
+
+
+def learned_operator(mdl: MetaModel, eta: np.ndarray) -> spla.LinearOperator:
+    """The learned operator at eta on flattened grids, applied without
+    forming it: `matvec` is `MetaModel.forward` with the collection
+    computed once.  A symmetric model with periodic padding has a
+    symmetric operator by construction, so there `rmatvec` is the same
+    product; otherwise (zero padding breaks the symmetry) it is the
+    f-path adjoint (`backward`'s g_f), and every gradient accumulator is
+    restored afterwards."""
+    collection = mdl.collection(eta)
+    spatial = mdl._expect_spatial()
+    nn = int(np.prod(spatial))
+
+    def sources(v):
+        return np.asarray(v, dtype=float).reshape(nn, -1).T.reshape(
+            (-1,) + spatial)
+
+    def matvec(v):
+        u = mdl.forward(eta, sources(v), collection=collection)
+        return u.reshape(-1, nn).T.reshape(np.shape(v))
+
+    def rmatvec(v):
+        gu = sources(v)[None]
+        _, tape = mdl.forward_with_tape(eta, np.zeros_like(gu),
+                                        collection=collection)
+        # the weight gradients of a zero source are zeros, but adding them
+        # can still turn a -0.0 into +0.0
+        convs = mdl.fwt + mdl.iwt
+        saved = [layer.gw.copy() for layer in convs]
+        try:
+            _, g_f = mdl.backward(tape, gu)
+        finally:
+            for layer, gw in zip(convs, saved):
+                layer.gw[...] = gw
+        return g_f[0].reshape(-1, nn).T.reshape(np.shape(v))
+
+    self_adjoint = mdl.cfg.symmetric and mdl.cfg.padding == "periodic"
+    return spla.LinearOperator(
+        (nn, nn), matvec=matvec,
+        rmatvec=matvec if self_adjoint else rmatvec, dtype=float)

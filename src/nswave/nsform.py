@@ -164,12 +164,6 @@ class BandedBlock:
         rows, cols = _diagonal_index(n, offsets)
         return cls(offsets=offsets, data=a[rows, cols])
 
-    def to_dense(self) -> np.ndarray:
-        rows, cols = _diagonal_index(self.n, self.offsets)
-        a = np.zeros((rows.size, rows.size))
-        a[rows, cols] = self.data
-        return a
-
     def truncated(self, nb: int) -> "BandedBlock":
         n = self.n
         circ = np.minimum(np.abs(self.offsets) % n,

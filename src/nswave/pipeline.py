@@ -31,14 +31,24 @@ import scipy.sparse.linalg as spla
 
 from . import net, solvers
 from .container import read_tensors, write_tensors
-from .errors import ConfigError, DataError, TrainingError, check_fields, rule
-from .model import MetaModel, ModelConfig, export_operator
+from .errors import (ConfigError, DataError, InferenceError, TrainingError,
+                     check_fields, rule)
+from .model import MetaModel, ModelConfig, export_operator, learned_operator
 from .solvers import ProblemSpec
 
 RESIDUAL_TOL = 1e-10
 
-#: largest smaller side for which power_norm2 takes the dense SVD path
+#: largest smaller side for which power_norm2 takes LAPACK's dense SVD
 DENSE_NORM_LIMIT = 128
+
+#: largest grid (points) on which operator_error forms G_ref and G_nn;
+#: above it both are applied matrix-free.  Measured per eta on a trained
+#: model (one BLAS thread, one vCPU), dense -> matrix-free in seconds:
+#: 2D Schrodinger 0.093 -> 0.169 at N = 256, 0.240 -> 0.208 at 400,
+#: 1.47 -> 0.38 at 1024; 2D transfer 0.24 -> 0.38 at 256, 0.44 -> 0.47
+#: at 400, 0.88 -> 0.72 at 576; 1D Schrodinger 0.066 -> 0.063 at 256,
+#: 0.123 -> 0.115 at 320, 0.128 -> 0.065 at 384
+DENSE_OPERATOR_LIMIT = 256
 
 #: parameter fields `evaluate` pushes through the model per forward pass
 EVAL_CHUNK_ETAS = 32
@@ -338,9 +348,11 @@ def evaluate(mdl: MetaModel, ss: SampleSet) -> float:
     return float(np.concatenate(errs).mean())
 
 
-def power_norm2(mat: np.ndarray) -> float:
-    """Spectral norm of a dense matrix: LAPACK `svdvals` while the smaller
-    side is at most DENSE_NORM_LIMIT, ARPACK `svds` above it.
+def power_norm2(mat, name: str = "an operator") -> float:
+    """Spectral norm of a dense matrix or of a `LinearOperator`: LAPACK
+    `svdvals` for a matrix whose smaller side is at most DENSE_NORM_LIMIT,
+    ARPACK `svds` (k = 1, from a fixed random start) above it and for
+    every `LinearOperator`, which needs only its `matvec` and `rmatvec`.
 
     Measured with one BLAS thread on a shared 2-vCPU host, for n x n
     Gaussian matrices: the dense SVD is faster up to n = 128 (1.3 vs 1.9
@@ -348,36 +360,75 @@ def power_norm2(mat: np.ndarray) -> float:
     n = 512; the dense path takes 0.35 s at n = 1024).  Both are exact
     to rounding also where the top singular values cluster.
 
-    The call runs on G scaled by the power of two nearest max|G|, so the
-    Gram operator ARPACK iterates on neither overflows nor underflows;
-    that scaling is exact, so the result equals the unscaled one wherever
-    that one is representable.  A non-finite entry gives inf.
+    The call runs on G scaled by the power of two nearest max|G| (for a
+    `LinearOperator`, max|G v0| of the start v0), so the Gram operator
+    ARPACK iterates on neither overflows nor underflows; that scaling is
+    exact, so the result equals the unscaled one wherever that one is
+    representable.  A non-finite entry (or probe product) gives inf, an
+    all-zero one 0.  An ARPACK failure is an InferenceError that names
+    the norm.
     """
-    top = np.max(np.abs(mat), initial=0.0)
+    matrix_free = isinstance(mat, spla.LinearOperator)
+    # a random start: a constant vector lies in the null space of
+    # divergence-form operators
+    v0 = np.random.default_rng(0).standard_normal(min(mat.shape))
+    if matrix_free:  # the product svds starts from
+        tall = mat.shape[0] >= mat.shape[1]
+        top = np.max(np.abs(mat.matvec(v0) if tall else mat.rmatvec(v0)))
+    else:
+        top = np.max(np.abs(mat), initial=0.0)
     if not np.isfinite(top):
         return np.inf
     if top == 0.0:
         return 0.0
     exponent = int(np.frexp(top)[1])
-    mat = np.ldexp(mat, -exponent)
-    if min(mat.shape) <= DENSE_NORM_LIMIT:
-        sigma = sla.svdvals(mat)[0]
+    if matrix_free:
+        mat = _scaled(mat, -exponent)
     else:
-        # a random start: a constant vector lies in the null space of
-        # divergence-form operators
-        v0 = np.random.default_rng(0).standard_normal(min(mat.shape))
+        mat = np.ldexp(mat, -exponent)
+        if min(mat.shape) <= DENSE_NORM_LIMIT:
+            return float(np.ldexp(sla.svdvals(mat)[0], exponent))
+    try:
         sigma = spla.svds(mat, k=1, v0=v0, return_singular_vectors=False)[0]
+    except spla.ArpackError as exc:
+        raise InferenceError(f"ARPACK failed on the 2-norm of {name}: "
+                             f"{exc}") from exc
     return float(np.ldexp(sigma, exponent))
+
+
+def _scaled(op: spla.LinearOperator, exponent: int) -> spla.LinearOperator:
+    """2**exponent * op, exact: the power of two is applied by `ldexp`
+    to each product, so no factor over- or underflows on its own."""
+    return spla.LinearOperator(
+        op.shape, dtype=float,
+        matvec=lambda x: np.ldexp(op.matvec(x), exponent),
+        rmatvec=lambda x: np.ldexp(op.rmatvec(x), exponent))
 
 
 def operator_error(mdl: MetaModel, problem: ProblemSpec,
                    etas: np.ndarray) -> float:
-    """Mean relative spectral-norm error of the exported operator."""
+    """Mean over etas of ||G_ref - G_nn||_2 / ||G_ref||_2.
+
+    At N <= DENSE_OPERATOR_LIMIT grid points both operators are formed
+    (`reference_matrix`, `export_operator`) and `power_norm2` takes the
+    norms of the matrices.  Above it neither is: G_ref is one
+    factorization per draw (`ProblemSpec.solution_operator`) and G_nn the
+    model's own products with the collection computed once
+    (`learned_operator`), and ARPACK takes both norms through their
+    matvecs.  The model's parameters and
+    gradient accumulators are left as they were.
+    """
     errs = []
+    dense = mdl.cfg.n ** mdl.cfg.dim <= DENSE_OPERATOR_LIMIT
     for eta in etas:
-        g_ref = problem.reference_matrix(eta)
-        g_nn = export_operator(mdl, eta)
-        errs.append(power_norm2(g_ref - g_nn) / power_norm2(g_ref))
+        if dense:
+            g_ref = problem.reference_matrix(eta)
+            g_nn = export_operator(mdl, eta)
+        else:
+            g_ref = problem.solution_operator(eta)
+            g_nn = learned_operator(mdl, eta)
+        errs.append(power_norm2(g_ref - g_nn, "G_ref - G_nn")
+                    / power_norm2(g_ref, "G_ref"))
     return float(np.mean(errs))
 
 
@@ -405,39 +456,42 @@ def train(mdl: MetaModel, train_set: SampleSet, test_set: SampleSet,
     stop_reason = "max_epochs"
     t0 = time.time()
     epoch = 0
-    for epoch in range(1, tcfg.max_epochs + 1):
-        perm = rng.permutation(n_samples)
-        loss_sum = 0.0
-        for lo in range(0, n_samples, bs):
-            sel = perm[lo:lo + bs]
-            i_idx, j_idx = np.divmod(sel, n_f)
-            u_hat, tape = mdl.forward_with_tape(
-                train_set.eta[i_idx], train_set.f[i_idx, j_idx][:, None])
-            diff = u_hat - train_set.u[i_idx, j_idx][:, None]
-            with np.errstate(over="ignore"):  # inf loss = divergence signal
-                loss = float((diff ** 2).sum() / sel.size)
-            if not np.isfinite(loss):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch} (step {lo // bs})")
-            mdl.zero_grads()
-            mdl.backward(tape, 2.0 * diff / sel.size)
-            net.nadam_step(mdl.parameters(), mdl.gradients(), state)
-            loss_sum += loss * sel.size
-        loss_hist.append(loss_sum / n_samples)
-        train_hist.append(evaluate(mdl, train_set))
-        test_hist.append(evaluate(mdl, test_set))
-        test_eps = test_hist[-1]
-        if test_eps < best * (1.0 - tcfg.min_improvement):
-            best = test_eps
-            stall = 0
-        else:
-            stall += 1
-        if tcfg.target_test_error and test_eps <= tcfg.target_test_error:
-            stop_reason = "target_reached"
-            break
-        if stall >= tcfg.patience:
-            stop_reason = "plateau"
-            break
+    try:
+        for epoch in range(1, tcfg.max_epochs + 1):
+            perm = rng.permutation(n_samples)
+            loss_sum = 0.0
+            for lo in range(0, n_samples, bs):
+                sel = perm[lo:lo + bs]
+                i_idx, j_idx = np.divmod(sel, n_f)
+                u_hat, tape = mdl.forward_with_tape(
+                    train_set.eta[i_idx], train_set.f[i_idx, j_idx][:, None])
+                diff = u_hat - train_set.u[i_idx, j_idx][:, None]
+                with np.errstate(over="ignore"):  # inf loss = divergence signal
+                    loss = float((diff ** 2).sum() / sel.size)
+                if not np.isfinite(loss):
+                    raise TrainingError(
+                        f"non-finite loss at epoch {epoch} (step {lo // bs})")
+                mdl.zero_grads()
+                mdl.backward(tape, 2.0 * diff / sel.size)
+                net.nadam_step(mdl.parameters(), mdl.gradients(), state)
+                loss_sum += loss * sel.size
+            loss_hist.append(loss_sum / n_samples)
+            train_hist.append(evaluate(mdl, train_set))
+            test_hist.append(evaluate(mdl, test_set))
+            test_eps = test_hist[-1]
+            if test_eps < best * (1.0 - tcfg.min_improvement):
+                best = test_eps
+                stall = 0
+            else:
+                stall += 1
+            if tcfg.target_test_error and test_eps <= tcfg.target_test_error:
+                stop_reason = "target_reached"
+                break
+            if stall >= tcfg.patience:
+                stop_reason = "plateau"
+                break
+    except InferenceError as exc:  # a non-finite forward pass
+        raise TrainingError(f"{exc} at epoch {epoch}") from exc
     return Metrics(train_error=train_hist[-1], test_error=test_hist[-1],
                    operator_error=None, epochs=epoch,
                    stop_reason=stop_reason, wall_time=time.time() - t0,

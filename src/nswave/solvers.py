@@ -9,8 +9,11 @@ scattering field and the source vanish on the padding cells.
 
 Every solve is one direct factorization, at every grid size: a sparse LU
 (`splu`) of the elliptic operator (bordered by the zero-mean constraint in
-divergence form), or a dense LU solve of the transfer system
-I - K diag(eta) once an upper bound on its Perron root is below 1.
+divergence form), or a dense LU of the transfer system I - K diag(eta)
+once an upper bound on its Perron root is below 1.  The same
+factorization applies the solution operator and its transpose without
+forming them (`ProblemSpec.solution_operator`); `reference_matrix` is
+that operator applied to the identity.
 
 The slab (1D) and plane (2D) transfer kernels share one Nystrom assembly
 (`_nystrom`): a kernel of the distance r and of the multilinearly
@@ -210,11 +213,33 @@ class ProblemSpec:
 
     def _solve_against(self, op, eta: np.ndarray,
                        fs: np.ndarray) -> np.ndarray:
-        if self.kind == "schrodinger":
-            return _solve_sparse_batch(op, fs)
+        if self.kind == "rte":
+            return _rte_solve_batch(op, eta, fs)
         if self.kind == "divergence":
-            return _solve_divergence_batch(op, fs)
-        return _rte_solve_batch(op, eta, fs)
+            _check_zero_mean(fs)
+        return _solve_with(self._factor(op, eta)[0], fs)
+
+    def _factor(self, op, eta: np.ndarray):
+        """(solve, solve_t): the solution operator at eta and its
+        transpose on (N,) or (N, k) columns, from one factorization of the
+        draw's operator `op`."""
+        if self.kind == "schrodinger":
+            return _sparse_factor(op)
+        if self.kind == "divergence":
+            return _divergence_factor(op)
+        return _rte_factor(op, eta)
+
+    def solution_operator(self, eta: np.ndarray) -> spla.LinearOperator:
+        """The solution operator G_ref at eta on flattened grids, applied
+        through `_factor` and never formed: the splu of the Schrodinger
+        matrix, of the zero-mean KKT system (divergence form: G_ref is
+        the pseudo-inverse), or the LU of I - K diag(eta) once its
+        spectral radius is below 1 (transfer; else ConditioningError).
+        `rmatvec` is the transposed solve."""
+        solve, solve_t = self._factor(self.operator(eta), eta)
+        nn = eta.size
+        return spla.LinearOperator((nn, nn), matvec=solve, rmatvec=solve_t,
+                                   dtype=float)
 
     def residual(self, eta: np.ndarray, f: np.ndarray,
                  u: np.ndarray) -> float:
@@ -247,13 +272,9 @@ class ProblemSpec:
                 / np.linalg.norm(rhs, axis=1))
 
     def reference_matrix(self, eta: np.ndarray) -> np.ndarray:
-        """Dense solution operator at eta (column solves)."""
-        nn = eta.size
-        basis = np.eye(nn)
-        if self.kind == "divergence":
-            # pseudo-inverse through the zero-mean projection
-            basis -= 1.0 / nn
-        return self._solve_against(self.operator(eta), eta, basis).T
+        """Dense solution operator at eta: the `solution_operator` solve
+        applied to the identity (the pseudo-inverse in divergence form)."""
+        return self._factor(self.operator(eta), eta)[0](np.eye(eta.size))
 
 
 # -- elliptic operators ---------------------------------------------------------------
@@ -300,31 +321,48 @@ def divergence_matrix(eta: np.ndarray, h: float) -> sp.spmatrix:
     return _periodic_stencil(center / h ** 2, neighbours)
 
 
-def _solve_sparse_batch(op: sp.spmatrix, fs: np.ndarray) -> np.ndarray:
-    flat = np.asarray(fs, dtype=float).reshape(fs.shape[0], op.shape[0])
-    return spla.splu(op.tocsc()).solve(flat.T).T.reshape(fs.shape)
+def _solve_with(solve, fs: np.ndarray) -> np.ndarray:
+    """Sources (k, grid..) through a solve of (N, k) columns, as
+    (k, grid..)."""
+    flat = np.asarray(fs, dtype=float).reshape(fs.shape[0], -1)
+    return solve(flat.T).T.reshape(fs.shape)
+
+
+def _sparse_factor(op: sp.spmatrix):
+    lu = spla.splu(op.tocsc())
+    return lu.solve, lambda b: lu.solve(b, trans="T")
 
 
 def solve_schrodinger(eta: np.ndarray, f: np.ndarray,
                       h: float | None = None) -> np.ndarray:
     h = h if h is not None else 1.0 / eta.shape[0]
-    return _solve_sparse_batch(schrodinger_matrix(eta, h), f[None])[0]
+    return _solve_with(_sparse_factor(schrodinger_matrix(eta, h))[0],
+                       f[None])[0]
 
 
-def _solve_divergence_batch(op: sp.spmatrix, fs: np.ndarray) -> np.ndarray:
-    nn = op.shape[0]
-    flat = np.asarray(fs, dtype=float).reshape(fs.shape[0], nn)
+def _check_zero_mean(fs: np.ndarray) -> None:
+    flat = np.asarray(fs, dtype=float).reshape(fs.shape[0], -1)
     means = np.abs(flat.mean(axis=1))
-    scale = np.linalg.norm(flat, axis=1) / np.sqrt(nn)
+    scale = np.linalg.norm(flat, axis=1) / np.sqrt(flat.shape[1])
     if np.any(means > 1e-8 * np.maximum(scale, 1e-300)):
         raise DataError("divergence-form source must have zero mean")
-    flat = flat - flat.mean(axis=1, keepdims=True)
+
+
+def _divergence_factor(op: sp.spmatrix):
+    """Solves of the operator A bordered by the zero-mean constraint,
+    B = [[A, 1], [1^T, 0]].  The multiplier takes the source's mean and
+    the solution has zero mean, so E B^-1 E^T (E the first N rows) is the
+    pseudo-inverse of A, and so is its transpose; `solve` projects the
+    source to zero mean first, as certification does."""
+    nn = op.shape[0]
     one = np.ones((nn, 1))
-    kkt = sp.bmat([[op, one], [one.T, None]], format="csc")
-    lu = spla.splu(kkt)
-    rhs = np.concatenate([flat, np.zeros((fs.shape[0], 1))], axis=1)
-    sol = lu.solve(rhs.T).T
-    return sol[:, :nn].reshape(fs.shape)
+    lu = spla.splu(sp.bmat([[op, one], [one.T, None]], format="csc"))
+
+    def bordered(b, trans):
+        rhs = np.concatenate([b, np.zeros((1,) + b.shape[1:])])
+        return lu.solve(rhs, trans=trans)[:nn]
+    return (lambda b: bordered(b - b.mean(axis=0), "N"),
+            lambda b: bordered(b, "T"))
 
 
 def solve_divergence(eta: np.ndarray, f: np.ndarray,
@@ -332,7 +370,9 @@ def solve_divergence(eta: np.ndarray, f: np.ndarray,
     """Zero-mean solve of the conservative form; a source with a nonzero
     mean is rejected."""
     h = h if h is not None else 1.0 / eta.shape[0]
-    return _solve_divergence_batch(divergence_matrix(eta, h), f[None])[0]
+    _check_zero_mean(f[None])
+    return _solve_with(_divergence_factor(divergence_matrix(eta, h))[0],
+                       f[None])[0]
 
 
 # -- radiative transfer: one Nystrom assembly for the slab and the plane --------
@@ -568,17 +608,24 @@ def spectral_radius(mat: np.ndarray) -> float:
     return float(top)
 
 
-def _rte_solve_batch(kern: np.ndarray, eta: np.ndarray,
-                     fs: np.ndarray) -> np.ndarray:
-    nn = kern.shape[0]
+def _rte_factor(kern: np.ndarray, eta: np.ndarray):
+    """G = (I - K diag(eta))^-1 K from one LU, once the spectral radius
+    of K diag(eta) is below 1 (else ConditioningError)."""
     keta = kern * eta.reshape(-1)[None, :]
     rho = spectral_radius(keta)
     if not rho < 1.0 - 1e-6:  # NaN too
         raise ConditioningError(
             f"transfer system near singular (rho={rho:.8f})")
-    flat = np.asarray(fs, dtype=float).reshape(fs.shape[0], nn)
-    u = sla.solve(np.eye(nn) - keta, kern @ flat.T).T
-    return u.reshape(fs.shape)
+    lu = sla.lu_factor(np.eye(kern.shape[0]) - keta)
+    # C order, as `scipy.linalg.solve` returns it: the certification's
+    # products see the same layout, and so round the same way
+    return (lambda b: np.ascontiguousarray(sla.lu_solve(lu, kern @ b)),
+            lambda b: kern.T @ sla.lu_solve(lu, b, trans=1))
+
+
+def _rte_solve_batch(kern: np.ndarray, eta: np.ndarray,
+                     fs: np.ndarray) -> np.ndarray:
+    return _solve_with(_rte_factor(kern, eta)[0], fs)
 
 
 # -- sample generation with retry ------------------------------------------------

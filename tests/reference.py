@@ -5,6 +5,21 @@ import numpy as np
 from nswave import nsform, wavelets
 
 
+def to_dense(blk):
+    """The dense matrix of an `nsform.BandedBlock`, one diagonal at a
+    time: the value of diagonal o at grid point k sits in row k and
+    column (k + o) mod n, both raveled row-major."""
+    n, dim = blk.n, blk.offsets.shape[1]
+    grid = np.indices((n,) * dim).reshape(dim, -1)
+    rows = np.arange(grid.shape[1])
+    a = np.zeros((rows.size, rows.size))
+    for t, off in enumerate(blk.offsets):
+        cols = np.ravel_multi_index(tuple((grid + off[:, None]) % n),
+                                    (n,) * dim)
+        a[rows, cols] = blk.data[..., t].reshape(-1)
+    return a
+
+
 def band_multiply(terms, parts, axes, padding):
     """`nsform.band_multiply` written out per offset with np.roll and a
     zero mask: outs[i] = sum over terms (i, j) of sum_t coef[.., t] *

@@ -275,14 +275,47 @@ def test_data_error_exit_code(micro_config, tmp_path):
                      "--out", str(tmp_path / "ck")]) == cli.EXIT_DATA
 
 
-def test_training_divergence_exit_code(micro_config, tmp_path):
+def test_training_divergence_exit_code(micro_config, tmp_path, capsys):
     data = tmp_path / "d"
     assert cli.main(["gen-data", "--config", str(micro_config),
                      "--out", str(data)]) == 0
-    rc = cli.main(["train", "--config", str(micro_config),
-                   "--data", str(data), "--out", str(tmp_path / "ck"),
-                   "--set", "training.learning_rate=1e30"])
-    assert rc == cli.EXIT_TRAINING
+    # 1e30 overflows the loss; 1e300 makes the forward pass non-finite
+    for rate in ("1e30", "1e300"):
+        capsys.readouterr()
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(["train", "--config", str(micro_config),
+                           "--data", str(data), "--out", str(tmp_path / "ck"),
+                           "--set", f"training.learning_rate={rate}"])
+        assert rc == cli.EXIT_TRAINING
+        err = capsys.readouterr().err.strip().splitlines()[-1]
+        assert err.startswith("training diverged: ")
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_arpack_failure_exits_4_naming_the_norm(data_and_ckpt, micro_config,
+                                                tmp_path, monkeypatch,
+                                                capsys, command):
+    import scipy.sparse.linalg as spla
+
+    from nswave import pipeline
+
+    def stuck(*args, **kwargs):
+        raise spla.ArpackNoConvergence("ARPACK error -1: No convergence",
+                                       [], [])
+    # the micro grid (32 points) then takes the matrix-free ARPACK path
+    monkeypatch.setattr(pipeline, "DENSE_OPERATOR_LIMIT", 16)
+    monkeypatch.setattr(spla, "svds", stuck)
+    data, ckpt = data_and_ckpt
+    out = str(tmp_path / "out")
+    argv = {"train": ["train", "--config", str(micro_config),
+                      "--data", str(data), "--out", out],
+            "eval": ["eval", "--model", str(ckpt), "--data", str(data),
+                     "--out", out, "--operator-samples", "1"]}[command]
+    assert cli.main(argv) == cli.EXIT_TRAINING
+    err = capsys.readouterr().err
+    assert err.startswith("inference failed: ARPACK failed on the 2-norm "
+                          "of G_ref - G_nn")
+    assert "Traceback" not in err
 
 
 def test_override_changes_effective_config(micro_config, tmp_path):

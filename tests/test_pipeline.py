@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,8 +12,10 @@ from nswave import nsform as nsf
 from nswave import pipeline as pl
 from nswave import solvers as sv
 from nswave import wavelets as wv
-from nswave.errors import ConfigError, DataError
-from nswave.model import MetaModel, ModelConfig, collection_from_nsform
+from nswave.errors import (ConditioningError, ConfigError, DataError,
+                           InferenceError)
+from nswave.model import (MetaModel, ModelConfig, collection_from_nsform,
+                          export_operator, learned_operator)
 
 DESK = {
     "problem": {"kind": "schrodinger", "n": 32, "eta_coarse": 4,
@@ -284,19 +287,25 @@ def test_metrics_roundtrip(tmp_path):
     assert len(lines) == 3
 
 
+# every power_norm2 case runs on the matrix and on it as a LinearOperator
+WRAPS = (np.asarray, spla.aslinearoperator)
+
+
 def test_power_norm2_matches_svd():
     rng = np.random.default_rng(1)
-    for shape in ((16, 16), (24, 16)):
+    for shape in ((16, 16), (24, 16), (16, 24)):
         m = rng.standard_normal(shape)
-        assert pl.power_norm2(m) == pytest.approx(
-            np.linalg.norm(m, 2), rel=1e-6)
+        for wrap in WRAPS:
+            assert pl.power_norm2(wrap(m)) == pytest.approx(
+                np.linalg.norm(m, 2), rel=1e-6)
 
 
 def _check_norm2_at_extreme_scale(scale, n):
     m = np.random.default_rng(2).standard_normal((n, n))
-    got = pl.power_norm2(m * scale)
-    assert got == pytest.approx(np.linalg.norm(m, 2) * scale, rel=1e-6,
-                                abs=0.0)
+    for wrap in WRAPS:
+        got = pl.power_norm2(wrap(m * scale))
+        assert got == pytest.approx(np.linalg.norm(m, 2) * scale, rel=1e-6,
+                                    abs=0.0)
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e-170, 2.0 ** 600, 1e-310])
@@ -317,17 +326,121 @@ def test_power_norm2_is_exact_on_a_clustered_spectrum(n):
     v, _ = np.linalg.qr(rng.standard_normal((n, n)))
     sigma = np.concatenate([[1.0, 1.0 - 1e-4], np.linspace(0.9, 0.01, n - 2)])
     m = (u * sigma) @ v.T
-    assert pl.power_norm2(m) == pytest.approx(np.linalg.norm(m, 2),
-                                              rel=1e-12, abs=0.0)
+    for wrap in WRAPS:
+        assert pl.power_norm2(wrap(m)) == pytest.approx(
+            np.linalg.norm(m, 2), rel=1e-12, abs=0.0)
 
 
 def test_power_norm2_scaling_is_exact_and_non_finite_gives_inf():
-    m = np.random.default_rng(3).standard_normal((24, 16))
-    assert pl.power_norm2(m * 2.0 ** 40) == pl.power_norm2(m) * 2.0 ** 40
-    assert pl.power_norm2(np.zeros((4, 4))) == 0.0
-    for bad in (np.inf, -np.inf, np.nan):
-        m[3, 5] = bad
-        assert pl.power_norm2(m) == np.inf
+    for wrap in WRAPS:
+        m = np.random.default_rng(3).standard_normal((24, 16))
+        assert pl.power_norm2(wrap(m * 2.0 ** 40)) \
+            == pl.power_norm2(wrap(m)) * 2.0 ** 40
+        assert pl.power_norm2(wrap(np.zeros((4, 4)))) == 0.0
+        for bad in (np.inf, -np.inf, np.nan):
+            m[3, 5] = bad
+            assert pl.power_norm2(wrap(m)) == np.inf
+
+
+def test_arpack_failure_is_an_inference_error_naming_the_norm(monkeypatch):
+    def stuck(*args, **kwargs):
+        raise spla.ArpackNoConvergence("no convergence", [], [])
+    monkeypatch.setattr(spla, "svds", stuck)
+    m = np.random.default_rng(5).standard_normal((200, 200))
+    for wrap in WRAPS:
+        with pytest.raises(InferenceError, match="2-norm of G_ref"):
+            pl.power_norm2(wrap(m), "G_ref")
+
+
+# above DENSE_OPERATOR_LIMIT grid points: the symmetric shortcut, the zero-mean
+# pseudo-inverse, and the f-path adjoint with a zero-padded transfer model
+# and with a symmetric model whose zero padding breaks the symmetry
+MATRIX_FREE = {
+    "schrodinger2d": (
+        sv.ProblemSpec(kind="schrodinger", dim=2, n=20, eta_coarse=4),
+        ModelConfig(n=20, levels=2, alpha=2, depth=2, nb=1, p=2, dim=2,
+                    symmetric=True, seed=0)),
+    "schrodinger1d_zero": (
+        sv.ProblemSpec(kind="schrodinger", n=320, eta_coarse=8),
+        ModelConfig(n=320, levels=3, alpha=2, depth=2, nb=2, p=2,
+                    padding="zero", symmetric=True, seed=0)),
+    "divergence1d": (
+        sv.ProblemSpec(kind="divergence", n=320, eta_coarse=8,
+                       eta_scale=0.2, eta_shift=0.5),
+        ModelConfig(n=320, levels=3, alpha=2, depth=2, nb=2, p=2,
+                    symmetric=True, seed=0)),
+    "rte2d": (
+        sv.ProblemSpec(kind="rte", dim=2, n=20, interior=18, eta_coarse=4,
+                       eta_scale=1.0, eta_max=2.0),
+        ModelConfig(n=20, levels=2, alpha=2, depth=2, nb=1, p=2, dim=2,
+                    padding="zero", symmetric=False, seed=0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MATRIX_FREE))
+def test_matrix_free_operator_error_equals_the_dense_formula(case):
+    spec, cfg = MATRIX_FREE[case]
+    assert spec.n ** spec.dim > pl.DENSE_OPERATOR_LIMIT
+    mdl = MetaModel(cfg)
+    etas = np.stack([spec.sample_eta(s) for s in (3, 4)])
+    dense = []
+    for eta in etas:
+        g_ref = spec.reference_matrix(eta)
+        dense.append(pl.power_norm2(g_ref - export_operator(mdl, eta))
+                     / pl.power_norm2(g_ref))
+    got = pl.operator_error(mdl, spec, etas)
+    assert got == pytest.approx(np.mean(dense), rel=1e-10, abs=0.0)
+
+
+@pytest.mark.parametrize("case", sorted(MATRIX_FREE))
+def test_solution_and_learned_operators_apply_their_dense_matrices(case):
+    spec, cfg = MATRIX_FREE[case]
+    eta = spec.sample_eta(5)
+    v = np.random.default_rng(6).standard_normal((eta.size, 3))
+    mdl = MetaModel(cfg)
+    for op, dense in ((spec.solution_operator(eta),
+                       spec.reference_matrix(eta)),
+                      (learned_operator(mdl, eta), export_operator(mdl, eta))):
+        scale = np.max(np.abs(dense))
+        for col in v.T:
+            for got, want in ((op.matvec(col), dense @ col),
+                              (op.rmatvec(col), dense.T @ col)):
+                assert got.shape == want.shape
+                assert np.max(np.abs(got - want)) <= 1e-12 * scale * eta.size
+
+
+@pytest.mark.parametrize("n,interior,eta_max,draw", [
+    (64, 60, 200.0, 78),      # dense path
+    (320, 312, 5000.0, 1),    # matrix-free path
+])
+def test_operator_error_rejects_a_near_singular_transfer_draw(
+        n, interior, eta_max, draw):
+    spec = sv.ProblemSpec(kind="rte", n=n, interior=interior, eta_coarse=8,
+                          eta_scale=1.0, eta_max=eta_max, f_coarse=8)
+    eta = spec.sample_eta(7 + 1_000_003 * (draw + 1))
+    mdl = MetaModel(ModelConfig(n=n, levels=2, alpha=1, depth=1, nb=1, p=1,
+                                padding="zero", seed=0))
+    with pytest.raises(ConditioningError):
+        pl.operator_error(mdl, spec, eta[None])
+
+
+@pytest.mark.parametrize("case", ["schrodinger2d", "rte2d"])
+def test_operator_error_leaves_the_model_as_it_was_and_repeats(case):
+    spec, cfg = MATRIX_FREE[case]
+    mdl = MetaModel(cfg)
+    rng = np.random.default_rng(7)
+    convs = [layer for seq in mdl.convnets for layer in seq
+             if hasattr(layer, "gw")] + mdl.fwt + mdl.iwt
+    for layer in convs:  # accumulators a step has filled, signed zeros too
+        layer.gw[...] = rng.standard_normal(layer.gw.shape)
+        layer.gw.reshape(-1)[::3] = -0.0
+    before = {k: v.tobytes() for k, v in mdl.parameters().items()}
+    grads = [layer.gw.tobytes() for layer in convs]
+    etas = spec.sample_eta(8)[None]
+    first = pl.operator_error(mdl, spec, etas)
+    assert pl.operator_error(mdl, spec, etas) == first
+    assert {k: v.tobytes() for k, v in mdl.parameters().items()} == before
+    assert [layer.gw.tobytes() for layer in convs] == grads
 
 
 def test_evaluate_is_pure_and_bitwise_repeatable(tmp_path):
