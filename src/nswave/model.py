@@ -17,8 +17,12 @@ The f path is linear in f for every parameter value (no biases, no
 activations).  In symmetric mode the inverse-transform weights are tied
 to the adjoint of the forward-transform weights and the collection is
 symmetrized (D1 and coarse block symmetric, D3 the banded transpose of
-D2), which with periodic padding makes the exported operator symmetric
-for arbitrary parameters (zero padding breaks it).
+D2), which makes the learned operator symmetric for arbitrary parameters
+under either padding; under zero fill the layout leaves out the one
+diagonal that has no transpose there (offset n/2 of an even block).
+
+`learned_operator` is the one apply of the learned operator at a fixed
+eta: `export_operator` is its product with unit sources.
 
 With the transform convs initialized to the exact Daubechies filters and
 the collection taken from a truncated nonstandard form, the forward pass
@@ -132,9 +136,15 @@ def build_layout(cfg: ModelConfig) -> list[LevelLayout]:
     for i in range(cfg.levels):
         size = cfg.n >> (cfg.levels - i)
         emitted, derived = _block_slots(cfg.dim, cfg.symmetric, i == 0)
+        # an even block stores offset size/2 as its own negation, which
+        # holds only with a periodic wrap: under zero fill that diagonal's
+        # transpose has no diagonal, so a symmetric layout stops short
+        top = (size - 1) // 2 if cfg.symmetric and cfg.padding == ZERO \
+            else None
+        nb = cfg.nb if top is None else min(cfg.nb, top)
         band, full = (np.array(list(itertools.product(offs, repeat=cfg.dim)))
-                      for offs in (nsform.band_offsets(size, cfg.nb),
-                                   nsform.band_offsets(size, None)))
+                      for offs in (nsform.band_offsets(size, nb),
+                                   nsform.band_offsets(size, top)))
         offsets, transpose, columns = {}, {}, {}
         band_t = _transpose_index(band, size, cfg.alpha)
         for slot in emitted + list(derived):
@@ -166,13 +176,11 @@ def _split_columns(layout: LevelLayout, c_raw: np.ndarray) -> dict:
         for key, sl in layout.columns.items()}
 
 
-def _join_columns(layout: LevelLayout, grads: dict, lead: tuple) -> np.ndarray:
-    g = np.zeros(lead + (layout.n_columns,))
-    for key, sl in layout.columns.items():
-        if key in grads:
-            g[..., sl] = np.asarray(grads[key]).reshape(
-                lead + (sl.stop - sl.start,))
-    return g
+def _join_columns(layout: LevelLayout, grads: dict) -> np.ndarray:
+    """Adjoint of `_split_columns`: emitted block arrays (B, spatial..,
+    alpha, n_off) -> (B, spatial.., n_columns)."""
+    return np.concatenate([grads[key].reshape(grads[key].shape[:-2] + (-1,))
+                           for key in layout.columns], axis=-1)
 
 
 def _transpose_block(arr: np.ndarray, layout: LevelLayout, key,
@@ -190,9 +198,8 @@ def symmetrize_blocks(blocks: dict, layout: LevelLayout,
     their banded transpose, derived blocks regenerated.  Idempotent."""
     out = dict(blocks)
     for key in layout.sym_self:
-        if key in out:
-            out[key] = 0.5 * (out[key] + _transpose_block(
-                out[key], layout, key, spatial_axes))
+        out[key] = 0.5 * (out[key] + _transpose_block(
+            out[key], layout, key, spatial_axes))
     for key, src in layout.derived.items():
         out[key] = _transpose_block(out[src], layout, src, spatial_axes)
     return out
@@ -201,16 +208,12 @@ def symmetrize_blocks(blocks: dict, layout: LevelLayout,
 def _symmetrize_backward(gblocks: dict, layout: LevelLayout,
                          spatial_axes) -> dict:
     """Adjoint of symmetrize_blocks, mapping grads back to emitted blocks."""
-    g = {k: gblocks[k].copy() for k in layout.emitted if k in gblocks}
+    g = {k: gblocks[k].copy() for k in layout.emitted}
     for key, src in layout.derived.items():
-        if key not in gblocks:
-            continue
-        gt = _transpose_block(gblocks[key], layout, key, spatial_axes)
-        g[src] = g.get(src, 0.0) + gt
+        g[src] += _transpose_block(gblocks[key], layout, key, spatial_axes)
     for key in layout.sym_self:
-        if key in g:
-            g[key] = 0.5 * (g[key] + _transpose_block(
-                g[key], layout, key, spatial_axes))
+        g[key] = 0.5 * (g[key] + _transpose_block(
+            g[key], layout, key, spatial_axes))
     return g
 
 
@@ -427,23 +430,22 @@ class MetaModel:
     def _spatial_axes(self) -> tuple:
         return tuple(range(1, 1 + self.cfg.dim))
 
-    def _materialize(self, raw: list) -> tuple[list, list]:
+    def _materialize(self, raw: list) -> list:
         blocks = [_split_columns(lay, c) for lay, c in zip(self.layouts, raw)]
         if self.cfg.symmetric:
             blocks = [symmetrize_blocks(b, lay, self._spatial_axes())
                       for b, lay in zip(blocks, self.layouts)]
-        return blocks, [c.shape[:-1] for c in raw]
+        return blocks
 
-    def _materialize_backward(self, gblocks: list, leads: list) -> list:
+    def _materialize_backward(self, gblocks: list) -> list:
         if self.cfg.symmetric:
             gblocks = [_symmetrize_backward(g, lay, self._spatial_axes())
                        for g, lay in zip(gblocks, self.layouts)]
-        return [_join_columns(lay, g, lead)
-                for lay, g, lead in zip(self.layouts, gblocks, leads)]
+        return [_join_columns(lay, g) for lay, g in zip(self.layouts, gblocks)]
 
     def collection(self, eta: np.ndarray) -> list[dict]:
         """Materialized per-level block dicts for a given eta."""
-        return self._materialize(self.eta_to_C(eta))[0]
+        return self._materialize(self.eta_to_C(eta))
 
     # -- band multiply ----------------------------------------------------------
 
@@ -528,7 +530,7 @@ class MetaModel:
                                                         with_caches=True)
             else:
                 raw = self.eta_to_C(eta_b)
-            blocks, tape["leads"] = self._materialize(raw)
+            blocks = self._materialize(raw)
         else:
             blocks = collection
         tape["blocks"] = blocks
@@ -619,7 +621,7 @@ class MetaModel:
 
         g_eta = None
         if not tape["ext_collection"]:
-            g_raw = self._materialize_backward(g_blocks_all, tape["leads"])
+            g_raw = self._materialize_backward(g_blocks_all)
             g_eta = self._eta_backward(g_raw, tape["eta_caches"])
         return g_eta, g_f
 
@@ -669,39 +671,28 @@ def _tile_channels(arr: np.ndarray, alpha: int) -> np.ndarray:
 EXPORT_PASS = 64
 
 
-def export_operator(mdl: MetaModel, eta: np.ndarray,
-                    collection: list | None = None) -> np.ndarray:
-    """Dense matrix of the learned operator at eta: columns are responses
-    to unit sources (exact, because the f path is linear).
-
-    The collection is computed once (unless given), and the unit sources
-    run through the f path in passes of `EXPORT_PASS`, each writing its
-    columns into the preallocated (N, N) result; memory stays bounded by
-    one pass whatever the grid size.
+def export_operator(mdl: MetaModel, eta: np.ndarray) -> np.ndarray:
+    """Dense matrix of the learned operator at eta: `learned_operator`
+    applied to unit sources (exact, because the f path is linear), in
+    passes of `EXPORT_PASS` columns written into the preallocated (N, N)
+    result, so memory stays bounded by one pass whatever the grid size.
     """
-    if collection is None:
-        collection = mdl.collection(eta)
-    spatial = mdl._expect_spatial()
-    nn = int(np.prod(spatial))
+    op = learned_operator(mdl, eta)
+    nn = op.shape[0]
     g = np.empty((nn, nn))
     for lo in range(0, nn, EXPORT_PASS):
-        hi = min(lo + EXPORT_PASS, nn)
-        basis = np.zeros((hi - lo, nn))
-        basis[np.arange(hi - lo), np.arange(lo, hi)] = 1.0
-        u = mdl.forward(eta, basis.reshape((hi - lo,) + spatial),
-                        collection=collection)
-        g[:, lo:hi] = u.reshape(hi - lo, nn).T
+        m = min(EXPORT_PASS, nn - lo)
+        g[:, lo:lo + m] = op.matmat(np.eye(nn, m, -lo))
     return g
 
 
 def learned_operator(mdl: MetaModel, eta: np.ndarray) -> spla.LinearOperator:
     """The learned operator at eta on flattened grids, applied without
-    forming it: `matvec` is `MetaModel.forward` with the collection
-    computed once.  A symmetric model with periodic padding has a
-    symmetric operator by construction, so there `rmatvec` is the same
-    product; otherwise (zero padding breaks the symmetry) it is the
-    f-path adjoint (`backward`'s g_f), and every gradient accumulator is
-    restored afterwards."""
+    forming it: `matvec` (and `matmat`, on (N, k) blocks) is
+    `MetaModel.forward` with the collection computed once.  A symmetric
+    model's operator is symmetric by construction, so there `rmatvec` is
+    the same product; otherwise it is the f-path adjoint (`backward`'s
+    g_f), and every gradient accumulator is restored afterwards."""
     collection = mdl.collection(eta)
     spatial = mdl._expect_spatial()
     nn = int(np.prod(spatial))
@@ -729,7 +720,6 @@ def learned_operator(mdl: MetaModel, eta: np.ndarray) -> spla.LinearOperator:
                 layer.gw[...] = gw
         return g_f[0].reshape(-1, nn).T.reshape(np.shape(v))
 
-    self_adjoint = mdl.cfg.symmetric and mdl.cfg.padding == "periodic"
     return spla.LinearOperator(
-        (nn, nn), matvec=matvec,
-        rmatvec=matvec if self_adjoint else rmatvec, dtype=float)
+        (nn, nn), matvec=matvec, matmat=matvec,
+        rmatvec=matvec if mdl.cfg.symmetric else rmatvec, dtype=float)

@@ -283,12 +283,14 @@ def nadam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
 
 # -- finite-difference gradient checking -------------------------------------
 
+FD_EPS = 1e-5
+
+
 def finite_difference_check(loss_fn, params: dict[str, np.ndarray],
-                            grads: dict[str, np.ndarray],
-                            eps: float = 1e-5) -> dict[str, float]:
+                            grads: dict[str, np.ndarray]) -> dict[str, float]:
     """Relative error per parameter block between `grads` and central
-    finite differences of `loss_fn` (a zero-argument callable reading the
-    live parameter arrays)."""
+    finite differences (step `FD_EPS`) of `loss_fn`, a zero-argument
+    callable reading the live parameter arrays."""
     errors = {}
     for name, p in params.items():
         g_fd = np.zeros_like(p)
@@ -296,12 +298,12 @@ def finite_difference_check(loss_fn, params: dict[str, np.ndarray],
         fd = g_fd.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + eps
+            flat[i] = orig + FD_EPS
             lp = loss_fn()
-            flat[i] = orig - eps
+            flat[i] = orig - FD_EPS
             lm = loss_fn()
             flat[i] = orig
-            fd[i] = (lp - lm) / (2.0 * eps)
+            fd[i] = (lp - lm) / (2.0 * FD_EPS)
         denom = np.linalg.norm(g_fd)
         err = np.linalg.norm(grads[name] - g_fd)
         errors[name] = err / denom if denom > 0 else err

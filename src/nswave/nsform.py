@@ -156,10 +156,9 @@ class BandedBlock:
         return self.data.shape[0]
 
     @classmethod
-    def from_dense(cls, a: np.ndarray, dim: int = 1,
-                   nb: int | None = None) -> "BandedBlock":
+    def from_dense(cls, a: np.ndarray, dim: int = 1) -> "BandedBlock":
         n = round(a.shape[0] ** (1 / dim))
-        offsets = np.array(list(itertools.product(band_offsets(n, nb),
+        offsets = np.array(list(itertools.product(band_offsets(n, None),
                                                   repeat=dim)))
         rows, cols = _diagonal_index(n, offsets)
         return cls(offsets=offsets, data=a[rows, cols])

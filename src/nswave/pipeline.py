@@ -319,10 +319,6 @@ class Metrics:
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Metrics":
-        return _from_dict(cls, d)
-
     def save(self, out_dir) -> None:
         out = Path(out_dir)
         with open(out / "metrics.json", "w") as fh:
@@ -340,7 +336,7 @@ def evaluate(mdl: MetaModel, ss: SampleSet) -> float:
     errs = []
     for lo in range(0, ss.n_eta, EVAL_CHUNK_ETAS):
         hi = min(lo + EVAL_CHUNK_ETAS, ss.n_eta)
-        u_hat, _ = mdl.forward_with_tape(ss.eta[lo:hi], ss.f[lo:hi])
+        u_hat = mdl.forward(ss.eta[lo:hi], ss.f[lo:hi])
         axes = tuple(range(2, u_hat.ndim))
         num = np.sqrt(((u_hat - ss.u[lo:hi]) ** 2).sum(axis=axes))
         den = np.sqrt((ss.u[lo:hi] ** 2).sum(axis=axes))

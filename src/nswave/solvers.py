@@ -7,13 +7,16 @@ spacing h = 1/n and nodes x_j = j h.  Transfer problems live on a padded
 box [-x0, 1+x0] sampled at cell centers with h = 1/interior; the
 scattering field and the source vanish on the padding cells.
 
-Every solve is one direct factorization, at every grid size: a sparse LU
-(`splu`) of the elliptic operator (bordered by the zero-mean constraint in
-divergence form), or a dense LU of the transfer system I - K diag(eta)
-once an upper bound on its Perron root is below 1.  The same
-factorization applies the solution operator and its transpose without
-forming them (`ProblemSpec.solution_operator`); `reference_matrix` is
-that operator applied to the identity.
+Every solve is one direct factorization (`ProblemSpec._factor`), at every
+grid size: a sparse LU (`splu`) of the elliptic operator (bordered by the
+zero-mean constraint in divergence form), or a dense LU of the transfer
+system I - K diag(eta) once an upper bound on its Perron root is below 1.
+`ProblemSpec.solve_batch` and `residual_batch` are the one solve and the
+one residual; generation hands both the draw's operator, so it is built
+once, and `solve_schrodinger`/`solve_divergence` are `ProblemSpec.solve`
+on eta's own grid.  The same factorization applies the solution operator
+and its transpose without forming them (`solution_operator`);
+`reference_matrix` is that operator applied to the identity.
 
 The slab (1D) and plane (2D) transfer kernels share one Nystrom assembly
 (`_nystrom`): a kernel of the distance r and of the multilinearly
@@ -207,14 +210,12 @@ class ProblemSpec:
     def solve(self, eta: np.ndarray, f: np.ndarray) -> np.ndarray:
         return self.solve_batch(eta, f[None])[0]
 
-    def solve_batch(self, eta: np.ndarray, fs: np.ndarray) -> np.ndarray:
-        """Solve for a batch of sources sharing one eta (one factorization)."""
-        return self._solve_against(self.operator(eta), eta, fs)
-
-    def _solve_against(self, op, eta: np.ndarray,
-                       fs: np.ndarray) -> np.ndarray:
-        if self.kind == "rte":
-            return _rte_solve_batch(op, eta, fs)
+    def solve_batch(self, eta: np.ndarray, fs: np.ndarray,
+                    op=None) -> np.ndarray:
+        """Solve for a batch of sources sharing one eta, from one
+        factorization (`_factor`) of the draw's operator `op`, which is
+        built here unless given."""
+        op = self.operator(eta) if op is None else op
         if self.kind == "divergence":
             _check_zero_mean(fs)
         return _solve_with(self._factor(op, eta)[0], fs)
@@ -247,17 +248,15 @@ class ProblemSpec:
         return float(self.residual_batch(eta, f[None], u[None])[0])
 
     def residual_batch(self, eta: np.ndarray, fs: np.ndarray,
-                       us: np.ndarray) -> np.ndarray:
+                       us: np.ndarray, op=None) -> np.ndarray:
         """Relative residual of every source of one draw, all checked
-        against one operator (or one transfer kernel) built at eta.
+        against one operator `op` (or one transfer kernel) at eta, which
+        is built here unless given.
 
         Transfer: |u - K(eta u) - K f| / |K f|; elliptic: |L u - f| / |f|,
         with f projected to zero mean for the divergence form.
         """
-        return self._residuals_against(self.operator(eta), eta, fs, us)
-
-    def _residuals_against(self, op, eta: np.ndarray, fs: np.ndarray,
-                           us: np.ndarray) -> np.ndarray:
+        op = self.operator(eta) if op is None else op
         fv = np.asarray(fs, dtype=float).reshape(fs.shape[0], -1)
         uv = np.asarray(us, dtype=float).reshape(us.shape[0], -1)
         if self.kind == "rte":
@@ -333,11 +332,11 @@ def _sparse_factor(op: sp.spmatrix):
     return lu.solve, lambda b: lu.solve(b, trans="T")
 
 
-def solve_schrodinger(eta: np.ndarray, f: np.ndarray,
-                      h: float | None = None) -> np.ndarray:
-    h = h if h is not None else 1.0 / eta.shape[0]
-    return _solve_with(_sparse_factor(schrodinger_matrix(eta, h))[0],
-                       f[None])[0]
+def solve_schrodinger(eta: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Periodic solve of (-Laplace_h + diag(eta)) u = f on eta's grid,
+    h = 1/n: `ProblemSpec.solve` of that problem."""
+    return ProblemSpec(kind="schrodinger", dim=eta.ndim, n=eta.shape[0],
+                       eta_coarse=1).solve(eta, f)
 
 
 def _check_zero_mean(fs: np.ndarray) -> None:
@@ -365,14 +364,12 @@ def _divergence_factor(op: sp.spmatrix):
             lambda b: bordered(b, "T"))
 
 
-def solve_divergence(eta: np.ndarray, f: np.ndarray,
-                     h: float | None = None) -> np.ndarray:
-    """Zero-mean solve of the conservative form; a source with a nonzero
-    mean is rejected."""
-    h = h if h is not None else 1.0 / eta.shape[0]
-    _check_zero_mean(f[None])
-    return _solve_with(_divergence_factor(divergence_matrix(eta, h))[0],
-                       f[None])[0]
+def solve_divergence(eta: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Zero-mean periodic solve of -div(eta grad u) = f on eta's grid,
+    h = 1/n: `ProblemSpec.solve` of that problem, which rejects a source
+    with a nonzero mean."""
+    return ProblemSpec(kind="divergence", dim=eta.ndim, n=eta.shape[0],
+                       eta_coarse=1).solve(eta, f)
 
 
 # -- radiative transfer: one Nystrom assembly for the slab and the plane --------
@@ -635,12 +632,12 @@ def generate_sample(spec: ProblemSpec, eta_seed: int, f_seeds):
     their certification.
 
     The draw's operator (the elliptic matrix, or the transfer kernel) is
-    built once: the sources are solved with it, and checked against it
-    with `residual_batch`'s formula.  The largest relative residual (NaN
-    if any is NaN) lands in the metadata as `max_residual`.  Transfer
-    problems re-draw eta (bumping the seed by one) when the scattering
-    system gets too close to singular; the retry count lands in the
-    metadata too.
+    built once and handed to both `solve_batch` and `residual_batch`, so
+    the sources are solved with it and certified against it.  The
+    largest relative residual (NaN if any is NaN) lands in the metadata
+    as `max_residual`.  Transfer problems re-draw eta (bumping the seed
+    by one) when the scattering system gets too close to singular; the
+    retry count lands in the metadata too.
     """
     retries = 0
     seed = eta_seed
@@ -649,14 +646,14 @@ def generate_sample(spec: ProblemSpec, eta_seed: int, f_seeds):
         fs = np.stack([spec.sample_f(s) for s in f_seeds])
         op = spec.operator(eta)
         try:
-            us = spec._solve_against(op, eta, fs)
+            us = spec.solve_batch(eta, fs, op)
             break
         except ConditioningError:
             retries += 1
             if retries > spec.resample_limit:
                 raise DataError(f"eta resampling limit hit at seed {eta_seed}")
             seed = seed + 1
-    worst = np.max(spec._residuals_against(op, eta, fs, us))
+    worst = np.max(spec.residual_batch(eta, fs, us, op))
     meta = {"eta_seed": int(seed), "retries": retries,
             "f_seeds": [int(s) for s in f_seeds],
             "max_residual": float(worst)}

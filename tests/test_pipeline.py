@@ -241,16 +241,16 @@ def test_generation_builds_one_transfer_kernel_per_draw(tmp_path,
 
 def test_generation_rejects_a_corrupted_solve_and_writes_nothing(
         tmp_path, monkeypatch):
-    solve = sv._rte_solve_batch
+    solve = sv.ProblemSpec.solve_batch
     calls = []
 
-    def corrupted(kern, eta, fs):
-        us = solve(kern, eta, fs)
+    def corrupted(spec, eta, fs, op=None):
+        us = solve(spec, eta, fs, op)
         calls.append(1)
         if len(calls) == 4:  # one source of one test-split draw
             us[1, 16] += 1e-6
         return us
-    monkeypatch.setattr(sv, "_rte_solve_batch", corrupted)
+    monkeypatch.setattr(sv.ProblemSpec, "solve_batch", corrupted)
     with pytest.raises(DataError):
         pl.generate_dataset(pl.RunConfig.from_dict(RTE), tmp_path)
     assert len(calls) == 6
@@ -280,7 +280,7 @@ def test_metrics_roundtrip(tmp_path):
                    loss_history=[1.0, 0.5], train_error_history=[0.3, 0.1],
                    test_error_history=[0.4, 0.2])
     m.save(tmp_path)
-    back = pl.Metrics.from_dict(json.load(open(tmp_path / "metrics.json")))
+    back = pl.Metrics(**json.load(open(tmp_path / "metrics.json")))
     assert back == m
     lines = open(tmp_path / "curves.csv").read().strip().splitlines()
     assert lines[0] == "epoch,loss,train_error,test_error"
@@ -466,8 +466,7 @@ def test_operator_error_zero_for_exact_model():
     mdl = MetaModel(cfg)
     mdl.init_filters(filt, noise=0.0)
     coll = collection_from_nsform(ns, cfg)
-    from nswave.model import export_operator
-    g_nn = export_operator(mdl, eta, collection=coll)
+    g_nn = mdl.forward(eta, np.eye(eta.size), collection=coll).T
     err = pl.power_norm2(g_ref - g_nn) / pl.power_norm2(g_ref)
     assert err < 1e-10
 

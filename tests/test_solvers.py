@@ -190,7 +190,7 @@ def test_schrodinger_2d_residual_and_closedform():
     u = spec.solve(eta, f)
     assert spec.residual(eta, f, u) < 1e-12
     u_c = sv.solve_schrodinger(np.full((16, 16), 3.0),
-                               np.full((16, 16), 1.5), h=1.0 / 16)
+                               np.full((16, 16), 1.5))
     assert np.max(np.abs(u_c - 0.5)) < 1e-12
 
 
