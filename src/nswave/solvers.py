@@ -15,8 +15,9 @@ system I - K diag(eta) once an upper bound on its Perron root is below 1.
 one residual; generation hands both the draw's operator, so it is built
 once, and `solve_schrodinger`/`solve_divergence` are `ProblemSpec.solve`
 on eta's own grid.  The same factorization applies the solution operator
-and its transpose without forming them (`solution_operator`);
-`reference_matrix` is that operator applied to the identity.
+and its transpose without forming them (`solution_operator`, the one
+definition of G_ref); `reference_matrix` is that operator applied to the
+identity.
 
 The slab (1D) and plane (2D) transfer kernels share one Nystrom assembly
 (`_nystrom`): a kernel of the distance r and of the multilinearly
@@ -236,11 +237,12 @@ class ProblemSpec:
         matrix, of the zero-mean KKT system (divergence form: G_ref is
         the pseudo-inverse), or the LU of I - K diag(eta) once its
         spectral radius is below 1 (transfer; else ConditioningError).
-        `rmatvec` is the transposed solve."""
+        `matmat` is the same solve on (N, k) blocks, `rmatvec` the
+        transposed solve."""
         solve, solve_t = self._factor(self.operator(eta), eta)
         nn = eta.size
-        return spla.LinearOperator((nn, nn), matvec=solve, rmatvec=solve_t,
-                                   dtype=float)
+        return spla.LinearOperator((nn, nn), matvec=solve, matmat=solve,
+                                   rmatvec=solve_t, dtype=float)
 
     def residual(self, eta: np.ndarray, f: np.ndarray,
                  u: np.ndarray) -> float:
@@ -271,9 +273,9 @@ class ProblemSpec:
                 / np.linalg.norm(rhs, axis=1))
 
     def reference_matrix(self, eta: np.ndarray) -> np.ndarray:
-        """Dense solution operator at eta: the `solution_operator` solve
-        applied to the identity (the pseudo-inverse in divergence form)."""
-        return self._factor(self.operator(eta), eta)[0](np.eye(eta.size))
+        """Dense solution operator at eta: `solution_operator` applied to
+        the identity (the pseudo-inverse in divergence form)."""
+        return self.solution_operator(eta).matmat(np.eye(eta.size))
 
 
 # -- elliptic operators ---------------------------------------------------------------
@@ -618,11 +620,6 @@ def _rte_factor(kern: np.ndarray, eta: np.ndarray):
     # products see the same layout, and so round the same way
     return (lambda b: np.ascontiguousarray(sla.lu_solve(lu, kern @ b)),
             lambda b: kern.T @ sla.lu_solve(lu, b, trans=1))
-
-
-def _rte_solve_batch(kern: np.ndarray, eta: np.ndarray,
-                     fs: np.ndarray) -> np.ndarray:
-    return _solve_with(_rte_factor(kern, eta)[0], fs)
 
 
 # -- sample generation with retry ------------------------------------------------

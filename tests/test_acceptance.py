@@ -193,7 +193,7 @@ def test_criterion_5_solver_fidelity():
     eta = np.where(rspec._pad_mask(), 0.0, 0.05)
     kern = sv.rte_kernel_1d(eta, rspec)
     f = rspec.sample_f(9)
-    u = sv._rte_solve_batch(kern, eta, f[None])[0]
+    u = rspec.solve_batch(eta, f[None], kern)[0]
     keta = kern * eta[None, :]
     two_term = kern @ f + keta @ (kern @ f)
     q = np.linalg.norm(keta, 2)

@@ -303,7 +303,7 @@ def test_arpack_failure_exits_4_naming_the_norm(data_and_ckpt, micro_config,
         raise spla.ArpackNoConvergence("ARPACK error -1: No convergence",
                                        [], [])
     # the micro grid (32 points) then takes the matrix-free ARPACK path
-    monkeypatch.setattr(pipeline, "DENSE_OPERATOR_LIMIT", 16)
+    monkeypatch.setattr(pipeline, "DENSE_NORM_LIMIT", 16)
     monkeypatch.setattr(spla, "svds", stuck)
     data, ckpt = data_and_ckpt
     out = str(tmp_path / "out")

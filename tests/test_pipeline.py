@@ -346,13 +346,35 @@ def test_arpack_failure_is_an_inference_error_naming_the_norm(monkeypatch):
     def stuck(*args, **kwargs):
         raise spla.ArpackNoConvergence("no convergence", [], [])
     monkeypatch.setattr(spla, "svds", stuck)
-    m = np.random.default_rng(5).standard_normal((200, 200))
+    m = np.random.default_rng(5).standard_normal((300, 300))
     for wrap in WRAPS:
         with pytest.raises(InferenceError, match="2-norm of G_ref"):
             pl.power_norm2(wrap(m), "G_ref")
 
 
-# above DENSE_OPERATOR_LIMIT grid points: the symmetric shortcut, the zero-mean
+@pytest.mark.parametrize("n", [pl.DENSE_NORM_LIMIT, pl.DENSE_NORM_LIMIT + 1])
+def test_power_norm2_forms_an_operator_only_up_to_the_limit(n):
+    m = np.random.default_rng(7).standard_normal((n, n))
+    calls = {"matvec": 0, "rmatvec": 0, "matmat": 0}
+
+    def counted(kind, apply):
+        def call(x):
+            calls[kind] += 1
+            return apply(x)
+        return call
+    op = spla.LinearOperator(m.shape, dtype=float,
+                             matvec=counted("matvec", m.dot),
+                             rmatvec=counted("rmatvec", m.T.dot),
+                             matmat=counted("matmat", m.dot))
+    assert pl.power_norm2(op) == pytest.approx(np.linalg.norm(m, 2),
+                                               rel=1e-12, abs=0.0)
+    if n <= pl.DENSE_NORM_LIMIT:
+        assert calls == {"matvec": 0, "rmatvec": 0, "matmat": 1}
+    else:
+        assert calls["matmat"] == 0 and calls["matvec"] > 0
+
+
+# above DENSE_NORM_LIMIT grid points: the symmetric shortcut, the zero-mean
 # pseudo-inverse, and the f-path adjoint with a zero-padded transfer model
 # and with a symmetric model whose zero padding breaks the symmetry
 MATRIX_FREE = {
@@ -380,7 +402,7 @@ MATRIX_FREE = {
 @pytest.mark.parametrize("case", sorted(MATRIX_FREE))
 def test_matrix_free_operator_error_equals_the_dense_formula(case):
     spec, cfg = MATRIX_FREE[case]
-    assert spec.n ** spec.dim > pl.DENSE_OPERATOR_LIMIT
+    assert spec.n ** spec.dim > pl.DENSE_NORM_LIMIT
     mdl = MetaModel(cfg)
     etas = np.stack([spec.sample_eta(s) for s in (3, 4)])
     dense = []

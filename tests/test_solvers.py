@@ -272,12 +272,12 @@ def test_padding_entries_finite_and_inert():
     # whatever value a padding column carries, it cannot reach the
     # solution: those cells have eta = f = 0
     f = SPEC_1D.sample_f(5)
-    u_ref = sv._rte_solve_batch(kern, eta, f[None])[0]
+    u_ref = SPEC_1D.solve_batch(eta, f[None], kern)[0]
     tampered = kern.copy()
     pad = SPEC_1D._pad_mask()
     tampered[:, pad] = np.random.default_rng(0).standard_normal(
         (64, pad.sum()))
-    u_alt = sv._rte_solve_batch(tampered, eta, f[None])[0]
+    u_alt = SPEC_1D.solve_batch(eta, f[None], tampered)[0]
     assert np.max(np.abs(u_alt - u_ref)) < 1e-12
 
 
@@ -285,7 +285,7 @@ def test_neumann_two_term_expansion():
     eta = np.where(SPEC_1D._pad_mask(), 0.0, 0.05)
     kern = sv.rte_kernel_1d(eta, SPEC_1D)
     f = SPEC_1D.sample_f(7)
-    u = sv._rte_solve_batch(kern, eta, f[None])[0]
+    u = SPEC_1D.solve_batch(eta, f[None], kern)[0]
     keta = kern * eta[None, :]
     two_term = kern @ f + keta @ (kern @ f)
     q = np.linalg.norm(keta, 2)
@@ -493,7 +493,7 @@ def test_spectral_radius_bounds_the_perron_root_from_above(draw):
     assert dense > 1.0
     assert sv.spectral_radius(keta) >= dense * (1 - 1e-12)
     with pytest.raises(ConditioningError):
-        sv._rte_solve_batch(kern, eta, spec.sample_f(1)[None])
+        spec.solve_batch(eta, spec.sample_f(1)[None], kern)
 
 
 # -- operator assembly and residual certification ---------------------------------
