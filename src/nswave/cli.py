@@ -148,8 +148,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, help="override dataset.seed")
     p.add_argument("--threads", type=int, default=1,
-                   help="worker processes (>= 1) that generate and "
-                        "certify the parameter draws")
+                   help="worker processes (>= 1, at most one per draw) "
+                        "that generate and certify the parameter draws")
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("train", help="train a model on a dataset")

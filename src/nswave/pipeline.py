@@ -198,9 +198,9 @@ def generate_dataset(cfg: RunConfig, out_dir, threads: int = 1) -> dict:
     """Generate, certify and persist both splits; returns a summary dict.
 
     Each draw is solved and certified against one operator inside
-    `solvers.generate_sample`, so `threads` worker processes share both
-    the solves and the certification; nothing is written unless every
-    residual is within RESIDUAL_TOL.  Parameter draws are split
+    `solvers.generate_sample`, so `threads` worker processes (no more
+    than there are draws) share both the solves and the certification;
+    nothing is written unless every residual is within RESIDUAL_TOL.  Parameter draws are split
     half/half into train and test by index, so the splits never share an
     eta.  Per-sample seeds are a pure function of (dataset.seed, index),
     making the files bit-reproducible for any thread count.
@@ -213,8 +213,9 @@ def generate_dataset(cfg: RunConfig, out_dir, threads: int = 1) -> dict:
     base = cfg.dataset.seed
     jobs = [(cfg.problem, _eta_seed(base, i), _f_seeds(base, i, n_f))
             for i in range(n_eta)]
-    if threads > 1:
-        with Pool(threads) as pool:
+    workers = min(threads, n_eta)
+    if workers > 1:
+        with Pool(workers) as pool:
             results = pool.starmap(solvers.generate_sample, jobs)
     else:
         results = [solvers.generate_sample(*job) for job in jobs]

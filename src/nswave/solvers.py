@@ -9,7 +9,8 @@ scattering field and the source vanish on the padding cells.
 
 Every solve is one direct factorization (`ProblemSpec._factor`), at every
 grid size: a sparse LU (`splu`) of the elliptic operator (bordered by the
-zero-mean constraint in divergence form), or a dense LU of the transfer
+zero-mean constraint in divergence form), whose values fill a CSC pattern
+cached per grid shape (`_stencil_pattern`), or a dense LU of the transfer
 system I - K diag(eta) once an upper bound on its Perron root is below 1.
 `ProblemSpec.solve_batch` and `residual_batch` are the one solve and the
 one residual; generation hands both the draw's operator, so it is built
@@ -193,8 +194,9 @@ class ProblemSpec:
 
     def operator(self, eta: np.ndarray):
         """The matrix a draw at eta is solved and certified against: the
-        sparse elliptic operator, or the dense transfer kernel K of
-        u = K(eta u) + K f."""
+        sparse elliptic operator in CSC, its values filled into the grid's
+        cached pattern (`_stencil_pattern`), or the dense transfer kernel
+        K of u = K(eta u) + K f."""
         if self.kind == "schrodinger":
             return schrodinger_matrix(eta, self.h)
         if self.kind == "divergence":
@@ -224,11 +226,13 @@ class ProblemSpec:
     def _factor(self, op, eta: np.ndarray):
         """(solve, solve_t): the solution operator at eta and its
         transpose on (N,) or (N, k) columns, from one factorization of the
-        draw's operator `op`."""
+        draw's operator `op`: SuperLU reads the elliptic CSC matrix as it
+        is built, or, in divergence form, the bordered system filled into
+        the same cached pattern."""
         if self.kind == "schrodinger":
             return _sparse_factor(op)
         if self.kind == "divergence":
-            return _divergence_factor(op)
+            return _divergence_factor(op, eta.shape)
         return _rte_factor(op, eta)
 
     def solution_operator(self, eta: np.ndarray) -> spla.LinearOperator:
@@ -280,23 +284,51 @@ class ProblemSpec:
 
 # -- elliptic operators ---------------------------------------------------------------
 
-def _periodic_stencil(center: np.ndarray, neighbours: list) -> sp.csr_matrix:
-    """CSR matrix of a periodic nearest-neighbour stencil on center's grid.
+@lru_cache(maxsize=16)
+def _stencil_pattern(shape: tuple):
+    """The CSC sparsity pattern of `_periodic_stencil` on a grid of
+    `shape`, the layout SuperLU reads: (slots, indices, indptr, border).
+    `slots` is the position in the matrix data that each stencil entry
+    adds into, the entries taken as `_periodic_stencil` lists them.
+    `border` is (inner, indices, indptr) of the bordered system in
+    `_divergence_factor`, `inner` being the bordered position of each
+    plain one.  Read-only, computed once per shape and process."""
+    nn = int(np.prod(shape))
+    idx = np.arange(nn).reshape(shape)
+    cols = np.concatenate([idx.reshape(-1)] + [
+        np.roll(idx, -step, axis=ax).reshape(-1)
+        for ax in range(len(shape)) for step in (1, -1)])
+    rows = np.tile(np.arange(nn), 1 + 2 * len(shape))
+    keys, slots = np.unique(cols * nn + rows, return_inverse=True)
+    nnz = keys.size
+    itype = np.int32 if nnz + 2 * nn < 2 ** 31 else np.int64
+    indices = (keys % nn).astype(itype)
+    indptr = np.searchsorted(keys, np.arange(nn + 1) * nn).astype(itype)
+    # the border adds row nn at the foot of every column, then column nn
+    inner = np.arange(nnz) + np.repeat(np.arange(nn), np.diff(indptr))
+    b_indices = np.full(nnz + 2 * nn, nn, dtype=itype)
+    b_indices[inner] = indices
+    b_indices[nnz + nn:] = np.arange(nn)
+    b_indptr = np.append(indptr + np.arange(nn + 1), nnz + 2 * nn)
+    border = (inner, b_indices, b_indptr.astype(itype))
+    for a in (slots, indices, indptr, *border):
+        a.setflags(write=False)
+    return slots, indices, indptr, border
+
+
+def _periodic_stencil(center: np.ndarray, neighbours: list) -> sp.csc_matrix:
+    """CSC matrix of a periodic nearest-neighbour stencil on center's grid,
+    its values filled into the cached `_stencil_pattern`.
 
     Row k holds center[k] on the diagonal, and neighbours[2a][k] and
     neighbours[2a + 1][k] at the nodes one step up and one step down
-    axis a (wrapping around).  Coincident entries (n = 2) are summed.
+    axis a (wrapping around).  Coincident entries (n = 2) are summed in
+    that order.
     """
-    nn = center.size
-    idx = np.arange(nn).reshape(center.shape)
-    cols = [idx] + [np.roll(idx, -step, axis=ax)
-                    for ax in range(center.ndim) for step in (1, -1)]
-    vals = [center] + list(neighbours)
-    return sp.csr_matrix(
-        (np.concatenate([v.reshape(-1) for v in vals]),
-         (np.tile(idx.reshape(-1), len(cols)),
-          np.concatenate([c.reshape(-1) for c in cols]))),
-        shape=(nn, nn))
+    slots, indices, indptr, _ = _stencil_pattern(center.shape)
+    vals = np.concatenate([v.reshape(-1) for v in [center, *neighbours]])
+    data = np.bincount(slots, weights=vals, minlength=indices.size)
+    return sp.csc_matrix((data, indices, indptr), shape=(center.size,) * 2)
 
 
 def schrodinger_matrix(eta: np.ndarray, h: float) -> sp.spmatrix:
@@ -329,8 +361,8 @@ def _solve_with(solve, fs: np.ndarray) -> np.ndarray:
     return solve(flat.T).T.reshape(fs.shape)
 
 
-def _sparse_factor(op: sp.spmatrix):
-    lu = spla.splu(op.tocsc())
+def _sparse_factor(op: sp.csc_matrix):
+    lu = spla.splu(op)
     return lu.solve, lambda b: lu.solve(b, trans="T")
 
 
@@ -349,15 +381,20 @@ def _check_zero_mean(fs: np.ndarray) -> None:
         raise DataError("divergence-form source must have zero mean")
 
 
-def _divergence_factor(op: sp.spmatrix):
-    """Solves of the operator A bordered by the zero-mean constraint,
-    B = [[A, 1], [1^T, 0]].  The multiplier takes the source's mean and
-    the solution has zero mean, so E B^-1 E^T (E the first N rows) is the
-    pseudo-inverse of A, and so is its transpose; `solve` projects the
-    source to zero mean first, as certification does."""
+def _divergence_factor(op: sp.csc_matrix, shape: tuple):
+    """Solves of the operator A on a grid of `shape`, bordered by the
+    zero-mean constraint, B = [[A, 1], [1^T, 0]], filled into the
+    bordered pattern of `_stencil_pattern`.  The multiplier takes the
+    source's mean and the solution has zero mean, so E B^-1 E^T (E the
+    first N rows) is the pseudo-inverse of A, and so is its transpose;
+    `solve` projects the source to zero mean first, as certification
+    does."""
     nn = op.shape[0]
-    one = np.ones((nn, 1))
-    lu = spla.splu(sp.bmat([[op, one], [one.T, None]], format="csc"))
+    inner, indices, indptr = _stencil_pattern(shape)[3]
+    data = np.ones(indices.size)
+    data[inner] = op.data
+    lu = spla.splu(sp.csc_matrix((data, indices, indptr),
+                                 shape=(nn + 1, nn + 1)))
 
     def bordered(b, trans):
         rhs = np.concatenate([b, np.zeros((1,) + b.shape[1:])])

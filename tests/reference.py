@@ -1,6 +1,8 @@
 """Independent references shared by the test modules."""
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from nswave import nsform, wavelets
 
@@ -61,3 +63,43 @@ def zero_padded_apply(ns, v, filt):
         outs[last] = outs[last] + u
         u = wavelets.inverse_parts(outs, filt, dim, "zero")
     return u
+
+
+# The elliptic operator as assembled before the cached CSC pattern: a COO
+# list summed into CSR, copied to CSC for SuperLU, and bordered by
+# `scipy.sparse.bmat`.  Tests hold the production matrices to these bit
+# for bit, and generation run through them to the same file bytes.
+
+def periodic_stencil(center, neighbours):
+    """`solvers._periodic_stencil` by COO -> CSR construction, which sums
+    coincident entries (n = 2)."""
+    nn = center.size
+    idx = np.arange(nn).reshape(center.shape)
+    cols = [idx] + [np.roll(idx, -step, axis=ax)
+                    for ax in range(center.ndim) for step in (1, -1)]
+    vals = [center] + list(neighbours)
+    return sp.csr_matrix(
+        (np.concatenate([v.reshape(-1) for v in vals]),
+         (np.tile(idx.reshape(-1), len(cols)),
+          np.concatenate([c.reshape(-1) for c in cols]))),
+        shape=(nn, nn))
+
+
+def sparse_factor(op):
+    """`solvers._sparse_factor` on a copy of `op` in CSC."""
+    lu = spla.splu(op.tocsc())
+    return lu.solve, lambda b: lu.solve(b, trans="T")
+
+
+def divergence_factor(op, shape):
+    """`solvers._divergence_factor` with the bordered system built by
+    `scipy.sparse.bmat`."""
+    nn = op.shape[0]
+    one = np.ones((nn, 1))
+    lu = spla.splu(sp.bmat([[op, one], [one.T, None]], format="csc"))
+
+    def bordered(b, trans):
+        rhs = np.concatenate([b, np.zeros((1,) + b.shape[1:])])
+        return lu.solve(rhs, trans=trans)[:nn]
+    return (lambda b: bordered(b - b.mean(axis=0), "N"),
+            lambda b: bordered(b, "T"))

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import reference
 
 from nswave import container, net
 from nswave import nsform as nsf
@@ -196,6 +198,60 @@ def test_generate_dataset_threads_match_serial(tmp_path, config):
     for split in ("train", "test"):
         assert sha(tmp_path / "serial" / f"{split}.nstf") \
             == sha(tmp_path / "par" / f"{split}.nstf")
+
+
+def test_generate_dataset_starts_no_more_workers_than_draws(tmp_path,
+                                                          monkeypatch):
+    started = []
+
+    class Recorder:
+        """Stands in for `multiprocessing.Pool`, starting no process."""
+
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, jobs):
+            return list(itertools.starmap(fn, jobs))
+
+    monkeypatch.setattr(pl, "Pool", Recorder)
+    cfg = pl.RunConfig.from_dict(
+        dict(DESK, dataset={"n_eta": 4, "n_f": 3, "seed": 7}))
+    pl.generate_dataset(cfg, tmp_path / "serial", threads=1)
+    pl.generate_dataset(cfg, tmp_path / "capped", threads=100_000)
+    assert started == [4]
+    for name in ("train.nstf", "test.nstf", "dataset.json"):
+        assert sha(tmp_path / "serial" / name) == sha(tmp_path / "capped" / name)
+
+
+@pytest.mark.parametrize("problem", [
+    {"kind": "schrodinger", "n": 16, "eta_coarse": 4},
+    {"kind": "schrodinger", "dim": 2, "n": 8, "eta_coarse": 4},
+    {"kind": "divergence", "n": 16, "eta_coarse": 4, "eta_scale": 0.2,
+     "eta_shift": 0.5},
+], ids=["schrodinger1d", "schrodinger2d", "divergence1d"])
+def test_generation_bytes_equal_the_coo_csr_assembly(tmp_path, monkeypatch,
+                                                     problem):
+    # the cached CSC pattern changes how the operator is stored, never a
+    # value: the data written is that of the COO -> CSR -> CSC assembly
+    model = dict(DESK["model"], n=problem["n"], dim=problem.get("dim", 1))
+    raw = dict(DESK, problem=problem, model=model,
+               dataset={"n_eta": 4, "n_f": 2, "seed": 3})
+    cfg = pl.RunConfig.from_dict(raw)
+    pl.generate_dataset(cfg, tmp_path / "pattern")
+    monkeypatch.setattr(sv, "_periodic_stencil", reference.periodic_stencil)
+    monkeypatch.setattr(sv, "_sparse_factor", reference.sparse_factor)
+    monkeypatch.setattr(sv, "_divergence_factor",
+                        reference.divergence_factor)
+    pl.generate_dataset(cfg, tmp_path / "assembly")
+    for name in ("train.nstf", "test.nstf", "dataset.json"):
+        assert sha(tmp_path / "pattern" / name) \
+            == sha(tmp_path / "assembly" / name), name
 
 
 def test_dataset_splits_disjoint_and_certified(tmp_path):

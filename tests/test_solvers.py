@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import reference
 
 from nswave import solvers as sv
 from nswave.errors import (ConditioningError, ConfigError, DataError,
@@ -498,10 +499,14 @@ def test_spectral_radius_bounds_the_perron_root_from_above(draw):
 
 # -- operator assembly and residual certification ---------------------------------
 
+def _random_eta(shape):
+    rng = np.random.default_rng(4)
+    return np.exp(rng.standard_normal(shape)) + 0.1
+
+
 @pytest.mark.parametrize("shape", [(2,), (3,), (64,), (3, 3), (16, 16)])
 def test_schrodinger_matrix_equals_dense_stencil(shape):
-    rng = np.random.default_rng(4)
-    eta = np.exp(rng.standard_normal(shape)) + 0.1
+    eta = _random_eta(shape)
     h = 1.0 / shape[0]
     nn = eta.size
     eye = np.eye(nn).reshape((nn,) + shape)
@@ -509,6 +514,81 @@ def test_schrodinger_matrix_equals_dense_stencil(shape):
               for ax in range(1, eta.ndim + 1))
     dense = -lap.reshape(nn, nn) / h ** 2 + np.diag(eta.reshape(-1))
     assert np.array_equal(sv.schrodinger_matrix(eta, h).toarray(), dense)
+
+
+@pytest.mark.parametrize("shape", [(2,), (3,), (64,), (3, 3), (16, 16)])
+def test_divergence_matrix_equals_dense_stencil(shape):
+    # row k: (up + down) u_k - up u_{k+1} - down u_{k-1} per axis, with
+    # the face coefficients up = (eta_k + eta_{k+1}) / 2 and down the up
+    # of the node below; at n = 2 both neighbours are one node, and its
+    # entry is -(up + down) / h**2
+    eta = _random_eta(shape)
+    h = 1.0 / shape[0]
+    nn = eta.size
+    eye = np.eye(nn).reshape((nn,) + shape)
+    center, off = 0.0, 0.0
+    for ax in range(eta.ndim):
+        up = 0.5 * (eta + np.roll(eta, -1, ax)).reshape(-1)
+        down = 0.5 * (eta + np.roll(eta, 1, ax)).reshape(-1)
+        center = center + up + down
+        above = np.roll(eye, 1, ax + 1).reshape(nn, nn)  # row k: node k+1
+        below = np.roll(eye, -1, ax + 1).reshape(nn, nn)
+        off = off - up[:, None] * above - down[:, None] * below
+    dense = (np.diag(center) + off) / h ** 2
+    assert np.array_equal(sv.divergence_matrix(eta, h).toarray(), dense)
+
+
+def _factored_matrices(spec, eta, monkeypatch):
+    """The operator at eta and the CSC matrix SuperLU factors for it
+    (bordered in divergence form)."""
+    seen, real_splu = [], sv.spla.splu
+
+    def splu(mat):
+        seen.append(mat)
+        return real_splu(mat)
+    with monkeypatch.context() as m:
+        m.setattr(sv.spla, "splu", splu)
+        op = spec.operator(eta)
+        spec._factor(op, eta)
+    return op, seen[0]
+
+
+@pytest.mark.parametrize("kind", ["schrodinger", "divergence"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4, 16])
+def test_operator_csc_arrays_equal_the_coo_csr_assembly_bit_for_bit(
+        kind, dim, n, monkeypatch):
+    spec = sv.ProblemSpec(kind=kind, dim=dim, n=n, eta_coarse=1)
+    eta = _random_eta((n,) * dim)
+    op, factored = _factored_matrices(spec, eta, monkeypatch)
+    monkeypatch.setattr(sv, "_periodic_stencil", reference.periodic_stencil)
+    monkeypatch.setattr(sv, "_sparse_factor", reference.sparse_factor)
+    monkeypatch.setattr(sv, "_divergence_factor",
+                        reference.divergence_factor)
+    ref_op, ref_factored = _factored_matrices(spec, eta, monkeypatch)
+    assert op.format == factored.format == ref_factored.format == "csc"
+    if kind == "schrodinger":
+        assert factored is op  # factored as built, with no copy
+    for got, want in [(op, ref_op.tocsc()), (factored, ref_factored)]:
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("shape", [(5,), (4, 4)])
+def test_stencil_pattern_is_cached_read_only(shape):
+    first = sv.schrodinger_matrix(_random_eta(shape), 0.25)
+    hits = sv._stencil_pattern.cache_info().hits
+    second = sv.divergence_matrix(_random_eta(shape) + 1.0, 0.25)
+    assert sv._stencil_pattern.cache_info().hits == hits + 1
+    # a second eta on the grid shares the pattern and only fills values
+    assert np.shares_memory(second.indices, first.indices)
+    assert np.shares_memory(second.indptr, first.indptr)
+    slots, indices, indptr, border = sv._stencil_pattern(shape)
+    for a in (slots, indices, indptr, *border):
+        with pytest.raises(ValueError):
+            a[0] = 0
 
 
 def _pair_residual(spec, eta, f, u):
