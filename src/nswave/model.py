@@ -9,7 +9,7 @@ Four stages, mirroring the fast nonstandard-form matvec:
    no bias) split each scale into detail and smooth channels;
 3. per-channel banded multiplication in coefficient space, with the
    scaling-to-scaling block zero except at the coarsest level: the
-   oracle's own `nsform.band_multiply`, whose adjoint lives here;
+   oracle's own `nsform.band_multiply` and `band_multiply_adjoint`;
 4. learnable inverse-transform convolutions (window p, stride 1) with the
    interleaving reshape, followed by a channel average.
 
@@ -74,21 +74,11 @@ class ModelConfig:
 
 def _transpose_index(offsets: np.ndarray, size: int,
                      alpha: int) -> np.ndarray:
-    """Flat gather index of the banded transpose over one block array
-    (spatial.., alpha, n_off): diagonal o of B^T is diagonal -o of B
-    shifted by o, out[k.., c, t] = arr[(k + o_t) mod size.., c, neg(t)]
-    with neg(t) the index of the canonically negated offset."""
-    rows = [tuple(o) for o in offsets.tolist()]
-    index = {o: t for t, o in enumerate(rows)}
-    neg = [index[tuple(nsform.canonical_offset(-c, size) for c in o)]
-           for o in rows]
-    dim = offsets.shape[1]
-    flat = 0
-    for ax in range(dim):
-        k = np.arange(size).reshape(
-            tuple(size if a == ax else 1 for a in range(dim)) + (1, 1))
-        flat = flat * size + (k + offsets[:, ax]) % size
-    return (flat * alpha + np.arange(alpha)[:, None]) * len(rows) + neg
+    """Flat gather index of the banded transpose (`nsform.transpose_index`)
+    over one block array (spatial.., alpha, n_off), channel by channel."""
+    cols, neg = nsform.transpose_index(offsets, size)
+    return (cols[..., None, :] * alpha + np.arange(alpha)[:, None]) \
+        * len(neg) + neg
 
 
 # -- layout --------------------------------------------------------------------
@@ -142,9 +132,7 @@ def build_layout(cfg: ModelConfig) -> list[LevelLayout]:
         top = (size - 1) // 2 if cfg.symmetric and cfg.padding == ZERO \
             else None
         nb = cfg.nb if top is None else min(cfg.nb, top)
-        band, full = (np.array(list(itertools.product(offs, repeat=cfg.dim)))
-                      for offs in (nsform.band_offsets(size, nb),
-                                   nsform.band_offsets(size, top)))
+        band, full = (nsform.band_offsets(size, w, cfg.dim) for w in (nb, top))
         offsets, transpose, columns = {}, {}, {}
         band_t = _transpose_index(band, size, cfg.alpha)
         for slot in emitted + list(derived):
@@ -443,42 +431,11 @@ class MetaModel:
         """Materialized per-level block dicts for a given eta."""
         return self._materialize(self.eta_to_C(eta))
 
-    # -- band multiply ----------------------------------------------------------
-
-    def _band_matvec(self, blocks: dict, lay: LevelLayout, parts: list):
-        """Output parts from the level's input parts via the per-channel
-        banded blocks.
-
-        f-path parts are (Be, Bf, spatial.., alpha); block arrays are
-        (Be, spatial.., alpha, n_off) and broadcast over Bf.
-        """
-        return nsform.band_multiply(
-            [(slot, lay.offsets[slot], arr[:, None])
-             for slot, arr in blocks.items()],
-            parts, tuple(range(2, 2 + self.cfg.dim)), self.cfg.padding)
-
-    def _band_matvec_backward(self, blocks, lay, parts, gouts):
-        """(block grads, input-part grads) of `_band_matvec`, over the same
-        halo-padded views as `nsform.band_multiply`."""
-        axes = tuple(range(2, 2 + self.cfg.dim))
-        pad = self.cfg.padding
-        width = max(int(np.abs(lay.offsets[slot]).max()) for slot in blocks)
-        padded = [nsform._pad_halo(x, width, axes, pad) for x in parts]
-        g_padded = [np.zeros_like(xp) for xp in padded]
-        g_blocks = {}
-        for (i, j), arr in blocks.items():
-            xp, gp = padded[j], g_padded[j]
-            go = gouts[i]
-            g_arr = np.empty_like(arr)
-            tmp = np.empty(go.shape)
-            for t, o in enumerate(lay.offsets[i, j].tolist()):
-                xs = nsform._halo_view(xp, o, width, axes)
-                g_arr[..., t] = np.sum(np.multiply(go, xs, out=tmp), axis=1)
-                nsform._halo_view(gp, o, width, axes)[...] += np.multiply(
-                    arr[:, None, ..., t], go, out=tmp)
-            g_blocks[i, j] = g_arr
-        return g_blocks, [nsform._fold_halo(gp, width, axes, pad)
-                          for gp in g_padded]
+    def _band_terms(self, blocks: dict, lay: LevelLayout) -> list:
+        """`nsform.band_multiply` terms of a level: block arrays (Be,
+        spatial.., alpha, n_off) broadcast over the parts' Bf axis."""
+        return [(slot, lay.offsets[slot], arr[:, None])
+                for slot, arr in blocks.items()]
 
     # -- forward / backward ----------------------------------------------------
 
@@ -552,7 +509,9 @@ class MetaModel:
         iwt_caches = [None] * cfg.levels
         u = None
         for i in range(cfg.levels):
-            outs = self._band_matvec(blocks[i], self.layouts[i], parts[i])
+            outs = nsform.band_multiply(
+                self._band_terms(blocks[i], self.layouts[i]), parts[i],
+                tuple(range(2, 2 + sdim)), cfg.padding)
             last = outs[-1] if u is None else outs[-1] + u
             stacked = np.concatenate(outs[:-1] + [last], axis=-1)
             z, cache = self.iwt[i].forward(self._flatten_bf(stacked))
@@ -597,8 +556,11 @@ class MetaModel:
             gz = self._flatten_bf(_interleave_backward(g))
             gs = self.iwt[i].backward(gz, tape["iwt_caches"][i])
             gouts = _split_parts(self._unflatten_bf(gs, be, bf), a)
-            g_blocks_all[i], g_parts[i] = self._band_matvec_backward(
-                tape["blocks"][i], self.layouts[i], tape["parts"][i], gouts)
+            g_blocks, g_parts[i] = nsform.band_multiply_adjoint(
+                self._band_terms(tape["blocks"][i], self.layouts[i]),
+                tape["parts"][i], gouts, tuple(range(2, 2 + cfg.dim)),
+                cfg.padding)
+            g_blocks_all[i] = {slot: g[:, 0] for slot, g in g_blocks.items()}
             g = gouts[-1]  # gradient into u from the next-finer level
 
         g_f_chan = None
@@ -643,7 +605,9 @@ def collection_from_nsform(ns, cfg: ModelConfig) -> list[dict]:
             blk = level_blocks[slot] if slot != (last, last) \
                 else nsform.BandedBlock.from_dense(ns.coarse, cfg.dim)
             arr = _lookup_diags(blk, lay.offsets[slot], lay.size)
-            blocks[slot] = _tile_channels(arr, cfg.alpha)
+            # (spatial.., n_off) -> (1, spatial.., alpha, n_off)
+            blocks[slot] = np.repeat(arr[..., None, :], cfg.alpha,
+                                     axis=-2)[None]
         out.append(blocks)
     return out
 
@@ -655,11 +619,6 @@ def _lookup_diags(blk, offsets: np.ndarray, size: int) -> np.ndarray:
     cols = [blk.data[..., have[tuple(o)]] if tuple(o) in have
             else np.zeros(grid) for o in offsets]
     return np.stack(cols, axis=-1)
-
-
-def _tile_channels(arr: np.ndarray, alpha: int) -> np.ndarray:
-    # (spatial.., n_off) -> (1, spatial.., alpha, n_off)
-    return np.repeat(arr[..., None, :], alpha, axis=-2)[None]
 
 
 #: unit sources pushed through the f path per export pass; it bounds the

@@ -17,12 +17,16 @@ truncated (it is tiny).
 
 `apply` implements the four-step fast product (pyramid transform, banded
 block multiply with the (last, last) block zero except at the coarsest
-level, inverse pyramid).  With `padding="zero"` every periodic wrap is
-replaced by zero extension; this variant exists as the oracle for the
-zero-padded network architecture and is *not* a factorization of A.
+level, where the coarse block acts through its periodic diagonals like
+every other block, inverse pyramid).  With `padding="zero"` every
+periodic wrap is replaced by zero extension; this variant exists as the
+oracle for the zero-padded network architecture and is *not* a
+factorization of A.
 
-`band_multiply` reads every shift as a view of its input padded once by
-a halo; the model's f path calls it too, with learned block arrays.
+The model's f path shares this module's periodic-diagonal convention:
+`band_multiply` reads every shift as a view of its input padded once by a
+halo, `band_multiply_adjoint` is its adjoint over the same views, and
+`transpose_index` is the gather of a block's banded transpose.
 """
 
 from __future__ import annotations
@@ -48,17 +52,18 @@ from .wavelets import (
 
 def canonical_offset(o: int, n: int) -> int:
     """Signed representative of o mod n in [-((n-1)//2), n//2]."""
-    if n == 1:
-        return 0
     lo = -((n - 1) // 2)
     return (o - lo) % n + lo
 
 
-def band_offsets(n: int, nb: int | None) -> np.ndarray:
-    """Distinct periodic-diagonal offsets for an n x n block, |o| <= nb."""
+def band_offsets(n: int, nb: int | None, dim: int) -> np.ndarray:
+    """Distinct periodic-diagonal offsets (n_off, dim) of an (n,)*dim
+    block, max |o| <= nb, in row-major order."""
     if nb is None or 2 * nb + 1 >= n:
-        return np.arange(-((n - 1) // 2) if n > 1 else 0, n // 2 + 1)
-    return np.arange(-nb, nb + 1)
+        axis = np.arange(-((n - 1) // 2), n // 2 + 1)
+    else:
+        axis = np.arange(-nb, nb + 1)
+    return np.array(list(itertools.product(axis, repeat=dim)))
 
 
 def _diagonal_index(n: int, offsets: np.ndarray):
@@ -69,6 +74,26 @@ def _diagonal_index(n: int, offsets: np.ndarray):
     o = offsets.T.reshape((dim,) + (1,) * dim + (-1,))  # (dim, 1.., n_off)
     return (np.ravel_multi_index(tuple(k), (n,) * dim),
             np.ravel_multi_index(tuple((k + o) % n), (n,) * dim))
+
+
+def transpose_index(offsets: np.ndarray, n: int):
+    """(cols, neg): diagonal o of B^T is diagonal -o of B shifted by o, so
+    B^T's data[k.., t] is B's at flat grid point cols[k.., t] = (k + o_t)
+    mod n.. and diagonal neg[t], the index of -o_t (canonical) in offsets."""
+    index = {tuple(o): t for t, o in enumerate(offsets.tolist())}
+    neg = np.array([index[tuple(canonical_offset(-c, n) for c in o)]
+                    for o in index])
+    return _diagonal_index(n, offsets)[1], neg
+
+
+def _grid_side(a: np.ndarray, dim: int) -> int:
+    """Side n of the (n,)*dim grid that the square matrix a acts on."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"expected square matrix, got {a.shape}")
+    side = round(a.shape[0] ** (1 / dim))
+    if side ** dim != a.shape[0]:
+        raise ShapeError(f"size {a.shape[0]} is not a {dim}D grid size")
+    return side
 
 
 # -- halo-padded shifts --------------------------------------------------------
@@ -143,6 +168,32 @@ def band_multiply(terms, parts: list, axes, padding: str) -> list:
     return outs
 
 
+def band_multiply_adjoint(terms, parts: list, gouts: list, axes,
+                          padding: str):
+    """(coef_grads, part_grads) of `band_multiply` at output gradients
+    `gouts`, over the same halo-padded views: coef_grads[slot] is summed
+    over the axes along which coef[.., t] broadcasts against its part."""
+    width = max(int(np.abs(offs).max()) for _, offs, _ in terms)
+    padded = [_pad_halo(x, width, axes, padding) for x in parts]
+    g_padded = [np.zeros_like(xp) for xp in padded]
+    coef_grads = {}
+    for (i, j), offs, coef in terms:
+        xp, gp, go = padded[j], g_padded[j], gouts[i]
+        summed = tuple(ax for ax, g in enumerate(go.shape)
+                       if coef.shape[ax] == 1 != g)
+        g_coef = np.empty_like(coef)
+        tmp = np.empty(go.shape)
+        for t, o in enumerate(offs.tolist()):
+            xs = _halo_view(xp, o, width, axes)
+            g_coef[..., t] = np.sum(np.multiply(go, xs, out=tmp), axis=summed,
+                                    keepdims=True)
+            _halo_view(gp, o, width, axes)[...] += np.multiply(
+                coef[..., t], go, out=tmp)
+        coef_grads[i, j] = g_coef
+    return coef_grads, [_fold_halo(gp, width, axes, padding)
+                        for gp in g_padded]
+
+
 @dataclass
 class BandedBlock:
     """Periodic band matrix on vectorized (n,)*dim grids, stored as
@@ -157,17 +208,13 @@ class BandedBlock:
 
     @classmethod
     def from_dense(cls, a: np.ndarray, dim: int = 1) -> "BandedBlock":
-        n = round(a.shape[0] ** (1 / dim))
-        offsets = np.array(list(itertools.product(band_offsets(n, None),
-                                                  repeat=dim)))
-        rows, cols = _diagonal_index(n, offsets)
-        return cls(offsets=offsets, data=a[rows, cols])
+        n = _grid_side(a, dim)
+        offsets = band_offsets(n, None, dim)
+        return cls(offsets=offsets, data=a[_diagonal_index(n, offsets)])
 
     def truncated(self, nb: int) -> "BandedBlock":
-        n = self.n
-        circ = np.minimum(np.abs(self.offsets) % n,
-                          n - np.abs(self.offsets) % n)
-        keep = np.max(circ, axis=1) <= nb
+        # canonical offsets: |o| is the circular distance
+        keep = np.max(np.abs(self.offsets), axis=1) <= nb
         return BandedBlock(offsets=self.offsets[keep],
                            data=self.data[..., keep])
 
@@ -186,11 +233,7 @@ def build_nonstandard(a: np.ndarray, filt: WaveletFilter, l0: int,
                       dim: int = 1) -> NonstandardForm:
     """Exact (untruncated) nonstandard form of a dense operator on
     vectorized (2^L,)*dim grids."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected square matrix, got {a.shape}")
-    side = round(a.shape[0] ** (1 / dim))
-    if side ** dim != a.shape[0]:
-        raise ShapeError(f"size {a.shape[0]} is not a {dim}D grid size")
+    side = _grid_side(a, dim)
     l_max = _check_pow2(side)
     if not min_coarse_level(filt.p) <= l0 < l_max:
         raise ShapeError(f"l0={l0} invalid for grid side {side}, p={filt.p}")
@@ -241,21 +284,14 @@ def apply(ns: NonstandardForm, v: np.ndarray, filt: WaveletFilter,
     cols = (1,) * (v.ndim - dim)
     u = np.zeros_like(s)
     for level, blocks in enumerate(ns.levels, ns.l0):
-        xs = parts[level]
-        coarse = level == ns.l0
-        if coarse and padding != PERIODIC:
-            # zero mode follows the architecture: the dense block acts
-            # through its periodic diagonals with zero-filled shifts
+        if level == ns.l0:
             blocks = {**blocks,
                       (last, last): BandedBlock.from_dense(ns.coarse, dim)}
         outs = band_multiply(
             [(slot, blk.offsets,
               blk.data.reshape(blk.data.shape[:dim] + cols + (-1,)))
-             for slot, blk in blocks.items()], xs, tuple(range(dim)), padding)
-        if coarse and padding == PERIODIC:
-            flat = xs[last].reshape((-1,) + xs[last].shape[dim:])
-            outs[last] = outs[last] + np.tensordot(
-                ns.coarse, flat, axes=(1, 0)).reshape(outs[last].shape)
+             for slot, blk in blocks.items()], parts[level],
+            tuple(range(dim)), padding)
         outs[last] = outs[last] + u
         u = inverse_parts(outs, filt, dim, padding)
     return u

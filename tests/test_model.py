@@ -272,13 +272,33 @@ def test_export_equals_forward_column_by_column(dim, n, levels, padding,
         assert np.max(np.abs(g[:, k] - col)) <= 1e-13 * scale
 
 
+def _check_band_multiply(terms, parts, gouts, axes, padding):
+    """`nsform.band_multiply` against the np.roll reference, and its
+    adjoint by <B x, y> = <x, B^T y> and <B x, y> = <B, g_B>; returns the
+    coefficient gradients."""
+    outs = nsf.band_multiply(terms, parts, axes, padding)
+    ref = reference.band_multiply(terms, parts, axes, padding)
+    for o, r in zip(outs, ref):
+        assert np.max(np.abs(o - r)) <= 1e-13 * np.max(np.abs(r))
+    g_coefs, g_parts = nsf.band_multiply_adjoint(terms, parts, gouts, axes,
+                                                 padding)
+    assert [g.shape for g in g_parts] == [x.shape for x in parts]
+    lhs = sum(np.vdot(o, g) for o, g in zip(outs, gouts))
+    rhs_x = sum(np.vdot(p, g) for p, g in zip(parts, g_parts))
+    rhs_b = sum(np.vdot(coef, g_coefs[slot]) for slot, _, coef in terms)
+    assert abs(lhs - rhs_x) <= 1e-12 * abs(lhs)
+    assert abs(lhs - rhs_b) <= 1e-12 * abs(lhs)
+    return g_coefs
+
+
 @pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
 @pytest.mark.parametrize("padding", ["periodic", "zero"])
 @pytest.mark.parametrize("level", [0, 1])
 def test_band_matvec_matches_reference_and_its_adjoint(dim, n, padding,
                                                        level):
-    """<B x, y> = <x, B^T y> and <B x, y> = <B, g_B> for random blocks,
-    level 0 including the dense coarse block."""
+    """The model's layout: parts (Be, Bf, spatial.., alpha), blocks (Be, 1,
+    spatial.., alpha, n_off) broadcast over Bf; level 0 includes the dense
+    coarse block."""
     cfg = ModelConfig(n=n, levels=2, alpha=2, depth=1, nb=2, p=1,
                       padding=padding, dim=dim, seed=0)
     mdl = MetaModel(cfg)
@@ -294,20 +314,46 @@ def test_band_matvec_matches_reference_and_its_adjoint(dim, n, padding,
              for _ in range(n_parts)]
     gouts = [rng.standard_normal(p.shape) for p in parts]
     coarsest = level == 0
-    outs = mdl._band_matvec(blocks, lay, parts)
-    ref = reference.band_multiply(
-        [(key, lay.offsets[key], arr[:, None]) for key, arr in blocks.items()],
-        parts, tuple(range(2, 2 + dim)), padding)
-    for o, r in zip(outs, ref):
-        assert np.max(np.abs(o - r)) <= 1e-13 * np.max(np.abs(r))
-    g_blocks, g_parts = mdl._band_matvec_backward(blocks, lay, parts, gouts)
-    lhs = sum(np.vdot(o, g) for o, g in zip(outs, gouts))
-    rhs_x = sum(np.vdot(p, g) for p, g in zip(parts, g_parts))
-    rhs_b = sum(np.vdot(blocks[k], g) for k, g in g_blocks.items())
-    assert abs(lhs - rhs_x) <= 1e-12 * abs(lhs)
-    assert abs(lhs - rhs_b) <= 1e-12 * abs(lhs)
+    terms = [(key, lay.offsets[key], arr[:, None])
+             for key, arr in blocks.items()]
+    g_blocks = _check_band_multiply(terms, parts, gouts,
+                                    tuple(range(2, 2 + dim)), padding)
+    for key, arr in blocks.items():
+        assert g_blocks[key].shape == (be, 1) + arr.shape[1:]
     last = (1 << dim) - 1
     assert ((last, last) in g_blocks) == coarsest
+
+
+@pytest.mark.parametrize("dim,side", [(1, 16), (2, 8)])
+@pytest.mark.parametrize("padding", ["periodic", "zero"])
+def test_band_multiply_adjoint_on_the_oracle_layout(dim, side, padding):
+    """The oracle's layout: parts (spatial.., columns), coefficients
+    (spatial.., 1, n_off) broadcast over the trailing column axis, whose
+    gradient is summed over it."""
+    rng = np.random.default_rng(23)
+    ns = nsf.truncate(nsf.build_nonstandard(
+        rng.standard_normal((side ** dim,) * 2), wv.daubechies_filter(1), 1,
+        dim=dim), 1)
+    blocks = ns.levels[-1]
+    m, ncols = blocks[0, 1].n, 5
+    terms = [(slot, blk.offsets,
+              rng.standard_normal((m,) * dim + (1, len(blk.offsets))))
+             for slot, blk in blocks.items()]
+    parts = [rng.standard_normal((m,) * dim + (ncols,))
+             for _ in range(1 << dim)]
+    gouts = [rng.standard_normal(p.shape) for p in parts]
+    g_coefs = _check_band_multiply(terms, parts, gouts, tuple(range(dim)),
+                                   padding)
+    for (i, j), offs, coef in terms:
+        assert g_coefs[i, j].shape == coef.shape
+        # each coefficient's gradient, summed over the columns by hand
+        for t in range(len(offs)):
+            shifted = reference.band_multiply(
+                [((0, 0), offs[t:t + 1], np.ones((1,) * (dim + 2)))],
+                [parts[j]], tuple(range(dim)), padding)[0]
+            assert np.allclose(g_coefs[i, j][..., 0, t],
+                               np.sum(gouts[i] * shifted, axis=-1),
+                               rtol=1e-13, atol=1e-13)
 
 
 def test_export_runtime_bounded_by_n_forward_passes():

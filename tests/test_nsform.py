@@ -226,6 +226,36 @@ def test_2d_truncation_and_offsets():
             assert np.max(circ) <= 1
 
 
+@pytest.mark.parametrize("shape,dim", [((10, 10), 2), ((3, 4), 1)],
+                         ids=["10x10-2d", "3x4-1d"])
+def test_from_dense_rejects_a_matrix_that_is_no_grid_operator(shape, dim):
+    """A 10 x 10 matrix is no 2D grid operator and a 3 x 4 one is not
+    square; neither may be read as a sub-block."""
+    a = np.zeros(shape)
+    with pytest.raises(ShapeError):
+        nsf.BandedBlock.from_dense(a, dim)
+    with pytest.raises(ShapeError):
+        nsf.build_nonstandard(a, wv.daubechies_filter(1), 0, dim=dim)
+
+
+def test_model_uses_no_private_name_of_the_oracle():
+    """The model reaches the banded block only through the oracle's public
+    functions: no `nsform._*` attribute and no `from .nsform import _*`."""
+    import ast
+
+    import nswave.model
+    tree = ast.parse(Path(nswave.model.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value,
+                                                          ast.Name):
+            assert not (node.value.id == "nsform"
+                        and node.attr.startswith("_")), node.attr
+        elif isinstance(node, ast.ImportFrom) and node.module and \
+                node.module.split(".")[-1] == "nsform":
+            names = [a.name for a in node.names]
+            assert not any(n.startswith("_") for n in names), names
+
+
 def test_oracle_imports_nothing_from_the_model():
     """The oracle stays an independent reference for the model: within the
     package it imports only the wavelet transforms and the error types."""
