@@ -9,7 +9,9 @@ Four stages, mirroring the fast nonstandard-form matvec:
    no bias) split each scale into detail and smooth channels;
 3. per-channel banded multiplication in coefficient space, with the
    scaling-to-scaling block zero except at the coarsest level: the
-   oracle's own `nsform.band_multiply` and `band_multiply_adjoint`;
+   oracle's own `nsform.band_multiply` and `band_multiply_adjoint` in
+   training, and at a fixed eta one CSR product per block
+   (`nsform.band_matrix`), which sums exactly as the loop does;
 4. learnable inverse-transform convolutions (window p, stride 1) with the
    interleaving reshape, followed by a channel average.
 
@@ -22,7 +24,9 @@ under either padding; under zero fill the layout leaves out the one
 diagonal that has no transpose there (offset n/2 of an even block).
 
 `learned_operator` is the one apply of the learned operator at a fixed
-eta: `export_operator` is its product with unit sources.
+eta: it computes the collection and compiles its blocks once, and
+`export_operator` is its product with unit sources.  The transform convs
+still run as in training.
 
 With the transform convs initialized to the exact Daubechies filters and
 the collection taken from a truncated nonstandard form, the forward pass
@@ -42,6 +46,7 @@ import itertools
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from . import nsform
@@ -437,6 +442,25 @@ class MetaModel:
         return [(slot, lay.offsets[slot], arr[:, None])
                 for slot, arr in blocks.items()]
 
+    def _band_stage(self, blocks: dict, lay: LevelLayout,
+                    parts: list) -> list:
+        """A level's banded multiply: the offset loop of
+        `nsform.band_multiply` over block arrays, or one CSR product per
+        slot when the collection holds `learned_operator`'s compiled
+        blocks (one eta, so Be = 1)."""
+        if not sparse.issparse(next(iter(blocks.values()))):
+            return nsform.band_multiply(
+                self._band_terms(blocks, lay), parts,
+                tuple(range(2, 2 + self.cfg.dim)), self.cfg.padding)
+        # (1, Bf, spatial.., alpha) -> (spatial.. x alpha, Bf) columns
+        bf = parts[0].shape[1]
+        cols = [np.moveaxis(x[0], 0, -1).reshape(-1, bf) for x in parts]
+        outs = [0.0] * len(parts)
+        for (i, j), mat in blocks.items():  # slot order, as the loop sums
+            outs[i] = outs[i] + mat @ cols[j]
+        return [np.moveaxis(y.reshape(x.shape[2:] + (bf,)), -1, 0)[None]
+                for y, x in zip(outs, parts)]
+
     # -- forward / backward ----------------------------------------------------
 
     def _flatten_bf(self, x: np.ndarray) -> np.ndarray:
@@ -509,9 +533,7 @@ class MetaModel:
         iwt_caches = [None] * cfg.levels
         u = None
         for i in range(cfg.levels):
-            outs = nsform.band_multiply(
-                self._band_terms(blocks[i], self.layouts[i]), parts[i],
-                tuple(range(2, 2 + sdim)), cfg.padding)
+            outs = self._band_stage(blocks[i], self.layouts[i], parts[i])
             last = outs[-1] if u is None else outs[-1] + u
             stacked = np.concatenate(outs[:-1] + [last], axis=-1)
             z, cache = self.iwt[i].forward(self._flatten_bf(stacked))
@@ -589,7 +611,9 @@ class MetaModel:
 def collection_from_nsform(ns, cfg: ModelConfig) -> list[dict]:
     """Materialized per-level blocks reproducing a (truncated) nonstandard
     form.  Every channel carries the same diagonals, so under exact-filter
-    initialization the channel average returns exactly the nsform matvec."""
+    initialization the channel average returns exactly the nsform matvec.
+    A form with a nonzero diagonal outside the model's layout (a band
+    wider than `cfg.nb`) is a ShapeError."""
     layouts = build_layout(cfg)
     if (ns.dim, len(ns.levels)) != (cfg.dim, cfg.levels):
         raise ShapeError(
@@ -599,12 +623,22 @@ def collection_from_nsform(ns, cfg: ModelConfig) -> list[dict]:
     # both key blocks by slot (i, j); the model's coarse slot (last, last)
     # is the oracle's dense coarse block, read as periodic diagonals
     out = []
-    for lay, level_blocks in zip(layouts, ns.levels):
+    for i, (lay, level_blocks) in enumerate(zip(layouts, ns.levels)):
         blocks = {}
         for slot in sorted(lay.offsets):
             blk = level_blocks[slot] if slot != (last, last) \
                 else nsform.BandedBlock.from_dense(ns.coarse, cfg.dim)
-            arr = _lookup_diags(blk, lay.offsets[slot], lay.size)
+            have = dict(zip(map(tuple, blk.offsets.tolist()),
+                            np.moveaxis(blk.data, -1, 0)))
+            want = list(map(tuple, lay.offsets[slot].tolist()))
+            for o in have.keys() - set(want):
+                if np.any(have[o]):
+                    raise ShapeError(
+                        f"nsform level {i} (size {lay.size}), slot {slot}: "
+                        f"diagonal {o} is nonzero but outside the model's "
+                        f"band (nb={cfg.nb})")
+            zero = np.zeros((lay.size,) * cfg.dim)
+            arr = np.stack([have.get(o, zero) for o in want], axis=-1)
             # (spatial.., n_off) -> (1, spatial.., alpha, n_off)
             blocks[slot] = np.repeat(arr[..., None, :], cfg.alpha,
                                      axis=-2)[None]
@@ -612,17 +646,9 @@ def collection_from_nsform(ns, cfg: ModelConfig) -> list[dict]:
     return out
 
 
-def _lookup_diags(blk, offsets: np.ndarray, size: int) -> np.ndarray:
-    """Diagonal data of a banded block re-ordered to a layout's offsets."""
-    have = {tuple(o): t for t, o in enumerate(blk.offsets)}
-    grid = (size,) * offsets.shape[1]
-    cols = [blk.data[..., have[tuple(o)]] if tuple(o) in have
-            else np.zeros(grid) for o in offsets]
-    return np.stack(cols, axis=-1)
-
-
 #: unit sources pushed through the f path per export pass; it bounds the
-#: pass's working set, which grows linearly with it
+#: pass's working set, which grows linearly with it, and picks the BLAS
+#: kernel of the transform convs, so it also sets the export's bits
 EXPORT_PASS = 64
 
 
@@ -630,7 +656,9 @@ def export_operator(mdl: MetaModel, eta: np.ndarray) -> np.ndarray:
     """Dense matrix of the learned operator at eta: `learned_operator`
     applied to unit sources (exact, because the f path is linear), in
     passes of `EXPORT_PASS` columns written into the preallocated (N, N)
-    result, so memory stays bounded by one pass whatever the grid size.
+    result.  Beyond the result, a pass holds the transform convs' tap
+    matrices, which grow with the grid (EXPORT_PASS * N * p**dim * alpha
+    floats each).
     """
     op = learned_operator(mdl, eta)
     nn = op.shape[0]
@@ -643,12 +671,19 @@ def export_operator(mdl: MetaModel, eta: np.ndarray) -> np.ndarray:
 
 def learned_operator(mdl: MetaModel, eta: np.ndarray) -> spla.LinearOperator:
     """The learned operator at eta on flattened grids, applied without
-    forming it: `matvec` (and `matmat`, on (N, k) blocks) is
-    `MetaModel.forward` with the collection computed once.  A symmetric
-    model's operator is symmetric by construction, so there `rmatvec` is
-    the same product; otherwise it is the f-path adjoint (what `backward`
-    returns), and every gradient accumulator is restored afterwards."""
+    forming it.  The collection is computed once and each banded block
+    compiled once into a CSR matrix (`nsform.band_matrix`); `matvec` (and
+    `matmat`, on (N, k) blocks) is `MetaModel.forward` with those
+    matrices, bit-identical to the offset loop.  A symmetric model's
+    operator is symmetric by construction, so there `rmatvec` is the same
+    product; otherwise it is the f-path adjoint (what `backward` returns,
+    over the raw blocks), and every gradient accumulator is restored
+    afterwards."""
     collection = mdl.collection(eta)
+    compiled = [{slot: nsform.band_matrix(lay.offsets[slot], arr[0],
+                                          lay.size, mdl.cfg.padding)
+                 for slot, arr in blocks.items()}
+                for blocks, lay in zip(collection, mdl.layouts)]
     spatial = mdl._expect_spatial()
     nn = int(np.prod(spatial))
 
@@ -657,7 +692,7 @@ def learned_operator(mdl: MetaModel, eta: np.ndarray) -> spla.LinearOperator:
             (-1,) + spatial)
 
     def matvec(v):
-        u = mdl.forward(eta, sources(v), collection=collection)
+        u = mdl.forward(eta, sources(v), collection=compiled)
         return u.reshape(-1, nn).T.reshape(np.shape(v))
 
     def rmatvec(v):

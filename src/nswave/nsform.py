@@ -27,6 +27,9 @@ The model's f path shares this module's periodic-diagonal convention:
 `band_multiply` reads every shift as a view of its input padded once by a
 halo, `band_multiply_adjoint` is its adjoint over the same views, and
 `transpose_index` is the gather of a block's banded transpose.
+`band_matrix` compiles one block into a CSR matrix whose rows hold their
+entries in offset order, so its product sums every row as `band_multiply`
+does (the learned operator at a fixed eta applies its blocks this way).
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .errors import ShapeError
 from .wavelets import (
@@ -192,6 +196,52 @@ def band_multiply_adjoint(terms, parts: list, gouts: list, axes,
         coef_grads[i, j] = g_coef
     return coef_grads, [_fold_halo(gp, width, axes, padding)
                         for gp in g_padded]
+
+
+@functools.lru_cache(maxsize=64)
+def _band_pattern(offsets: tuple, n: int, channels: int, padding: str):
+    """(indices, indptr, keep) of `band_matrix`'s CSR pattern: row (k..,
+    c) holds, in offset order, column ((k + o_t) mod n.., c) of every
+    offset; under zero fill `keep` masks out the entries whose k + o_t
+    leaves the grid (None when periodic).  Read-only, computed once per
+    geometry and process."""
+    offs = np.array(offsets)
+    n_off, dim = offs.shape
+    cols = _diagonal_index(n, offs)[1]                  # (n.., n_off)
+    indices = cols[..., None, :] * channels + np.arange(channels)[:, None]
+    itype = np.int32 if indices.size < 2 ** 31 else np.int64
+    keep = None
+    if padding == PERIODIC:
+        indptr = np.arange(0, indices.size + 1, n_off)
+    else:
+        k = np.indices((n,) * dim)[..., None]
+        shifted = k + offs.T.reshape((dim,) + (1,) * dim + (-1,))
+        inside = np.all((shifted >= 0) & (shifted < n), axis=0)
+        keep = np.broadcast_to(inside[..., None, :], indices.shape).reshape(-1)
+        indptr = np.append(0, np.cumsum(keep.reshape(-1, n_off).sum(axis=1)))
+        indices = indices.reshape(-1)[keep]
+        keep.setflags(write=False)
+    indices, indptr = indices.reshape(-1).astype(itype), indptr.astype(itype)
+    for a in (indices, indptr):
+        a.setflags(write=False)
+    return indices, indptr, keep
+
+
+def band_matrix(offsets: np.ndarray, coef: np.ndarray, n: int,
+                padding: str) -> sparse.csr_array:
+    """One `band_multiply` term as a CSR matrix on (n,)*dim grid functions
+    with trailing channel axes, flattened row-major: row (k.., c) holds
+    coef[k.., c, t] at column (k + o_t.., c), its entries in offset order,
+    so `band_matrix(..) @ x` sums every row as `band_multiply` does.  coef
+    is (n,)*dim + channel axes + (n_off,); a zero-fill shift drops the
+    entries that leave the grid."""
+    channels = coef.size // (n ** offsets.shape[1] * len(offsets))
+    indices, indptr, keep = _band_pattern(
+        tuple(map(tuple, offsets.tolist())), n, channels, padding)
+    data = coef.reshape(-1)
+    size = len(indptr) - 1
+    return sparse.csr_array((data if keep is None else data[keep], indices,
+                             indptr), shape=(size, size))
 
 
 @dataclass

@@ -344,12 +344,8 @@ def power_norm2(mat, name: str = "an operator") -> float:
     DENSE_NORM_LIMIT on the smaller side an operator is formed (one
     `matmat` of the identity) and LAPACK `svdvals` takes the norm; above
     it ARPACK `svds` (k = 1, fixed random start) takes it from products.
-
-    One BLAS thread, shared 2-vCPU host, n x n Gaussian matrices, svdvals
-    vs svds: 1.3 vs 1.8 ms at n = 128, 4.1 vs 2.5 at 192, 8.5 vs 5.7 at
-    256, 54 vs 23 at 512.  The limit is 256 all the same: up to it,
-    forming a learned operator costs less than ARPACK's ~85 single-source
-    products (2D Schrodinger, N = 256: 0.09 vs 0.17 s per eta).
+    The two routes round differently, so moving the limit moves
+    operator-error values (its timings are recorded in CHANGES.md).
 
     G is scaled by the power of two nearest max|G| (above the limit,
     max|G v0| of the start v0), so ARPACK's Gram operator neither over-

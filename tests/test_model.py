@@ -16,6 +16,7 @@ from nswave.model import (
     ModelConfig,
     collection_from_nsform,
     export_operator,
+    learned_operator,
     symmetrize_blocks,
     tie,
     untie,
@@ -270,6 +271,66 @@ def test_export_equals_forward_column_by_column(dim, n, levels, padding,
         k = min(k, nn - 1)
         col = mdl.forward(eta, basis[k]).reshape(nn)
         assert np.max(np.abs(g[:, k] - col)) <= 1e-13 * scale
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(dim=st.integers(1, 2), levels=st.integers(1, 2), k=st.integers(1, 3),
+       p=st.integers(1, 3), nb=st.integers(0, 3), alpha=st.integers(1, 3),
+       padding=st.sampled_from(["periodic", "zero"]), symmetric=st.booleans())
+def test_learned_operator_compiled_blocks_are_bit_identical(
+        dim, levels, k, p, nb, alpha, padding, symmetric):
+    """`learned_operator`'s CSR blocks give the bytes of the offset loop,
+    and its rmatvec is the adjoint of its matvec."""
+    n = k << levels
+    cfg = ModelConfig(n=n, levels=levels, alpha=alpha, depth=1, nb=nb, p=p,
+                      padding=padding, symmetric=symmetric, dim=dim, seed=3)
+    mdl = _scrambled_model(cfg, 4)
+    shape, nn = (n,) * dim, n ** dim
+    rng = np.random.default_rng(5)
+    eta = rng.standard_normal(shape)
+    op = learned_operator(mdl, eta)
+    v = rng.standard_normal((nn, 3))
+    u = mdl.forward(eta, v.T.reshape((3,) + shape),
+                    collection=mdl.collection(eta))
+    assert np.array_equal(op.matmat(v), u.reshape(3, nn).T)
+    x, y = rng.standard_normal((2, nn))
+    gx, gty = op.matvec(x), op.rmatvec(y)
+    scale = np.linalg.norm(gx) * np.linalg.norm(y) \
+        + np.linalg.norm(x) * np.linalg.norm(gty)
+    assert abs(gx @ y - x @ gty) <= 1e-12 * scale
+
+
+def test_export_and_matvec_run_no_offset_loop(monkeypatch):
+    cfg = ModelConfig(n=8, levels=2, alpha=2, depth=1, nb=1, p=2,
+                      padding="zero", dim=2, seed=3)
+    mdl = _scrambled_model(cfg, 4)
+    eta = np.random.default_rng(5).standard_normal((8, 8))
+    op = learned_operator(mdl, eta)
+
+    def loop(*args):
+        raise AssertionError("nsform.band_multiply called")
+    monkeypatch.setattr(nsf, "band_multiply", loop)
+    g = export_operator(mdl, eta)
+    assert np.array_equal(op.matmat(np.eye(64)), g)  # export's one pass
+    gap = np.max(np.abs(op.matvec(np.eye(64)[0]) - g[:, 0]))
+    assert gap <= 1e-13 * np.max(np.abs(g))
+
+
+def test_collection_from_nsform_rejects_a_band_wider_than_the_layout():
+    rng = np.random.default_rng(6)
+    filt = wv.daubechies_filter(1)
+    ns = nsf.build_nonstandard(rng.standard_normal((32, 32)), filt, 2)
+    cfg = ModelConfig(n=32, levels=3, alpha=1, depth=1, nb=1, p=1,
+                      init_noise=0.0, seed=0)
+    for form in (ns, nsf.truncate(ns, 3)):
+        with pytest.raises(ShapeError, match=r"level 0 .* slot \(0, 0\): "
+                                             r"diagonal \(2,\)"):
+            collection_from_nsform(form, cfg)
+    ns1 = nsf.truncate(ns, 1)
+    coll = collection_from_nsform(ns1, cfg)
+    v = rng.standard_normal(32)
+    u = exact_model(cfg).forward(np.zeros(32), v, collection=coll)
+    assert np.max(np.abs(u - nsf.apply(ns1, v, filt))) < 1e-10
 
 
 def _check_band_multiply(terms, parts, gouts, axes, padding):

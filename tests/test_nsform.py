@@ -152,6 +152,24 @@ def test_banded_block_dense_roundtrip_and_transpose():
     assert np.allclose(out, a @ v, atol=1e-13)
 
 
+@pytest.mark.parametrize("dim,n", [(1, 1), (1, 5), (1, 12), (2, 3), (2, 8)])
+@pytest.mark.parametrize("padding", ["periodic", "zero"])
+@pytest.mark.parametrize("nb", [0, 2, None])
+def test_band_matrix_product_equals_band_multiply_bytes(dim, n, padding, nb):
+    """One compiled slot, with and without a channel axis, gives the bytes
+    of `band_multiply` on the same term, columns being extra sources."""
+    rng = np.random.default_rng(14)
+    offs = nsf.band_offsets(n, nb, dim)
+    for channels in ((), (3,)):
+        coef = rng.standard_normal((n,) * dim + channels + (len(offs),))
+        x = rng.standard_normal((n,) * dim + channels + (4,))
+        out, = nsf.band_multiply([((0, 0), offs, coef[..., None, :])], [x],
+                                 tuple(range(dim)), padding)
+        mat = nsf.band_matrix(offs, coef, n, padding)
+        prod = 0.0 + mat @ x.reshape(-1, 4)  # band_multiply's 0.0 start
+        assert np.array_equal(prod.reshape(out.shape), out)
+
+
 @pytest.mark.parametrize("dim,side,p,l0", [(1, 32, 1, 0), (1, 64, 3, 3),
                                            (2, 16, 1, 1), (2, 16, 2, 2)])
 @pytest.mark.parametrize("nb", [None, 1])
