@@ -25,8 +25,9 @@ diagonal that has no transpose there (offset n/2 of an even block).
 
 `learned_operator` is the one apply of the learned operator at a fixed
 eta: it computes the collection and compiles its blocks once, and
-`export_operator` is its product with unit sources.  The transform convs
-still run as in training.
+`export_operator` is its product with unit sources; its transpose is the
+same apply of `MetaModel.transposed`.  The transform convs still run as
+in training.
 
 With the transform convs initialized to the exact Daubechies filters and
 the collection taken from a truncated nonstandard form, the forward pass
@@ -41,6 +42,7 @@ works, which is how the 320-point and 80x80 configurations run.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 from dataclasses import asdict, dataclass
@@ -285,6 +287,18 @@ def _interleave_backward(gu: np.ndarray) -> np.ndarray:
 
 # -- the model -----------------------------------------------------------------
 
+def _transform_convs(cfg: ModelConfig, rng: np.random.Generator):
+    """The f path's forward- and inverse-transform convs, one of each per
+    level: linear, no bias, weights drawn from `rng`."""
+    m = cfg.alpha << cfg.dim  # a level's 2**dim parts of alpha channels
+    conv = functools.partial(Conv, cfg.dim, padding=cfg.padding, bias=False,
+                             rng=rng)
+    fwt = [conv(cfg.alpha, m, 2 * cfg.p, stride=2) for _ in range(cfg.levels)]
+    iwt = [conv(m, m, cfg.p, base_offset=-(cfg.p - 1))
+           for _ in range(cfg.levels)]
+    return fwt, iwt
+
+
 class MetaModel:
     """Learnable map (eta, f) -> u through the compressed-operator pipeline."""
 
@@ -293,7 +307,6 @@ class MetaModel:
         self.layouts = build_layout(cfg)
         rng = np.random.default_rng(cfg.seed)
         dim = cfg.dim
-        w = 2 * cfg.p
         center = -(cfg.p - 1)
 
         # eta path: one ConvNet per level, pooling down to that level's size
@@ -303,7 +316,7 @@ class MetaModel:
             seq = []
             for k in range(cfg.depth):
                 cin = 1 if k == 0 else cfg.alpha
-                seq.append(Conv(dim, cin, cfg.alpha, w, stride=1,
+                seq.append(Conv(dim, cin, cfg.alpha, 2 * cfg.p, stride=1,
                                 padding=cfg.padding, activation="relu",
                                 base_offset=center, rng=rng))
                 if k < pools_needed:
@@ -317,14 +330,7 @@ class MetaModel:
             seq.append(head)
             self.convnets.append(seq)
 
-        # f path: forward/inverse transform convs per level, linear, no bias
-        m = cfg.alpha << dim  # a level's 2**dim parts of alpha channels
-        self.fwt = [Conv(dim, cfg.alpha, m, w, stride=2, padding=cfg.padding,
-                         bias=False, rng=rng)
-                    for _ in range(cfg.levels)]
-        self.iwt = [Conv(dim, m, m, cfg.p, stride=1, padding=cfg.padding,
-                         bias=False, base_offset=center, rng=rng)
-                    for _ in range(cfg.levels)]
+        self.fwt, self.iwt = _transform_convs(cfg, rng)
         self.init_filters(daubechies_filter(cfg.p), noise=cfg.init_noise,
                           rng=rng)
 
@@ -380,6 +386,19 @@ class MetaModel:
             layer.weight[...] = ik
             if noise and not self.cfg.symmetric:
                 layer.weight += noise * rng.standard_normal(layer.weight.shape)
+
+    def transposed(self) -> MetaModel:
+        """This model with transform convs `untie(iwt)` and `tie(fwt)`: on
+        the transposed collection (blocks transposed, slot (i, j) moved to
+        (j, i)) its forward is this model's adjoint.  Not for symmetric
+        models, which are their own transpose and tie `iwt` per forward."""
+        t = copy.copy(self)
+        t.fwt, t.iwt = _transform_convs(self.cfg,
+                                        np.random.default_rng(self.cfg.seed))
+        for fl, il, tf, ti in zip(self.fwt, self.iwt, t.fwt, t.iwt):
+            tf.weight[...] = untie(il.weight)
+            ti.weight[...] = tie(fl.weight)
+        return t
 
     # -- eta path -------------------------------------------------------------
 
@@ -476,10 +495,11 @@ class MetaModel:
 
         eta: (spatial) or (Be, spatial); f: (spatial), (Bf, spatial) or
         (Be, Bf, spatial).  Returns (u, tape), u of shape (Be, Bf, spatial).
-        When `collection` is given (materialized block dicts) the eta path
-        is skipped entirely.  `keep=False` drops each layer's cache as soon
-        as the next layer has run, so the tape holds no intermediates and
-        the pass's working set is one layer's; `backward` cannot use it.
+        When `collection` is given (materialized or compiled block dicts)
+        the eta path is skipped.  `keep=False` drops each layer's cache as
+        soon as the next layer has run, so the tape holds no intermediates
+        and the pass's working set is one layer's.  `backward` needs the
+        eta path and `keep=True`.
         """
         cfg = self.cfg
         spatial = self._expect_spatial()
@@ -511,7 +531,6 @@ class MetaModel:
         else:
             blocks = collection
         tape["blocks"] = blocks
-        tape["ext_collection"] = collection is not None
 
         if self.cfg.symmetric:
             for fl, il in zip(self.fwt, self.iwt):
@@ -561,12 +580,9 @@ class MetaModel:
                 return u[0]
         return u
 
-    def backward(self, tape: dict, gu: np.ndarray):
-        """Accumulate parameter gradients; returns g_f, the gradient
-        with respect to the sources.
-
-        gu matches the (Be, Bf, spatial..) output of forward_with_tape.
-        """
+    def backward(self, tape: dict, gu: np.ndarray) -> None:
+        """Accumulate parameter gradients; gu matches the (Be, Bf,
+        spatial..) output of forward_with_tape."""
         cfg = self.cfg
         be, bf = tape["be"], tape["bf"]
         a = cfg.alpha
@@ -585,25 +601,22 @@ class MetaModel:
             g_blocks_all[i] = {slot: g[:, 0] for slot, g in g_blocks.items()}
             g = gouts[-1]  # gradient into u from the next-finer level
 
-        g_f_chan = None
+        g_v = None  # gradient into the next-finer level's scaling part
         for i in range(cfg.levels):
             gp = g_parts[i]
-            gv = gp[-1] if g_f_chan is None else gp[-1] + g_f_chan
+            gv = gp[-1] if g_v is None else gp[-1] + g_v
             gy = np.concatenate(gp[:-1] + [gv], axis=-1)
             gx = self.fwt[i].backward(self._flatten_bf(gy),
                                       tape["fwt_caches"][i])
-            g_f_chan = self._unflatten_bf(gx, be, bf)
-        g_f = g_f_chan.sum(axis=-1)
+            g_v = self._unflatten_bf(gx, be, bf)
 
         if self.cfg.symmetric:
             for fl, il in zip(self.fwt, self.iwt):
                 fl.gw += untie(il.gw)
                 il.gw[...] = 0.0
 
-        if not tape["ext_collection"]:
-            g_raw = self._materialize_backward(g_blocks_all)
-            self._eta_backward(g_raw, tape["eta_caches"])
-        return g_f
+        self._eta_backward(self._materialize_backward(g_blocks_all),
+                           tape["eta_caches"])
 
 
 # -- bridging from true nonstandard forms ---------------------------------------
@@ -675,41 +688,32 @@ def learned_operator(mdl: MetaModel, eta: np.ndarray) -> spla.LinearOperator:
     compiled once into a CSR matrix (`nsform.band_matrix`); `matvec` (and
     `matmat`, on (N, k) blocks) is `MetaModel.forward` with those
     matrices, bit-identical to the offset loop.  A symmetric model's
-    operator is symmetric by construction, so there `rmatvec` is the same
-    product; otherwise it is the f-path adjoint (what `backward` returns,
-    over the raw blocks), and every gradient accumulator is restored
-    afterwards."""
-    collection = mdl.collection(eta)
+    operator is symmetric by construction, so there `rmatvec` (and
+    `rmatmat`) is the same product; otherwise it is the forward of
+    `mdl.transposed()` with each compiled block transposed (`.T`, exact
+    also under zero fill) and moved from slot (i, j) to (j, i)."""
     compiled = [{slot: nsform.band_matrix(lay.offsets[slot], arr[0],
                                           lay.size, mdl.cfg.padding)
                  for slot, arr in blocks.items()}
-                for blocks, lay in zip(collection, mdl.layouts)]
+                for blocks, lay in zip(mdl.collection(eta), mdl.layouts)]
     spatial = mdl._expect_spatial()
     nn = int(np.prod(spatial))
 
-    def sources(v):
-        return np.asarray(v, dtype=float).reshape(nn, -1).T.reshape(
-            (-1,) + spatial)
-
-    def matvec(v):
-        u = mdl.forward(eta, sources(v), collection=compiled)
+    def product(model, collection, v):
+        f = np.asarray(v, dtype=float).reshape(nn, -1).T
+        u = model.forward(eta, f.reshape((-1,) + spatial),
+                          collection=collection)
         return u.reshape(-1, nn).T.reshape(np.shape(v))
 
-    def rmatvec(v):
-        gu = sources(v)[None]
-        _, tape = mdl.forward_with_tape(eta, np.zeros_like(gu),
-                                        collection=collection)
-        # the weight gradients of a zero source are zeros, but adding them
-        # can still turn a -0.0 into +0.0
-        convs = mdl.fwt + mdl.iwt
-        saved = [layer.gw.copy() for layer in convs]
-        try:
-            g_f = mdl.backward(tape, gu)
-        finally:
-            for layer, gw in zip(convs, saved):
-                layer.gw[...] = gw
-        return g_f[0].reshape(-1, nn).T.reshape(np.shape(v))
+    @functools.cache  # on first use: export and the dense norm need none
+    def transpose():
+        return mdl.transposed(), [
+            {(j, i): mat.T for (i, j), mat in blocks.items()}
+            for blocks in compiled]
 
-    return spla.LinearOperator(
-        (nn, nn), matvec=matvec, matmat=matvec,
-        rmatvec=matvec if mdl.cfg.symmetric else rmatvec, dtype=float)
+    matvec = rmatvec = functools.partial(product, mdl, compiled)
+    if not mdl.cfg.symmetric:
+        def rmatvec(v):
+            return product(*transpose(), v)
+    return spla.LinearOperator((nn, nn), matvec=matvec, matmat=matvec,
+                               rmatvec=rmatvec, rmatmat=rmatvec, dtype=float)

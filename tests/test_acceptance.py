@@ -119,8 +119,8 @@ def test_criterion_3_architecture_contains_algorithm():
             worst = max(worst, gap / max(1.0, np.max(np.abs(v))))
     for p, n, levels, l0 in ((1, 8, 2, 1), (3, 16, 1, 3)):
         filt = wv.daubechies_filter(p)
-        ns2 = nsf.truncate_2d(nsf.build_nonstandard_2d(
-            rng.standard_normal((n * n, n * n)), filt, l0), 1)
+        ns2 = nsf.truncate(nsf.build_nonstandard(
+            rng.standard_normal((n * n, n * n)), filt, l0, dim=2), 1)
         for padding in ("periodic", "zero"):
             cfg = ModelConfig(n=n, levels=levels, alpha=1, depth=1, nb=1,
                               p=p, padding=padding, dim=2, init_noise=0.0,
@@ -131,7 +131,7 @@ def test_criterion_3_architecture_contains_algorithm():
             v = rng.standard_normal((n, n))
             gap = np.max(np.abs(
                 mdl.forward(np.zeros((n, n)), v, collection=coll)
-                - nsf.apply_2d(ns2, v, filt, padding=padding)))
+                - nsf.apply(ns2, v, filt, padding=padding)))
             worst = max(worst, gap)
     report(3, worst <= 1e-10,
            f"model vs fast matvec, 1D/2D x periodic/zero: {worst:.2e} "

@@ -280,7 +280,10 @@ def test_export_equals_forward_column_by_column(dim, n, levels, padding,
 def test_learned_operator_compiled_blocks_are_bit_identical(
         dim, levels, k, p, nb, alpha, padding, symmetric):
     """`learned_operator`'s CSR blocks give the bytes of the offset loop,
-    and its rmatvec is the adjoint of its matvec."""
+    and its rmatvec is the adjoint of its matvec.  Densely: a
+    non-symmetric model's rmatmat of the identity is the transpose of its
+    matmat (this covers the zero-fill layouts that keep diagonal n/2 of
+    an even block), and a symmetric model's operator is symmetric."""
     n = k << levels
     cfg = ModelConfig(n=n, levels=levels, alpha=alpha, depth=1, nb=nb, p=p,
                       padding=padding, symmetric=symmetric, dim=dim, seed=3)
@@ -298,22 +301,36 @@ def test_learned_operator_compiled_blocks_are_bit_identical(
     scale = np.linalg.norm(gx) * np.linalg.norm(y) \
         + np.linalg.norm(x) * np.linalg.norm(gty)
     assert abs(gx @ y - x @ gty) <= 1e-12 * scale
+    g = op.matmat(np.eye(nn))
+    gt = g if symmetric else op.rmatmat(np.eye(nn))
+    assert np.max(np.abs(gt - g.T)) <= 1e-13 * np.max(np.abs(g))
 
 
 def test_export_and_matvec_run_no_offset_loop(monkeypatch):
+    """Export and all four products of a non-symmetric model run the
+    compiled blocks: no offset loop, no loop adjoint, no backward."""
     cfg = ModelConfig(n=8, levels=2, alpha=2, depth=1, nb=1, p=2,
                       padding="zero", dim=2, seed=3)
     mdl = _scrambled_model(cfg, 4)
     eta = np.random.default_rng(5).standard_normal((8, 8))
     op = learned_operator(mdl, eta)
 
-    def loop(*args):
-        raise AssertionError("nsform.band_multiply called")
-    monkeypatch.setattr(nsf, "band_multiply", loop)
+    def fail(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{name} called")
+        return call
+    monkeypatch.setattr(nsf, "band_multiply", fail("nsform.band_multiply"))
+    monkeypatch.setattr(nsf, "band_multiply_adjoint",
+                        fail("nsform.band_multiply_adjoint"))
+    monkeypatch.setattr(MetaModel, "backward", fail("MetaModel.backward"))
     g = export_operator(mdl, eta)
     assert np.array_equal(op.matmat(np.eye(64)), g)  # export's one pass
+    scale = np.max(np.abs(g))
     gap = np.max(np.abs(op.matvec(np.eye(64)[0]) - g[:, 0]))
-    assert gap <= 1e-13 * np.max(np.abs(g))
+    assert gap <= 1e-13 * scale
+    gap = np.max(np.abs(op.rmatvec(np.eye(64)[0]) - g[0]))
+    assert gap <= 1e-13 * scale
+    assert np.max(np.abs(op.rmatmat(np.eye(64)) - g.T)) <= 1e-13 * scale
 
 
 def test_collection_from_nsform_rejects_a_band_wider_than_the_layout():
