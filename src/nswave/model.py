@@ -2,26 +2,30 @@
 
 Four stages, mirroring the fast nonstandard-form matvec:
 
-1. per-level ConvNets map eta to the banded-block diagonal vectors (the
-   channel collection), with the dense coarsest block emitted as the full
-   set of periodic diagonals by the coarsest-level ConvNet;
+1. per-level ConvNets map eta to raw columns, and one precomputed sparse
+   gather per level (`LevelLayout.gather`) turns them into the
+   banded-block diagonal vectors (the channel collection), with the dense
+   coarsest block emitted as the full set of periodic diagonals by the
+   coarsest-level ConvNet; the gather's transpose is its backward;
 2. learnable forward-transform convolutions (window 2p, stride 2, linear,
    no bias) split each scale into detail and smooth channels;
-3. per-channel banded multiplication in coefficient space, with the
-   scaling-to-scaling block zero except at the coarsest level: the
-   oracle's own `nsform.band_multiply` and `band_multiply_adjoint` in
-   training, and at a fixed eta one CSR product per block
-   (`nsform.band_matrix`), which sums exactly as the loop does;
+3. per-channel banded multiplication in coefficient space, summing the
+   blocks in the gather's slot order, with the scaling-to-scaling block
+   zero except at the coarsest level: the oracle's own
+   `nsform.band_multiply` and `band_multiply_adjoint` in training, and at
+   a fixed eta one CSR product per block (`nsform.band_matrix`), which
+   sums exactly as the loop does;
 4. learnable inverse-transform convolutions (window p, stride 1) with the
    interleaving reshape, followed by a channel average.
 
 The f path is linear in f for every parameter value (no biases, no
 activations).  In symmetric mode the inverse-transform weights are tied
-to the adjoint of the forward-transform weights and the collection is
-symmetrized (D1 and coarse block symmetric, D3 the banded transpose of
-D2), which makes the learned operator symmetric for arbitrary parameters
-under either padding; under zero fill the layout leaves out the one
-diagonal that has no transpose there (offset n/2 of an even block).
+to the adjoint of the forward-transform weights and the gather makes the
+collection symmetric (D3 read as the banded transpose of D2, D1 and the
+coarse block averaged with their own banded transposes), which makes
+the learned operator symmetric for arbitrary parameters under either
+padding; under zero fill the layout leaves out the one diagonal that has
+no transpose there (offset n/2 of an even block).
 
 `learned_operator` is the one apply of the learned operator at a fixed
 eta: it computes the collection and compiles its blocks once, and
@@ -79,15 +83,6 @@ class ModelConfig:
                               f"2^levels, levels={self.levels}")
 
 
-def _transpose_index(offsets: np.ndarray, size: int,
-                     alpha: int) -> np.ndarray:
-    """Flat gather index of the banded transpose (`nsform.transpose_index`)
-    over one block array (spatial.., alpha, n_off), channel by channel."""
-    cols, neg = nsform.transpose_index(offsets, size)
-    return (cols[..., None, :] * alpha + np.arange(alpha)[:, None]) \
-        * len(neg) + neg
-
-
 # -- layout --------------------------------------------------------------------
 #
 # A level of the f path has 2**dim parts: the wavelet parts first, then the
@@ -96,120 +91,101 @@ def _transpose_index(offsets: np.ndarray, size: int,
 # dense coarse block, which only the coarsest level carries.
 
 
-def _block_slots(dim: int, symmetric: bool, coarsest: bool):
-    """(emitted, derived) slots in column order; `derived` maps a slot to
-    its transpose source."""
+@dataclass(frozen=True)
+class LevelLayout:
+    """One level of the collection.  The head emits `n_columns` raw
+    columns per grid point; `gather` maps one eta's raw output,
+    (spatial.., n_columns) flattened, to every block's (spatial.., alpha,
+    n_off) entries, block after block in slot order, each at its `slices`
+    rows.  A row reads one raw entry with weight 1, or, for a block forced
+    symmetric, its own entry and its banded transpose's with weight 0.5
+    each.  `gather_t` is `gather.T` in CSR, the backward, built once (a
+    `.T` per call reruns scipy's format checks).  Shared by every model
+    of the same geometry, and read-only."""
+
+    size: int
+    offsets: dict       # block slot -> (n_off, dim) offset array
+    slices: dict        # block slot -> its rows of `gather`
+    n_columns: int
+    gather: sparse.csr_array
+    gather_t: sparse.csr_array
+
+
+@functools.lru_cache(maxsize=64)
+def _level_layout(dim: int, size: int, alpha: int, nb: int, top: int | None,
+                  symmetric: bool, coarsest: bool) -> LevelLayout:
+    """One level's layout, built once per geometry and process."""
     last = (1 << dim) - 1
     pairs = [(i, j) for i in range(last + 1) for j in range(last + 1)
              if (i, j) != (last, last)]
-    if symmetric:
-        emitted = [(i, j) for i, j in pairs if i <= j]
-        derived = {(j, i): (i, j) for i, j in pairs if i < j}
-    else:
-        emitted, derived = pairs, {}
-    if coarsest:
-        emitted.append((last, last))
-    return emitted, derived
+    # the head emits these slots, in column order; in symmetric mode slot
+    # (j, i) is then derived as the banded transpose of (i, j) (BCR 1991)
+    emitted = [(i, j) for i, j in pairs if i <= j or not symmetric] \
+        + [(last, last)] * coarsest
+    derived = [(j, i) for i, j in emitted if i < j and symmetric]
+    band, full = (nsform.band_offsets(size, w, dim) for w in (nb, top))
+    offsets = {s: full if s == (last, last) else band
+               for s in emitted + derived}
+    col = alpha * sum(len(offsets[s]) for s in emitted)  # per grid point
+    # raw index of each grid point's first column; a col too large to
+    # index raises OverflowError here, before any allocation
+    points = np.arange(size ** dim)[:, None, None] * col
+    first, start = {}, 0  # a block's (alpha, n_off) columns at point 0
+    for s in emitted:
+        first[s] = start + np.arange(alpha * len(offsets[s])).reshape(
+            alpha, -1)
+        start += first[s].size
 
+    @functools.cache
+    def flip(coarse: bool):
+        return nsform.transpose_index(full if coarse else band, size)
 
-@dataclass
-class LevelLayout:
-    """Column layout of one level's collection array."""
+    def transposed(s):
+        """Raw entries of the banded transpose of emitted block s."""
+        src, neg = flip(s == (last, last))
+        return src.reshape(-1, 1, len(neg)) * col + first[s][:, neg]
 
-    size: int
-    emitted: tuple
-    derived: dict
-    offsets: dict       # block slot -> (n_off, dim) offset array
-    transpose: dict     # block slot -> `_transpose_index` of its offsets
-    columns: dict       # emitted block slot -> its slice of columns
-    n_columns: int
-    alpha: int
-    sym_self: tuple = ()  # blocks forced symmetric in symmetric mode
+    def reads(s):
+        """(rows, entries per row) raw indices of block s."""
+        if s in derived:
+            r = [transposed((s[1], s[0]))]
+        elif symmetric and s[0] == s[1]:
+            r = [points + first[s], transposed(s)]
+        else:
+            r = [points + first[s]]
+        return np.stack(r, axis=-1).reshape(-1, len(r))
+
+    rows = [reads(s) for s in offsets]
+    counts = np.repeat([r.shape[1] for r in rows], [len(r) for r in rows])
+    gather = sparse.csr_array(
+        (np.repeat(1 / counts, counts),
+         np.concatenate([r.reshape(-1) for r in rows]),
+         np.append(0, np.cumsum(counts))),
+        shape=(len(counts), size ** dim * col))
+    gather_t = gather.T.tocsr()  # a row sums its entries in gather order
+    for a in (band, full, gather.data, gather.indices, gather.indptr,
+              gather_t.data, gather_t.indices, gather_t.indptr):
+        a.flags.writeable = False
+    bounds = np.cumsum([0] + [len(r) for r in rows])
+    return LevelLayout(size=size, offsets=offsets, n_columns=col,
+                       gather=gather, gather_t=gather_t,
+                       slices={s: slice(lo, hi) for s, lo, hi
+                               in zip(offsets, bounds, bounds[1:])})
 
 
 def build_layout(cfg: ModelConfig) -> list[LevelLayout]:
     layouts = []
-    last = (1 << cfg.dim) - 1
     for i in range(cfg.levels):
         size = cfg.n >> (cfg.levels - i)
-        emitted, derived = _block_slots(cfg.dim, cfg.symmetric, i == 0)
         # an even block stores offset size/2 as its own negation, which
         # holds only with a periodic wrap: under zero fill that diagonal's
         # transpose has no diagonal, so a symmetric layout stops short
         top = (size - 1) // 2 if cfg.symmetric and cfg.padding == ZERO \
             else None
         nb = cfg.nb if top is None else min(cfg.nb, top)
-        band, full = (nsform.band_offsets(size, w, cfg.dim) for w in (nb, top))
-        offsets, transpose, columns = {}, {}, {}
-        band_t = _transpose_index(band, size, cfg.alpha)
-        for slot in emitted + list(derived):
-            if slot == (last, last):
-                offsets[slot] = full
-                transpose[slot] = _transpose_index(full, size, cfg.alpha)
-            else:
-                offsets[slot], transpose[slot] = band, band_t
-        col = 0
-        for slot in emitted:
-            width = cfg.alpha * len(offsets[slot])
-            columns[slot] = slice(col, col + width)
-            col += width
-        layouts.append(LevelLayout(
-            size=size, emitted=tuple(emitted), derived=derived,
-            offsets=offsets, transpose=transpose, columns=columns,
-            n_columns=col, alpha=cfg.alpha,
-            sym_self=tuple(s for s in emitted
-                           if cfg.symmetric and s[0] == s[1])))
+        layouts.append(_level_layout(cfg.dim, size, cfg.alpha, nb, top,
+                                     cfg.symmetric, i == 0))
     return layouts
-
-
-def _split_columns(layout: LevelLayout, c_raw: np.ndarray) -> dict:
-    """Raw ConvNet output (B, spatial.., n_columns) -> emitted block arrays
-    (B, spatial.., alpha, n_off)."""
-    lead = c_raw.shape[:-1]
-    return {key: c_raw[..., sl].reshape(
-        lead + (layout.alpha, len(layout.offsets[key])))
-        for key, sl in layout.columns.items()}
-
-
-def _join_columns(layout: LevelLayout, grads: dict) -> np.ndarray:
-    """Adjoint of `_split_columns`: emitted block arrays (B, spatial..,
-    alpha, n_off) -> (B, spatial.., n_columns)."""
-    return np.concatenate([grads[key].reshape(grads[key].shape[:-2] + (-1,))
-                           for key in layout.columns], axis=-1)
-
-
-def _transpose_block(arr: np.ndarray, layout: LevelLayout, key,
-                     spatial_axes) -> np.ndarray:
-    """Banded transpose reindex (a pure gather, so exact): one `np.take`
-    of the layout's flat index over each leading (batch) entry."""
-    lead = arr.shape[:spatial_axes[0]]
-    return np.take(arr.reshape(lead + (-1,)), layout.transpose[key],
-                   axis=len(lead))
-
-
-def symmetrize_blocks(blocks: dict, layout: LevelLayout,
-                      spatial_axes) -> dict:
-    """S-block symmetry enforcement: self-symmetric blocks averaged with
-    their banded transpose, derived blocks regenerated.  Idempotent."""
-    out = dict(blocks)
-    for key in layout.sym_self:
-        out[key] = 0.5 * (out[key] + _transpose_block(
-            out[key], layout, key, spatial_axes))
-    for key, src in layout.derived.items():
-        out[key] = _transpose_block(out[src], layout, src, spatial_axes)
-    return out
-
-
-def _symmetrize_backward(gblocks: dict, layout: LevelLayout,
-                         spatial_axes) -> dict:
-    """Adjoint of symmetrize_blocks, mapping grads back to emitted blocks."""
-    g = {k: gblocks[k].copy() for k in layout.emitted}
-    for key, src in layout.derived.items():
-        g[src] += _transpose_block(gblocks[key], layout, key, spatial_axes)
-    for key in layout.sym_self:
-        g[key] = 0.5 * (g[key] + _transpose_block(
-            g[key], layout, key, spatial_axes))
-    return g
 
 
 # -- transform kernels ---------------------------------------------------------
@@ -430,26 +406,37 @@ class MetaModel:
 
     def _eta_backward(self, g_raw: list, caches: list) -> None:
         for seq, g, seq_cache in zip(self.convnets, g_raw, caches):
-            for layer, cache in zip(reversed(seq), reversed(seq_cache)):
+            for layer, cache in zip(seq[:0:-1], seq_cache[:0:-1]):
                 g = layer.backward(g, cache)
+            # the first conv's input gradient is eta's: nothing reads it
+            seq[0].backward_params(g, seq_cache[0])
 
     # -- collection handling --------------------------------------------------
 
-    def _spatial_axes(self) -> tuple:
-        return tuple(range(1, 1 + self.cfg.dim))
-
     def _materialize(self, raw: list) -> list:
-        blocks = [_split_columns(lay, c) for lay, c in zip(self.layouts, raw)]
-        if self.cfg.symmetric:
-            blocks = [symmetrize_blocks(b, lay, self._spatial_axes())
-                      for b, lay in zip(blocks, self.layouts)]
+        """Raw head outputs (B, spatial.., n_columns) -> per-level block
+        dicts (B, spatial.., alpha, n_off): each level's `gather` applied
+        to every eta's raw output.  The blocks are views of one (rows, B)
+        product, so with B > 1 the batch axis is the fastest."""
+        blocks = []
+        for lay, c in zip(self.layouts, raw):
+            flat = lay.gather @ c.reshape(len(c), -1).T
+            shape = c.shape[:-1] + (self.cfg.alpha, -1)
+            blocks.append({slot: flat[sl].T.reshape(shape)
+                           for slot, sl in lay.slices.items()})
         return blocks
 
     def _materialize_backward(self, gblocks: list) -> list:
-        if self.cfg.symmetric:
-            gblocks = [_symmetrize_backward(g, lay, self._spatial_axes())
-                       for g, lay in zip(gblocks, self.layouts)]
-        return [_join_columns(lay, g) for lay, g in zip(self.layouts, gblocks)]
+        """Adjoint of `_materialize`: `gather.T` applied to every eta's
+        block gradients."""
+        g_raw = []
+        for lay, g in zip(self.layouts, gblocks):
+            lead = next(iter(g.values())).shape[:-2]
+            flat = np.concatenate([g[slot].reshape(lead[0], -1).T
+                                   for slot in lay.slices])  # (rows, B)
+            g_raw.append((lay.gather_t @ flat).T.reshape(
+                lead + (lay.n_columns,)))
+        return g_raw
 
     def collection(self, eta: np.ndarray) -> list[dict]:
         """Materialized per-level block dicts for a given eta."""
@@ -606,9 +593,11 @@ class MetaModel:
             gp = g_parts[i]
             gv = gp[-1] if g_v is None else gp[-1] + g_v
             gy = np.concatenate(gp[:-1] + [gv], axis=-1)
-            gx = self.fwt[i].backward(self._flatten_bf(gy),
-                                      tape["fwt_caches"][i])
-            g_v = self._unflatten_bf(gx, be, bf)
+            gz = self.fwt[i].backward_params(self._flatten_bf(gy),
+                                             tape["fwt_caches"][i])
+            if i < cfg.levels - 1:  # nothing reads the sources' gradient
+                g_v = self._unflatten_bf(self.fwt[i].backward_input(
+                    gz, tape["fwt_caches"][i]), be, bf)
 
         if self.cfg.symmetric:
             for fl, il in zip(self.fwt, self.iwt):

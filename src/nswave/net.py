@@ -173,17 +173,30 @@ class Conv:
         return y, (taps, saved, x.shape)
 
     def backward(self, gy: np.ndarray, cache):
+        return self.backward_input(self.backward_params(gy, cache), cache)
+
+    def backward_params(self, gy: np.ndarray, cache) -> np.ndarray:
+        """Parameter half of `backward`: accumulate the weight and bias
+        gradients and return gz, the gradient before the activation, as
+        (B * N', Cout) rows."""
         if cache is None:
             raise StateError("backward called without a forward cache")
-        taps, saved, x_shape = cache
+        taps, saved, _ = cache
         cout = self.weight.shape[-1]
         gz = _act_backward(gy, self.activation, saved).reshape(-1, cout)
         self.gw += (taps.reshape(len(gz), -1).T @ gz).reshape(
             self.weight.shape)
         if self.bias is not None:
             self.gb += gz.sum(axis=0)
-        gtaps = (gz @ self.weight.reshape(-1, cout).T).reshape(
-            gy.shape[:-1] + taps.shape[2:])  # (B, N'.., w**dim, Cin)
+        return gz
+
+    def backward_input(self, gz: np.ndarray, cache) -> np.ndarray:
+        """Input half of `backward`: the gradient with respect to x, from
+        `backward_params`' gz."""
+        taps, _, x_shape = cache
+        grid = tuple(n // self.stride for n in x_shape[1:-1])
+        gtaps = (gz @ self.weight.reshape(-1, gz.shape[1]).T).reshape(
+            x_shape[:1] + grid + taps.shape[2:])  # (B, N'.., w**dim, Cin)
         gx = np.zeros(x_shape)
         for cells, tap in _tap_layout(x_shape[1:-1], self.width, self.stride,
                                       self.base_offset, self.padding)[2]:

@@ -17,7 +17,6 @@ from nswave.model import (
     collection_from_nsform,
     export_operator,
     learned_operator,
-    symmetrize_blocks,
     tie,
     untie,
 )
@@ -90,6 +89,26 @@ def test_collection_shapes_per_level():
         # non-symmetric: 3 banded blocks, coarse diagonals at the bottom
         expect = 3 * 2 * 7 + (2 * 8 if size == 8 else 0)
         assert lay.n_columns == expect
+    # band_multiply sums a level's blocks in slot order, which sets the
+    # training bits: emitted slots in column order, then derived ones
+    sym = MetaModel(ModelConfig(n=64, levels=3, alpha=2, depth=2, nb=3, p=3,
+                                symmetric=True, seed=0))
+    order = [[(0, 0), (0, 1), (1, 1), (1, 0)]] + [[(0, 0), (0, 1), (1, 0)]] * 2
+    assert [list(lay.offsets) for lay in sym.layouts] == order
+    assert [list(b) for b in sym.collection(np.zeros(64))] == order
+
+
+def test_layout_is_memoized_and_read_only():
+    cfg = ModelConfig(n=32, levels=2, alpha=2, depth=1, nb=1, p=1,
+                      symmetric=True, seed=0)
+    other = ModelConfig(n=32, levels=2, alpha=2, depth=2, nb=1, p=1,
+                        symmetric=True, seed=5)
+    for a, b in zip(MetaModel(cfg).layouts, MetaModel(other).layouts):
+        assert a is b
+        for arr in (a.gather.data, a.gather.indices, a.gather_t.data,
+                    a.offsets[0, 1]):
+            assert not arr.flags.writeable
+        assert np.array_equal(a.gather_t.toarray(), a.gather.T.toarray())
 
 
 def test_translation_equivariance_periodic():
@@ -171,20 +190,25 @@ def test_exported_operator_symmetric_for_any_parameters(dim, n):
         assert np.max(np.abs(g - g.T)) < 1e-10, padding
 
 
+def _materialized(mdl, rng, be=1):
+    """Random raw head outputs, one per level, and their collection."""
+    raw = [rng.standard_normal((be,) + (lay.size,) * mdl.cfg.dim
+                               + (lay.n_columns,)) for lay in mdl.layouts]
+    return raw, mdl._materialize(raw)
+
+
 def test_banded_transpose_matches_dense_transpose():
     rng = np.random.default_rng(11)
     cfg = ModelConfig(n=32, levels=2, alpha=1, depth=1, nb=2, p=1,
                       symmetric=True, seed=0)
     mdl = MetaModel(cfg)
     lay = mdl.layouts[1]
-    m = lay.size
-    from nswave.model import _transpose_block
-    arr = rng.standard_normal((1, m, 1, len(lay.offsets[0, 1])))
-    out = _transpose_block(arr, lay, (0, 1), (1,))
-    blk = nsf.BandedBlock(offsets=lay.offsets[0, 1], data=arr[0, :, 0, :])
-    blk_t = nsf.BandedBlock(offsets=lay.offsets[0, 1], data=out[0, :, 0, :])
-    assert np.max(np.abs(reference.to_dense(blk_t)
-                         - reference.to_dense(blk).T)) < 1e-14
+    blocks = _materialized(mdl, rng)[1][1]
+    dense = {slot: reference.to_dense(nsf.BandedBlock(
+        offsets=lay.offsets[slot], data=blocks[slot][0, :, 0, :]))
+        for slot in ((0, 1), (1, 0))}
+    # the derived block is the dense transpose of its source
+    assert np.array_equal(dense[1, 0], dense[0, 1].T)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -194,39 +218,61 @@ def test_banded_transpose_equals_dense_transpose_diagonals(dim):
     rng = np.random.default_rng(13)
     cfg = ModelConfig(n=16, levels=2, alpha=2, depth=1, nb=2, p=1,
                       symmetric=True, dim=dim, seed=0)
-    from nswave.model import _transpose_block
-    axes = tuple(range(1, 1 + dim))
+    mdl = MetaModel(cfg)
     last = (1 << dim) - 1
-    for lay in MetaModel(cfg).layouts:
-        m = lay.size
-        for slot in [(0, 1)] + [(last, last)] * ((last, last) in lay.offsets):
-            nb = None if slot == (last, last) else cfg.nb
-            offs = lay.offsets[slot]
-            arr = rng.standard_normal((2,) + (m,) * dim
-                                      + (cfg.alpha, len(offs)))
-            out = _transpose_block(arr, lay, slot, axes)
+    for lay, blocks in zip(mdl.layouts, _materialized(mdl, rng, be=2)[1]):
+        # every block is the banded transpose of its mirror: derived blocks
+        # of their sources, self-symmetric and coarse blocks of themselves
+        for (i, j), arr in blocks.items():
+            nb = None if (i, j) == (last, last) else cfg.nb
+            offs = lay.offsets[j, i]
             for b, c in np.ndindex(2, cfg.alpha):
                 dense = reference.to_dense(
-                    nsf.BandedBlock(offs, arr[b, ..., c, :]))
+                    nsf.BandedBlock(offs, blocks[j, i][b, ..., c, :]))
                 ref = nsf.BandedBlock.from_dense(dense.T, dim)
                 ref = (ref if nb is None else ref.truncated(nb)).data
-                assert np.array_equal(out[b, ..., c, :], ref)
+                assert np.array_equal(arr[b, ..., c, :], ref)
 
 
 def test_symmetrize_idempotent():
+    """Raw columns that already hold a materialized collection
+    materialize to that collection."""
     rng = np.random.default_rng(12)
     cfg = ModelConfig(n=32, levels=2, alpha=2, depth=1, nb=2, p=1,
                       symmetric=True, seed=0)
     mdl = MetaModel(cfg)
-    lay = mdl.layouts[0]
-    blocks = {}
-    for key in lay.emitted:
-        blocks[key] = rng.standard_normal(
-            (1, lay.size, cfg.alpha, len(lay.offsets[key])))
-    once = symmetrize_blocks(blocks, lay, (1,))
-    twice = symmetrize_blocks(once, lay, (1,))
-    for key in once:
-        assert np.allclose(once[key], twice[key], atol=1e-14)
+    once = _materialized(mdl, rng)[1]
+    # the head's columns: the emitted blocks (i <= j), in slot order
+    raw = [np.concatenate([arr.reshape(arr.shape[:-2] + (-1,))
+                           for (i, j), arr in blocks.items() if i <= j],
+                          axis=-1) for blocks in once]
+    twice = mdl._materialize(raw)
+    for a, b in zip(once, twice):
+        assert list(a) == list(b)
+        for key in a:
+            assert np.allclose(a[key], b[key], atol=1e-14)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
+@pytest.mark.parametrize("padding", ["periodic", "zero"])
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_materialize_backward_is_its_adjoint(dim, n, padding, symmetric):
+    """<materialize(raw), g> = <raw, materialize_backward(g)> at every
+    level, zero-padded symmetric layouts and 2D included."""
+    cfg = ModelConfig(n=n, levels=3, alpha=2, depth=1, nb=2, p=1,
+                      padding=padding, symmetric=symmetric, dim=dim, seed=0)
+    mdl = MetaModel(cfg)
+    rng = np.random.default_rng(14)
+    raw, blocks = _materialized(mdl, rng, be=2)
+    g = [{slot: rng.standard_normal(arr.shape) for slot, arr in b.items()}
+         for b in blocks]
+    g_raw = mdl._materialize_backward(g)
+    for r, b, gb, gr in zip(raw, blocks, g, g_raw):
+        assert gr.shape == r.shape
+        lhs = sum(np.vdot(b[slot], gb[slot]) for slot in b)
+        rhs = np.vdot(r, gr)
+        assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(r) \
+            * np.linalg.norm(gr)
 
 
 def test_export_operator_matches_forward():
@@ -293,8 +339,15 @@ def test_learned_operator_compiled_blocks_are_bit_identical(
     eta = rng.standard_normal(shape)
     op = learned_operator(mdl, eta)
     v = rng.standard_normal((nn, 3))
-    u = mdl.forward(eta, v.T.reshape((3,) + shape),
-                    collection=mdl.collection(eta))
+    coll = mdl.collection(eta)
+    # a repeated collection and a repeated forward are byte-equal
+    for a, b in zip(coll, mdl.collection(eta)):
+        assert list(a) == list(b)
+        assert all(a[slot].tobytes() == b[slot].tobytes() for slot in a)
+    f = v.T.reshape((3,) + shape)
+    u = mdl.forward(eta, f, collection=coll)
+    for _ in range(2):
+        assert mdl.forward(eta, f).tobytes() == u.tobytes()
     assert np.array_equal(op.matmat(v), u.reshape(3, nn).T)
     x, y = rng.standard_normal((2, nn))
     gx, gty = op.matvec(x), op.rmatvec(y)
@@ -386,7 +439,7 @@ def test_band_matvec_matches_reference_and_its_adjoint(dim, n, padding,
     spatial = (lay.size,) * dim
     blocks = {key: rng.standard_normal(
         (be,) + spatial + (cfg.alpha, len(lay.offsets[key])))
-        for key in list(lay.emitted) + list(lay.derived)}
+        for key in lay.offsets}
     n_parts = 2 if dim == 1 else 4
     parts = [rng.standard_normal((be, bf) + spatial + (cfg.alpha,))
              for _ in range(n_parts)]
@@ -496,6 +549,31 @@ def test_full_model_gradient_small(seed):
     mdl.backward(tape, u - tgt)
     errs = finite_difference_check(loss, mdl.parameters(), mdl.gradients())
     assert max(errs.values()) < 1e-6
+
+
+def test_backward_forms_no_input_gradient_that_nothing_reads(monkeypatch):
+    """The finest forward-transform conv and the first conv of every eta
+    ConvNet run only their parameter half: the gradients with respect to
+    the sources and to eta are never formed."""
+    cfg = ModelConfig(n=16, levels=2, alpha=2, depth=2, nb=1, p=2, seed=0)
+    mdl = MetaModel(cfg)
+    rng = np.random.default_rng(7)
+    u, tape = mdl.forward_with_tape(rng.standard_normal(16),
+                                    rng.standard_normal((1, 2, 16)))
+    mdl.zero_grads()
+    mdl.backward(tape, u)
+    expected = {k: v.copy() for k, v in mdl.gradients().items()}
+
+    def fail(*args):
+        raise AssertionError("an unread input gradient was formed")
+    skipped = [mdl.fwt[-1]] + [seq[0] for seq in mdl.convnets]
+    for layer in skipped:
+        monkeypatch.setattr(layer, "backward_input", fail)
+    mdl.zero_grads()
+    mdl.backward(tape, u)
+    for k, v in mdl.gradients().items():
+        assert np.array_equal(v, expected[k]), k
+    assert all(np.any(layer.gw) for layer in skipped)
 
 
 # -- the transform-kernel tie map ----------------------------------------------
