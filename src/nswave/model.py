@@ -127,8 +127,12 @@ def _level_layout(dim: int, size: int, alpha: int, nb: int, top: int | None,
     offsets = {s: full if s == (last, last) else band
                for s in emitted + derived}
     col = alpha * sum(len(offsets[s]) for s in emitted)  # per grid point
-    # raw index of each grid point's first column; a col too large to
-    # index raises OverflowError here, before any allocation
+    # numpy raises ValueError, which the CLI does not map, for an array
+    # whose byte size overflows: refuse a width whose raw output per eta
+    # would, before any allocation
+    if 8 * size ** dim * col > np.iinfo(np.intp).max:
+        raise OverflowError(f"{size ** dim * col} raw head outputs per eta")
+    # raw index of each grid point's first column
     points = np.arange(size ** dim)[:, None, None] * col
     first, start = {}, 0  # a block's (alpha, n_off) columns at point 0
     for s in emitted:

@@ -22,10 +22,14 @@ identity.
 
 The slab (1D) and plane (2D) transfer kernels share one Nystrom assembly
 (`_nystrom`): a kernel of the distance r and of the multilinearly
-interpolated eta averaged along the segment (`_path_tau`).  Far cells take
-the midpoint rule; adjacent cells, diagonal neighbours included, tensor
-Gauss-Legendre over the source cell, whose path averages (and the self
-cell's) are one product of eta's (5,)*dim windows with a cached stencil.
+interpolated eta averaged along the segment by the trapezoid rule
+(`_path_tau`).  Far cells take the midpoint rule.  Their path nodes all
+lie on the grid of spacing h/path_samples, so eta is interpolated there
+once per draw (`_fine_table`), and each pair of cells is evaluated once,
+from that table, and written to both of its entries.  Adjacent cells,
+diagonal neighbours included, take tensor Gauss-Legendre over the source
+cell, whose path averages (and the self cell's) are one product of eta's
+(5,)*dim windows with a cached stencil.
 Only the kernel function and the self-cell rule are written per
 dimension.  The slab kernel uses the positive convention
 0.5*E1(tau*|x-y|); see the README for the sign discussion.  Matrix
@@ -413,7 +417,7 @@ def solve_divergence(eta: np.ndarray, f: np.ndarray) -> np.ndarray:
 
 # -- radiative transfer: one Nystrom assembly for the slab and the plane --------
 
-_PASS = 131_072  # path samples per row pass: the working set stays in cache
+_PASS = 131_072  # far-path nodes per pass: the working set stays in cache
 _NEAR_ORDER = {1: 64, 2: 8}  # Gauss-Legendre order per axis, adjacent cells
 
 
@@ -465,23 +469,39 @@ def _path_tau(eta: np.ndarray, xs, ys, h: float, x_first: float,
               m: int) -> np.ndarray:
     """Trapezoid average (m intervals) of the interpolated eta along the
     segments from the points xs to the points ys, each given as one
-    coordinate array per axis; all of them broadcast together.  Rows of
-    the broadcast shape are taken in passes of up to `_PASS` samples (one
-    row at least)."""
-    arrays = np.broadcast_arrays(*xs, *ys)
-    xs, ys = arrays[:len(xs)], arrays[len(xs):]
+    coordinate array per axis; all of them broadcast together."""
     s = np.linspace(0.0, 1.0, m + 1)
-    w = _trap_weights(m)
-    out = np.empty(arrays[0].shape)
-    step = max(1, _PASS // (out[0].size * (m + 1)))
-    for lo in range(0, out.shape[0], step):
-        rows = slice(lo, lo + step)
-        pts = []
-        for x, y in zip(xs, ys):
-            d = s * (x[rows, ..., None] - y[rows, ..., None])
-            pts.append(np.subtract(x[rows, ..., None], d, out=d))
-        out[rows] = _interp_eta(eta, pts, h, x_first) @ w
-    return out
+    pts = []
+    for x, y in zip(xs, ys):
+        x, y = np.asarray(x)[..., None], np.asarray(y)[..., None]
+        pts.append(x - s * (x - y))
+    return _interp_eta(eta, pts, h, x_first) @ _trap_weights(m)
+
+
+def _fine_table(eta: np.ndarray, m: int) -> np.ndarray:
+    """eta interpolated (`_interp_eta`, in units of h) on the grid of
+    spacing h/m per axis that spans the cell centers, m*(n-1)+1 points
+    per axis, raveled row-major.  Node k of the trapezoid path from cell
+    i to cell j sits at fine index m*i + k*(j - i) on every axis."""
+    fine = np.arange(m * (eta.shape[0] - 1) + 1) / m
+    pts = [fine.reshape([-1 if a == ax else 1 for a in range(eta.ndim)])
+           for ax in range(eta.ndim)]
+    return _interp_eta(eta, pts, 1.0, 0.0).reshape(-1)
+
+
+def _upper_pairs(nn: int, size: int):
+    """The cell pairs (a, b) with a < b, row by row, as index arrays of
+    whole rows of up to `size` pairs each (one row at least)."""
+    counts = np.arange(nn - 1, -1, -1)
+    before = np.concatenate([[0], np.cumsum(counts)])
+    lo = 0
+    while lo < nn - 1:
+        hi = int(np.searchsorted(before, before[lo] + size, side="right")) - 1
+        rows = np.arange(lo, max(hi, lo + 1))
+        a = np.repeat(rows, counts[rows])
+        first = np.repeat(rows + 1 - before[rows] + before[lo], counts[rows])
+        yield a, np.arange(a.size) + first
+        lo = rows[-1] + 1
 
 
 def _clean_tau(tau: np.ndarray, eta_max: float) -> np.ndarray:
@@ -537,26 +557,43 @@ def _nystrom(eta: np.ndarray, spec: ProblemSpec, kernel,
     r and the path-averaged eta, on the cell centers of any dimension.
 
     Cells two or more apart on some axis take the midpoint rule (weight
-    h**dim).  The adjacent cells, diagonal neighbours included, integrate
-    the kernel over the source cell by tensor Gauss-Legendre of order
-    `_NEAR_ORDER[dim]` per axis, and the self cell by `self_cell()`: one
-    offset array per axis and the weights, in units of h (`_near_paths`).
+    h**dim).  Their path averages come from `_fine_table`: for cells
+    i < j (row-major), tau is the sum over k = 0..m, in that order, of
+    w_k * table[m*i + k*(j - i)], with w = `_trap_weights(m)` and the
+    fine index taken per axis.  Pairs go in passes of up to `_PASS`
+    nodes, and each pair's value is written to both (i, j) and (j, i),
+    so the far field is exactly symmetric.  The adjacent cells, diagonal
+    neighbours included, integrate the kernel over the source cell by
+    tensor Gauss-Legendre of order `_NEAR_ORDER[dim]` per axis, and the
+    self cell, which fills the diagonal, by `self_cell()`: one offset
+    array per axis and the weights, in units of h (`_near_paths`).
     """
     if np.any(eta < 0):
         raise DomainError("scattering coefficient must be nonnegative")
-    dim, n, h = eta.ndim, eta.shape[0], spec.h
-    ax = spec.coords()
+    dim, n, h, m = eta.ndim, eta.shape[0], spec.h, spec.path_samples
     top = float(eta.max())
-    centers = [c.reshape(-1) for c in np.meshgrid(*[ax] * dim, indexing="ij")]
-    xs, ys = [c[:, None] for c in centers], [c[None, :] for c in centers]
-    tau = _path_tau(eta, xs, ys, h, ax[0], spec.path_samples)
-    r = reduce(np.hypot, [x - y for x, y in zip(xs, ys)], 0.0)
-    kern = h ** dim * kernel(r, _clean_tau(tau, top))
+    cells = np.indices((n,) * dim).reshape(dim, -1)
+    centers = spec.coords()[cells]
+    table = _fine_table(eta, m)
+    # a cell's raveled index on the fine grid is m * fine[cell]
+    fine = (m * (n - 1) + 1) ** np.arange(dim - 1, -1, -1) @ cells
+    w = _trap_weights(m)
+    nn = n ** dim
+    kern = np.empty((nn, nn))
+    flat = kern.reshape(-1)
+    for a, b in _upper_pairs(nn, _PASS // (m + 1)):
+        node, step = m * fine[a], fine[b] - fine[a]
+        tau = w[0] * table[node]
+        for wk in w[1:]:
+            node += step
+            tau += wk * table[node]
+        r = reduce(np.hypot, centers[:, a] - centers[:, b], 0.0)
+        flat[a * nn + b] = flat[b * nn + a] = (
+            h ** dim * kernel(r, _clean_tau(tau, top)))
 
-    disp, weights, tau = _near_paths(eta, spec.path_samples, self_cell)
+    disp, weights, tau = _near_paths(eta, m, self_cell)
     r = np.broadcast_to(h * reduce(np.hypot, disp, 0.0), tau.shape)
     near = h ** dim * (kernel(r, _clean_tau(tau, top)) @ weights)
-    cells = np.indices((n,) * dim).reshape(dim, -1)
     for col, step in enumerate(product((-1, 0, 1), repeat=dim)):
         src = cells + np.array(step)[:, None]
         keep = np.all((src >= 0) & (src < n), axis=0)

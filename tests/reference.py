@@ -1,10 +1,12 @@
 """Independent references shared by the test modules."""
 
+from functools import reduce
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from nswave import nsform, wavelets
+from nswave import nsform, solvers, wavelets
 
 
 def to_dense(blk):
@@ -103,3 +105,18 @@ def divergence_factor(op, shape):
         return lu.solve(rhs, trans=trans)[:nn]
     return (lambda b: bordered(b - b.mean(axis=0), "N"),
             lambda b: bordered(b, "T"))
+
+
+def far_field(eta, spec, kernel):
+    """The transfer kernel's midpoint rule as assembled before the
+    fine-grid table: every ordered pair's path average sampled on its own
+    segment, x - s (x - y), by `solvers._path_tau`, then
+    h**dim * kernel(r, tau) on every entry, the near ones included."""
+    dim, h, ax = eta.ndim, spec.h, spec.coords()
+    centers = [c.reshape(-1) for c in np.meshgrid(*[ax] * dim, indexing="ij")]
+    xs, ys = [c[:, None] for c in centers], [c[None, :] for c in centers]
+    tau = solvers._clean_tau(solvers._path_tau(eta, xs, ys, h, ax[0],
+                                               spec.path_samples),
+                             float(eta.max()))
+    r = reduce(np.hypot, [x - y for x, y in zip(xs, ys)], 0.0)
+    return h ** dim * kernel(np.broadcast_to(r, tau.shape), tau)

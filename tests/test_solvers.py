@@ -437,21 +437,57 @@ def test_stencil_rows_are_averages_and_cached_read_only(dim, monkeypatch):
     assert coarser[0].shape[1] < disp.shape[1]
 
 
+def _table_tau(eta, m):
+    """Far-path averages as `_nystrom` documents them: eta interpolated on
+    the h/m grid once, the pair of cells a < b read at fine index
+    m*a + k*(b - a) per axis and summed over k in node order, and the
+    same value for (b, a)."""
+    dim, n = eta.ndim, eta.shape[0]
+    fine = np.arange(m * (n - 1) + 1) / m
+    table = sv._interp_eta(eta, np.meshgrid(*[fine] * dim, indexing="ij"),
+                           1.0, 0.0)
+    flat = np.arange(n ** dim)
+    cells = np.indices((n,) * dim).reshape(dim, -1)
+    start = cells[:, np.minimum(flat[:, None], flat[None, :])]
+    step = cells[:, np.maximum(flat[:, None], flat[None, :])] - start
+    w = sv._trap_weights(m)
+    tau = w[0] * table[tuple(m * start)]
+    for k in range(1, m + 1):
+        tau += w[k] * table[tuple(m * start + k * step)]
+    return tau
+
+
 @pytest.mark.parametrize("spec", [SPEC_1D, SPEC_2D], ids=["1d", "2d"])
 def test_far_field_is_the_midpoint_rule_bit_for_bit(spec):
+    # every cell, the edge and padding cells included
     dim, h, ax = spec.dim, spec.h, spec.coords()
     eta = spec.sample_eta(9)
     kern = spec.kernel(eta)
-    centers = [c.reshape(-1) for c in np.meshgrid(*[ax] * dim, indexing="ij")]
-    xs, ys = [c[:, None] for c in centers], [c[None, :] for c in centers]
-    tau = sv._clean_tau(sv._path_tau(eta, xs, ys, h, ax[0],
-                                     spec.path_samples), float(eta.max()))
-    r = reduce(np.hypot, [x - y for x, y in zip(xs, ys)], 0.0)
     kernel = sv._slab_kernel if dim == 1 else sv._plane_kernel
-    expect = h ** dim * kernel(np.broadcast_to(r, tau.shape), tau)
+    centers = [c.reshape(-1) for c in np.meshgrid(*[ax] * dim, indexing="ij")]
+    r = reduce(np.hypot, [c[:, None] - c[None, :] for c in centers], 0.0)
+    tau = sv._clean_tau(_table_tau(eta, spec.path_samples), float(eta.max()))
+    expect = h ** dim * kernel(r, tau)
     cells = np.indices((spec.n,) * dim).reshape(dim, -1)
     far = np.abs(cells[:, :, None] - cells[:, None, :]).max(axis=0) >= 2
     assert np.array_equal(kern[far], expect[far])
+    assert np.array_equal(kern[far], kern.T[far])
+    # the path-by-path definition, to rounding
+    ref = reference.far_field(eta, spec, kernel)[far]
+    assert np.all(np.abs(kern[far] - ref) <= 1e-14 * np.abs(ref))
+
+
+@pytest.mark.parametrize("nn", [1, 2, 7, 40])
+@pytest.mark.parametrize("size", [1, 3, 40, 10 ** 6])
+def test_upper_pairs_take_each_pair_once_in_whole_rows(nn, size):
+    passes = list(sv._upper_pairs(nn, size))
+    a = np.concatenate([p[0] for p in passes] or [[]])
+    b = np.concatenate([p[1] for p in passes] or [[]])
+    assert np.array_equal(np.stack([a, b]), np.triu_indices(nn, 1))
+    for a, _ in passes:
+        rows, counts = np.unique(a, return_counts=True)
+        assert np.array_equal(counts, nn - 1 - rows)
+        assert a.size <= size or rows.size == 1
 
 
 def test_2d_solve_residual_and_positivity():
