@@ -12,8 +12,10 @@ Four stages, mirroring the fast nonstandard-form matvec:
 3. per-channel banded multiplication in coefficient space, summing the
    blocks in the gather's slot order, with the scaling-to-scaling block
    zero except at the coarsest level: the oracle's own
-   `nsform.band_multiply` and `band_multiply_adjoint` in training, and at
-   a fixed eta one CSR product per block (`nsform.band_matrix`), which
+   `nsform.band_multiply` (the offset loop) in training, with its
+   adjoint `band_multiply_adjoint` (one gather per block and one cached
+   scatter per level, summing in the offset loop's order), and at a
+   fixed eta one CSR product per block (`nsform.band_matrix`), which
    sums exactly as the loop does;
 4. learnable inverse-transform convolutions (window p, stride 1) with the
    interleaving reshape, followed by a channel average.

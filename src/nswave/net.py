@@ -16,9 +16,10 @@ offset off:
 with zero fill instead of the modulus in zero-padding mode, and output
 length N' = N // s per axis.  `off` (base_offset) lets the
 inverse-transform layer look backward without negative-index bookkeeping.
-The forward gathers the taps with one `np.take`; the backward adds each
-tap's input gradient through basic slices, at most two strided runs per
-axis, tap after tap, so every cell sums its terms in tap order.
+The forward gathers the taps with one `np.take`; the backward scatters
+the tap gradients back with one cached sparse product per geometry,
+whose rows keep their terms in tap order, so every cell sums its terms
+in tap order.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 
 from .errors import ConfigError, ShapeError, StateError, TrainingError
 from .wavelets import PERIODIC, ZERO
@@ -51,37 +53,20 @@ def _act_backward(gy: np.ndarray, kind: str, saved) -> np.ndarray:
     return np.where(saved, gy, 0.0)  # relu
 
 
-def _axis_runs(n: int, stride: int, a: int, padding: str) -> list:
-    """(output rows, grid cells) slice pairs of the tap that output i reads
-    at cell stride*i + a along one axis of length n.  The n // stride
-    outputs span n - stride < n cells, so with periodic padding they wrap
-    at most once (two runs); with zero padding only the inside run is
-    kept (one run, or none)."""
-    m = n // stride
-    if padding == PERIODIC:
-        a %= n
-        k = -(-(n - a) // stride)  # outputs before the wrap
-        runs = [(0, k, a), (k, m, a + stride * k - n)]
-    else:
-        lo = max(0, -(a // stride))
-        runs = [(lo, min(m, -((a - n) // stride)), a + stride * lo)]
-    return [(slice(lo, hi), slice(c, c + stride * (hi - lo), stride))
-            for lo, hi, c in runs if lo < hi]
-
-
 @functools.lru_cache(maxsize=64)
 def _tap_layout(grid: tuple, width: int, stride: int, base_offset: int,
                 padding: str):
     """Flat (N', w**dim) indices of every output cell's taps into the
     flattened grid (outside taps clipped to a valid cell), the mask of
-    outside taps (None when periodic), and the backward's scatter: per
-    tap, in tap order, the (grid cells, tap gradient) index pairs of its
-    runs, the products of `_axis_runs` over the axes.  A tap's runs are
-    disjoint basic slices, so adding them tap after tap sums every cell's
-    terms in tap order (a halo padded and folded afterwards would
-    reorder the periodic wrap sums and change the rounding).
-    Memoized per conv geometry, shared by every layer that has it, and
-    read-only."""
+    outside taps (None when periodic), and the backward's scatter: a CSR
+    matrix, (grid cells, N' * w**dim), whose row c holds a 1 for every
+    (output cell, tap) that reads cell c, zero-fill outside taps left
+    out.  A tap reaches a cell from at most one output cell, and each row
+    keeps its entries in tap order, so the product sums every cell's
+    terms in tap order, as a loop adding tap after tap would (a halo
+    padded and folded afterwards would reorder the periodic wrap sums
+    and change the rounding).  Memoized per conv geometry, shared by
+    every layer that has it, and read-only."""
     d = len(grid)
     flat, inside = 0, True
     for ax, n in enumerate(grid):
@@ -100,20 +85,25 @@ def _tap_layout(grid: tuple, width: int, stride: int, base_offset: int,
             idx = np.clip(idx, 0, n - 1)
         flat = flat * n + idx
     flat = flat.reshape(math.prod(flat.shape[:d]), width ** d)
-    flat.flags.writeable = False
-    runs = [[_axis_runs(n, stride, base_offset + j, padding)
-             for j in range(width)] for n in grid]
-    all_ = (slice(None),)
-    scatter = []
-    for t, js in enumerate(itertools.product(range(width), repeat=d)):
-        for pieces in itertools.product(*(r[j] for r, j in zip(runs, js))):
-            rows, cells = zip(*pieces)
-            scatter.append((all_ + cells, all_ + rows + (t,)))
     outside = None
+    # columns of the tap gradients, tap-major so a stable sort by cell
+    # leaves every row in tap order
+    cols = np.arange(flat.size).reshape(flat.shape).T.reshape(-1)
+    cells = flat.T.reshape(-1)
     if padding == ZERO:
         outside = ~inside.reshape(flat.shape)
-        outside.flags.writeable = False
-    return flat, outside, tuple(scatter)
+        keep = ~outside.T.reshape(-1)
+        cols, cells = cols[keep], cells[keep]
+    order = np.argsort(cells, kind="stable")
+    size = math.prod(grid)
+    scatter = sparse.csr_array(
+        (np.ones(len(order)), cols[order],
+         np.append(0, np.cumsum(np.bincount(cells, minlength=size)))),
+        shape=(size, flat.size))
+    for a in (flat, outside, scatter.data, scatter.indices, scatter.indptr):
+        if a is not None:
+            a.flags.writeable = False
+    return flat, outside, scatter
 
 
 class Conv:
@@ -122,7 +112,9 @@ class Conv:
 
     The taps of every output cell are gathered from the flattened grid
     with one `np.take`, so the forward pass is one matmul of a
-    C-contiguous (B, N', w**dim * Cin) tap matrix with the weights.
+    C-contiguous (B, N', w**dim * Cin) tap matrix with the weights; the
+    input gradient is that gather's transpose, `_tap_layout`'s scatter
+    applied to the tap gradients, the batch folded into its columns.
     """
 
     def __init__(self, dim: int, in_channels: int, out_channels: int,
@@ -193,16 +185,15 @@ class Conv:
     def backward_input(self, gz: np.ndarray, cache) -> np.ndarray:
         """Input half of `backward`: the gradient with respect to x, from
         `backward_params`' gz."""
-        taps, _, x_shape = cache
-        grid = tuple(n // self.stride for n in x_shape[1:-1])
+        x_shape = cache[2]
+        b, cin = x_shape[0], x_shape[-1]
+        scatter = _tap_layout(x_shape[1:-1], self.width, self.stride,
+                              self.base_offset, self.padding)[2]
         gtaps = (gz @ self.weight.reshape(-1, gz.shape[1]).T).reshape(
-            x_shape[:1] + grid + taps.shape[2:])  # (B, N'.., w**dim, Cin)
-        gx = np.zeros(x_shape)
-        for cells, tap in _tap_layout(x_shape[1:-1], self.width, self.stride,
-                                      self.base_offset, self.padding)[2]:
-            view = gx[cells]
-            np.add(view, gtaps[tap], out=view)
-        return gx
+            b, -1, cin).transpose(1, 0, 2)  # (N' * w**dim, B, Cin)
+        gx = scatter @ gtaps.reshape(len(gtaps), b * cin)
+        return np.ascontiguousarray(
+            gx.reshape(-1, b, cin).transpose(1, 0, 2)).reshape(x_shape)
 
     def params(self, prefix: str) -> dict[str, np.ndarray]:
         out = {f"{prefix}.weight": self.weight}

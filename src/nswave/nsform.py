@@ -25,8 +25,11 @@ factorization of A.
 
 The model's f path shares this module's periodic-diagonal convention:
 `band_multiply` reads every shift as a view of its input padded once by a
-halo, `band_multiply_adjoint` is its adjoint over the same views, and
-`transpose_index` is the gather of a block's banded transpose.
+halo; `band_multiply_adjoint`, its adjoint, gathers every shifted window
+of a term at once and scatters the products into the halo-padded parts
+through one cached sparse matrix per geometry, summing in the loop's
+order; and `transpose_index` is the gather of a block's banded
+transpose.
 `band_matrix` compiles one block into a CSR matrix whose rows hold their
 entries in offset order, so its product sums every row as `band_multiply`
 does (the learned operator at a fixed eta applies its blocks this way).
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -78,6 +82,14 @@ def _diagonal_index(n: int, offsets: np.ndarray):
     o = offsets.T.reshape((dim,) + (1,) * dim + (-1,))  # (dim, 1.., n_off)
     return (np.ravel_multi_index(tuple(k), (n,) * dim),
             np.ravel_multi_index(tuple((k + o) % n), (n,) * dim))
+
+
+def _inside(n: int, offsets: np.ndarray) -> np.ndarray:
+    """(n.., n_off): whether k + o_t stays on the (n,)*dim grid."""
+    dim = offsets.shape[1]
+    k = np.indices((n,) * dim)[..., None]
+    shifted = k + offsets.T.reshape((dim,) + (1,) * dim + (-1,))
+    return np.all((shifted >= 0) & (shifted < n), axis=0)
 
 
 def transpose_index(offsets: np.ndarray, n: int):
@@ -172,30 +184,108 @@ def band_multiply(terms, parts: list, axes, padding: str) -> list:
     return outs
 
 
+@functools.lru_cache(maxsize=64)
+def _shift_index(offsets: tuple, n: int, padding: str) -> np.ndarray:
+    """(n_off, n**dim) flat grid index of the cell k + o_t that shift o_t
+    reads at each cell k (row-major); a zero-fill shift that leaves the
+    grid reads index n**dim, one zero cell past the grid.  Read-only,
+    computed once per geometry and process."""
+    offs = np.array(offsets)
+    index = _diagonal_index(n, offs)[1].reshape(-1, len(offs)).T
+    if padding != PERIODIC:
+        index = np.where(_inside(n, offs).reshape(-1, len(offs)).T, index,
+                         n ** offs.shape[1])
+    index.setflags(write=False)
+    return index
+
+
+@functools.lru_cache(maxsize=64)
+def _adjoint_scatter(terms: tuple, n: int, n_parts: int) -> sparse.csr_array:
+    """The part-gradient scatter of one `band_multiply_adjoint` call with
+    the terms ((j, offsets), ..), on (n,)*dim parts halo-padded by the
+    widest offset: column (term, t, k) is the product coef[k.., t] *
+    gout[k..] of a term, row (j, cell k + o_t) a padded cell of part j.
+    A term's offset reaches a padded cell from exactly one cell, and every
+    row keeps its entries in (term, offset) order, so the product sums
+    each padded cell as the offset loop adds into it.  Read-only,
+    computed once per geometry and process."""
+    width = max(abs(c) for _, offs in terms for o in offs for c in o)
+    dim = len(terms[0][1][0])
+    padded = (n + 2 * width,) * dim
+    k = np.indices((n,) * dim).reshape(dim, 1, -1)
+    rows = np.concatenate([
+        j * math.prod(padded) + np.ravel_multi_index(
+            tuple(k + np.array(offs).T[:, :, None] + width), padded)
+        for j, offs in terms], axis=None)
+    order = np.argsort(rows, kind="stable")
+    size = n_parts * math.prod(padded)
+    scatter = sparse.csr_array(
+        (np.ones(len(rows)), order,
+         np.append(0, np.cumsum(np.bincount(rows, minlength=size)))),
+        shape=(size, len(rows)))
+    for a in (scatter.data, scatter.indices, scatter.indptr):
+        a.setflags(write=False)
+    return scatter
+
+
 def band_multiply_adjoint(terms, parts: list, gouts: list, axes,
                           padding: str):
     """(coef_grads, part_grads) of `band_multiply` at output gradients
-    `gouts`, over the same halo-padded views: coef_grads[slot] is summed
-    over the axes along which coef[.., t] broadcasts against its part."""
-    width = max(int(np.abs(offs).max()) for _, offs, _ in terms)
-    padded = [_pad_halo(x, width, axes, padding) for x in parts]
-    g_padded = [np.zeros_like(xp) for xp in padded]
+    `gouts`: coef_grads[slot] is summed over the axes along which coef[..,
+    t] broadcasts against its part (never `axes`, which coef spans).
+
+    A term's coefficient gradients are one gather of all its shifted
+    windows (`_shift_index`) times gouts[i], each a single product as in
+    a loop over the offsets, then the same reduction.  The part gradients
+    are every term's products coef[.., t] * gouts[i], laid out (term,
+    offset, cell) by (the remaining axes), through one scatter
+    (`_adjoint_scatter`) into halo-padded parts, whose halos then fold
+    back; every sum runs in the loop's order, so the bits are the loop's.
+    """
+    dim, lo = len(axes), axes[0]
+    n = parts[0].shape[lo]
+    keys = [tuple(map(tuple, offs.tolist())) for _, offs, _ in terms]
+
+    def flat(x):  # the spatial axes as one
+        return x.reshape(x.shape[:lo] + (-1,) + x.shape[lo + dim:])
+    windows = [flat(x) for x in parts]
+    if padding != PERIODIC:  # one zero cell past the grid
+        windows = [np.concatenate((x, np.zeros_like(np.take(x, [0], lo))),
+                                  axis=lo) for x in windows]
     coef_grads = {}
-    for (i, j), offs, coef in terms:
-        xp, gp, go = padded[j], g_padded[j], gouts[i]
-        summed = tuple(ax for ax, g in enumerate(go.shape)
+    for ((i, j), _, coef), key in zip(terms, keys):
+        go = gouts[i]
+        summed = tuple(ax if ax < lo else ax + 2 - dim
+                       for ax, g in enumerate(go.shape)
                        if coef.shape[ax] == 1 != g)
-        g_coef = np.empty_like(coef)
-        tmp = np.empty(go.shape)
-        for t, o in enumerate(offs.tolist()):
-            xs = _halo_view(xp, o, width, axes)
-            g_coef[..., t] = np.sum(np.multiply(go, xs, out=tmp), axis=summed,
-                                    keepdims=True)
-            _halo_view(gp, o, width, axes)[...] += np.multiply(
-                coef[..., t], go, out=tmp)
-        coef_grads[i, j] = g_coef
-    return coef_grads, [_fold_halo(gp, width, axes, padding)
-                        for gp in g_padded]
+        g = np.take(windows[j], _shift_index(key, n, padding), axis=lo)
+        np.multiply(g, np.expand_dims(flat(go), lo), out=g)
+        if summed:
+            g = np.sum(g, axis=summed, keepdims=True)
+        else:  # as a sum over no axes does: 0.0 in place of -0.0
+            g += 0.0
+        coef_grads[i, j] = np.moveaxis(g, lo, -1).reshape(coef.shape)
+
+    # products as (term, offset, cell) rows, the other axes as columns
+    front = range(dim)
+    gos = [np.moveaxis(go, axes, front) for go in gouts]
+    rest = gos[0].shape[dim:]
+    products = np.empty((sum(map(len, keys)) * n ** dim, math.prod(rest)))
+    start = 0
+    for (i, _), offs, coef in terms:
+        rows = products[start:start + len(offs) * n ** dim]
+        np.multiply(np.moveaxis(coef, (-1, *axes), range(dim + 1)), gos[i],
+                    out=rows.reshape((len(offs),) + gos[i].shape))
+        start += len(rows)
+    scatter = _adjoint_scatter(
+        tuple((j, key) for ((_, j), _, _), key in zip(terms, keys)), n,
+        len(parts))
+    width = max(abs(c) for key in keys for o in key for c in o)
+    side = (n + 2 * width,) * dim
+    return coef_grads, [
+        np.moveaxis(_fold_halo(gp.reshape(side + rest), width, front,
+                               padding), front, axes)
+        for gp in (scatter @ products).reshape((len(parts), -1) + rest)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -206,7 +296,7 @@ def _band_pattern(offsets: tuple, n: int, channels: int, padding: str):
     leaves the grid (None when periodic).  Read-only, computed once per
     geometry and process."""
     offs = np.array(offsets)
-    n_off, dim = offs.shape
+    n_off = len(offs)
     cols = _diagonal_index(n, offs)[1]                  # (n.., n_off)
     indices = cols[..., None, :] * channels + np.arange(channels)[:, None]
     itype = np.int32 if indices.size < 2 ** 31 else np.int64
@@ -214,10 +304,8 @@ def _band_pattern(offsets: tuple, n: int, channels: int, padding: str):
     if padding == PERIODIC:
         indptr = np.arange(0, indices.size + 1, n_off)
     else:
-        k = np.indices((n,) * dim)[..., None]
-        shifted = k + offs.T.reshape((dim,) + (1,) * dim + (-1,))
-        inside = np.all((shifted >= 0) & (shifted < n), axis=0)
-        keep = np.broadcast_to(inside[..., None, :], indices.shape).reshape(-1)
+        keep = np.broadcast_to(_inside(n, offs)[..., None, :],
+                               indices.shape).reshape(-1)
         indptr = np.append(0, np.cumsum(keep.reshape(-1, n_off).sum(axis=1)))
         indices = indices.reshape(-1)[keep]
         keep.setflags(write=False)

@@ -504,6 +504,21 @@ def _upper_pairs(nn: int, size: int):
         lo = rows[-1] + 1
 
 
+@lru_cache(maxsize=16)
+def _far_distances(axis: tuple, dim: int, size: int) -> tuple:
+    """The center distances r of every pass of `_upper_pairs(n**dim,
+    size)` on the grid with coordinate axis `axis` on each of `dim` axes.
+    They depend on the grid alone, not on eta.  Read-only, computed once
+    per geometry and process."""
+    cells = np.indices((len(axis),) * dim).reshape(dim, -1)
+    centers = np.array(axis)[cells]
+    out = tuple(reduce(np.hypot, centers[:, a] - centers[:, b], 0.0)
+                for a, b in _upper_pairs(cells.shape[1], size))
+    for r in out:
+        r.setflags(write=False)
+    return out
+
+
 def _clean_tau(tau: np.ndarray, eta_max: float) -> np.ndarray:
     """Snap float-dust path averages to an exact zero.
 
@@ -562,7 +577,8 @@ def _nystrom(eta: np.ndarray, spec: ProblemSpec, kernel,
     w_k * table[m*i + k*(j - i)], with w = `_trap_weights(m)` and the
     fine index taken per axis.  Pairs go in passes of up to `_PASS`
     nodes, and each pair's value is written to both (i, j) and (j, i),
-    so the far field is exactly symmetric.  The adjacent cells, diagonal
+    so the far field is exactly symmetric; the pairs' distances are read
+    from `_far_distances`, once per grid.  The adjacent cells, diagonal
     neighbours included, integrate the kernel over the source cell by
     tensor Gauss-Legendre of order `_NEAR_ORDER[dim]` per axis, and the
     self cell, which fills the diagonal, by `self_cell()`: one offset
@@ -573,7 +589,6 @@ def _nystrom(eta: np.ndarray, spec: ProblemSpec, kernel,
     dim, n, h, m = eta.ndim, eta.shape[0], spec.h, spec.path_samples
     top = float(eta.max())
     cells = np.indices((n,) * dim).reshape(dim, -1)
-    centers = spec.coords()[cells]
     table = _fine_table(eta, m)
     # a cell's raveled index on the fine grid is m * fine[cell]
     fine = (m * (n - 1) + 1) ** np.arange(dim - 1, -1, -1) @ cells
@@ -581,13 +596,14 @@ def _nystrom(eta: np.ndarray, spec: ProblemSpec, kernel,
     nn = n ** dim
     kern = np.empty((nn, nn))
     flat = kern.reshape(-1)
-    for a, b in _upper_pairs(nn, _PASS // (m + 1)):
+    size = _PASS // (m + 1)
+    for (a, b), r in zip(_upper_pairs(nn, size),
+                         _far_distances(tuple(spec.coords()), dim, size)):
         node, step = m * fine[a], fine[b] - fine[a]
         tau = w[0] * table[node]
         for wk in w[1:]:
             node += step
             tau += wk * table[node]
-        r = reduce(np.hypot, centers[:, a] - centers[:, b], 0.0)
         flat[a * nn + b] = flat[b * nn + a] = (
             h ** dim * kernel(r, _clean_tau(tau, top)))
 

@@ -44,6 +44,32 @@ def band_multiply(terms, parts, axes, padding):
     return outs
 
 
+def band_multiply_adjoint(terms, parts, gouts, axes, padding):
+    """The offset loop `nsform.band_multiply_adjoint` ran before its
+    scatters, kept verbatim: per term and offset, the coefficient
+    gradient of one shifted window and one halo-view update, then the
+    halo folded back."""
+    width = max(int(np.abs(offs).max()) for _, offs, _ in terms)
+    padded = [nsform._pad_halo(x, width, axes, padding) for x in parts]
+    g_padded = [np.zeros_like(xp) for xp in padded]
+    coef_grads = {}
+    for (i, j), offs, coef in terms:
+        xp, gp, go = padded[j], g_padded[j], gouts[i]
+        summed = tuple(ax for ax, g in enumerate(go.shape)
+                       if coef.shape[ax] == 1 != g)
+        g_coef = np.empty_like(coef)
+        tmp = np.empty(go.shape)
+        for t, o in enumerate(offs.tolist()):
+            xs = nsform._halo_view(xp, o, width, axes)
+            g_coef[..., t] = np.sum(np.multiply(go, xs, out=tmp), axis=summed,
+                                    keepdims=True)
+            nsform._halo_view(gp, o, width, axes)[...] += np.multiply(
+                coef[..., t], go, out=tmp)
+        coef_grads[i, j] = g_coef
+    return coef_grads, [nsform._fold_halo(gp, width, axes, padding)
+                        for gp in g_padded]
+
+
 def zero_padded_apply(ns, v, filt):
     """The zero-padding fast matvec of `nsform.apply`, one vector at a time:
     pyramid transform, the blocks (the coarse one as its periodic

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import reference
 
+from nswave import net
 from nswave import nsform as nsf
 from nswave import pipeline as pl
 from nswave import wavelets as wv
@@ -109,6 +110,43 @@ def test_layout_is_memoized_and_read_only():
                     a.offsets[0, 1]):
             assert not arr.flags.writeable
         assert np.array_equal(a.gather_t.toarray(), a.gather.T.toarray())
+
+
+def test_scatters_are_memoized_read_only_and_built_on_first_use(tmp_path):
+    """The training adjoints' scatters: one per conv geometry
+    (`net._tap_layout`), one per band level (`nsform._adjoint_scatter`)
+    with its shift indices (`nsform._shift_index`), each cached and
+    read-only; building a model or loading a checkpoint builds none."""
+    cfg = ModelConfig(n=16, levels=2, alpha=2, depth=1, nb=1, p=1,
+                      padding="zero", dim=2, seed=0)
+    caches = (net._tap_layout, nsf._adjoint_scatter, nsf._shift_index)
+    pl.save_checkpoint(MetaModel(cfg), tmp_path)
+    for c in caches:
+        c.cache_clear()
+    mdl = pl.load_checkpoint(tmp_path)
+    MetaModel(cfg)
+    assert [c.cache_info().currsize for c in caches] == [0, 0, 0]
+    rng = np.random.default_rng(0)
+    u, tape = mdl.forward_with_tape(rng.standard_normal((16, 16)),
+                                    rng.standard_normal((16, 16)))
+    mdl.backward(tape, np.ones_like(u))
+    built = [c.cache_info().misses for c in caches]
+    u, tape = mdl.forward_with_tape(rng.standard_normal((16, 16)),
+                                    rng.standard_normal((16, 16)))
+    mdl.backward(tape, np.ones_like(u))
+    assert [c.cache_info().misses for c in caches] == built
+    lay = mdl.layouts[1]
+    terms = tuple((j, tuple(map(tuple, offs.tolist())))
+                  for (_, j), offs in lay.offsets.items())
+    scatter = nsf._adjoint_scatter(terms, lay.size, 4)
+    index = nsf._shift_index(terms[0][1], lay.size, "zero")
+    conv = mdl.convnets[1][0]
+    flat, outside, taps = net._tap_layout((16, 16), conv.width, 1,
+                                          conv.base_offset, "zero")
+    assert [c.cache_info().misses for c in caches] == built  # all cached
+    for a in (scatter.data, scatter.indices, scatter.indptr, index, flat,
+              outside, taps.data, taps.indices, taps.indptr):
+        assert not a.flags.writeable
 
 
 def test_translation_equivariance_periodic():
@@ -475,6 +513,16 @@ def test_band_multiply_adjoint_on_the_oracle_layout(dim, side, padding):
     gouts = [rng.standard_normal(p.shape) for p in parts]
     g_coefs = _check_band_multiply(terms, parts, gouts, tuple(range(dim)),
                                    padding)
+    # the column sum's order against the loop's: one column, a few, and
+    # more than numpy's pairwise block of 8
+    for cols in (1, ncols, 9):
+        xs = [rng.standard_normal((m,) * dim + (cols,)) for _ in parts]
+        gs = [rng.standard_normal(x.shape) for x in xs]
+        _assert_same_bytes(
+            nsf.band_multiply_adjoint(terms, xs, gs, tuple(range(dim)),
+                                      padding),
+            reference.band_multiply_adjoint(terms, xs, gs, tuple(range(dim)),
+                                            padding))
     for (i, j), offs, coef in terms:
         assert g_coefs[i, j].shape == coef.shape
         # each coefficient's gradient, summed over the columns by hand
@@ -485,6 +533,49 @@ def test_band_multiply_adjoint_on_the_oracle_layout(dim, side, padding):
             assert np.allclose(g_coefs[i, j][..., 0, t],
                                np.sum(gouts[i] * shifted, axis=-1),
                                rtol=1e-13, atol=1e-13)
+
+
+def _assert_same_bytes(got, want):
+    """Two (coef_grads, part_grads) pairs are equal byte for byte, which
+    tells -0.0 from 0.0 where `np.array_equal` does not."""
+    assert list(got[0]) == list(want[0])
+    pairs = [(got[0][s], want[0][s]) for s in want[0]] \
+        + list(zip(got[1], want[1], strict=True))
+    for a, b in pairs:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim,n", [(1, 32), (2, 16)])
+@pytest.mark.parametrize("padding", ["periodic", "zero"])
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_band_multiply_adjoint_bytes_equal_the_offset_loop(dim, n, padding,
+                                                           symmetric):
+    """The adjoint's gather and scatter against the offset loop
+    (`reference.band_multiply_adjoint`), on the model's layout at every
+    level, the coarse block included, for Be and Bf from 1 to 3.  The
+    parts are channel slices of one array, as the model passes them, and
+    hold signed zeros."""
+    cfg = ModelConfig(n=n, levels=2, alpha=2, depth=1, nb=2, p=1,
+                      padding=padding, symmetric=symmetric, dim=dim, seed=0)
+    rng = np.random.default_rng(31)
+    axes = tuple(range(2, 2 + dim))
+    for lay in MetaModel(cfg).layouts:
+        spatial = (lay.size,) * dim
+        for be, bf in itertools.product((1, 2, 3), repeat=2):
+            terms = [(slot, offs, rng.standard_normal(
+                (be, 1) + spatial + (cfg.alpha, len(offs))))
+                for slot, offs in lay.offsets.items()]
+            y, gy = rng.standard_normal((2, be, bf) + spatial
+                                        + (cfg.alpha << dim,))
+            y[y < -1.5], gy[gy > 1.5] = -0.0, 0.0
+            parts, gouts = (
+                [a[..., q:q + cfg.alpha] for q in range(0, a.shape[-1],
+                                                        cfg.alpha)]
+                for a in (y, gy))
+            _assert_same_bytes(
+                nsf.band_multiply_adjoint(terms, parts, gouts, axes, padding),
+                reference.band_multiply_adjoint(terms, parts, gouts, axes,
+                                                padding))
 
 
 def test_export_runtime_bounded_by_n_forward_passes():

@@ -231,17 +231,20 @@ SCATTER_GEOMETRIES = [(8, 6, 1, -2), (8, 3, 1, -2), (8, 6, 2, 0),
 def test_conv_input_gradient_equals_tap_order_scatter(dim, padding, n, width,
                                                       stride, offset):
     # one output channel makes every tap's gradient a single product, so
-    # the layer and the reference differ only in how they scatter it
+    # the layer and the reference differ only in how they scatter it; the
+    # bytes also tell -0.0 from 0.0, which np.array_equal does not
     rng = np.random.default_rng(21)
     conv = net.Conv(dim, 2, 1, width, stride=stride, padding=padding,
                     bias=False, base_offset=offset, rng=rng)
     grid = (n,) * dim
-    y, cache = conv.forward(rng.standard_normal((3,) + grid + (2,)))
-    gy = rng.standard_normal(y.shape)
-    gx = conv.backward(gy, cache)
-    ref = tap_order_input_grad(gy, conv.weight, grid, stride, offset,
-                               padding)
-    assert np.array_equal(gx, ref)
+    for batch in (1, 3):
+        y, cache = conv.forward(rng.standard_normal((batch,) + grid + (2,)))
+        gy = rng.standard_normal(y.shape)
+        gy[gy > 1.0] = -0.0
+        gx = conv.backward(gy, cache)
+        ref = tap_order_input_grad(gy, conv.weight, grid, stride, offset,
+                                   padding)
+        assert gx.shape == ref.shape and gx.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("n,width,stride,offset", SCATTER_GEOMETRIES)

@@ -490,6 +490,26 @@ def test_upper_pairs_take_each_pair_once_in_whole_rows(nn, size):
         assert a.size <= size or rows.size == 1
 
 
+@pytest.mark.parametrize("spec", [SPEC_1D, SPEC_2D], ids=["1d", "2d"])
+def test_far_distances_are_cached_per_grid_and_read_only(spec):
+    """The far pairs' center distances, one array per pass of
+    `_upper_pairs`, are computed once per grid: the same arrays for every
+    draw, read-only, and the distances of the pairs they stand for."""
+    dim, size = spec.dim, 500
+    key = (tuple(spec.coords()), dim, size)
+    out = sv._far_distances(*key)
+    assert sv._far_distances(*key) is out
+    centers = np.array(spec.coords())[np.indices((spec.n,) * dim)
+                                      .reshape(dim, -1)]
+    passes = list(sv._upper_pairs(spec.n ** dim, size))
+    assert len(out) == len(passes) > 1
+    for r, (a, b) in zip(out, passes):
+        assert not r.flags.writeable
+        assert np.allclose(r, np.sqrt(np.sum(
+            (centers[:, a] - centers[:, b]) ** 2, axis=0)), rtol=1e-15,
+            atol=0)
+
+
 def test_2d_solve_residual_and_positivity():
     eta, fs, us, meta = sv.generate_sample(SPEC_2D, 21, [22, 23])
     assert SPEC_2D.residual(eta, fs[0], us[0]) < 1e-10
