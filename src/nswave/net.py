@@ -16,8 +16,11 @@ offset off:
 with zero fill instead of the modulus in zero-padding mode, and output
 length N' = N // s per axis.  `off` (base_offset) lets the
 inverse-transform layer look backward without negative-index bookkeeping.
-The forward gathers the taps with one `np.take`; the backward scatters
-the tap gradients back with one cached sparse product per geometry,
+The tap reads follow the banded blocks' one shift rule,
+`nsform.shift_index`: tap j of output cell i reads cell i*s + off + j,
+and a zero-fill read off the grid reads one zero cell past it.  The
+forward gathers the taps with one `np.take`; the backward scatters the
+tap gradients back with one cached `nsform.scatter_matrix` per geometry,
 whose rows keep their terms in tap order, so every cell sums its terms
 in tap order.
 """
@@ -30,9 +33,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from .errors import ConfigError, ShapeError, StateError, TrainingError
+from .nsform import scatter_matrix, shift_index
 from .wavelets import PERIODIC, ZERO
 
 _ACTIVATIONS = ("linear", "relu")
@@ -56,54 +59,28 @@ def _act_backward(gy: np.ndarray, kind: str, saved) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def _tap_layout(grid: tuple, width: int, stride: int, base_offset: int,
                 padding: str):
-    """Flat (N', w**dim) indices of every output cell's taps into the
-    flattened grid (outside taps clipped to a valid cell), the mask of
-    outside taps (None when periodic), and the backward's scatter: a CSR
-    matrix, (grid cells, N' * w**dim), whose row c holds a 1 for every
-    (output cell, tap) that reads cell c, zero-fill outside taps left
-    out.  A tap reaches a cell from at most one output cell, and each row
-    keeps its entries in tap order, so the product sums every cell's
-    terms in tap order, as a loop adding tap after tap would (a halo
-    padded and folded afterwards would reorder the periodic wrap sums
-    and change the rounding).  Memoized per conv geometry, shared by
+    """(flat, scatter) of one conv geometry.  flat (N', w**dim) is
+    `nsform.shift_index` of every output cell's taps, the window offsets
+    in row-major order: the flat grid cell each tap reads, wrapped when
+    periodic, and under zero fill the zero cell past the grid, index
+    prod(grid), for a tap that leaves it.  scatter, the backward's, is
+    `nsform.scatter_matrix` of those reads listed tap-major: row c of the
+    (grid cells, N' * w**dim) matrix holds a 1 for every (output cell,
+    tap) that reads cell c, in tap order, and none for the zero cell.  A
+    tap reaches a cell from at most one output cell, so the product sums
+    every cell's terms in tap order, as a loop adding tap after tap would
+    (a halo padded and folded afterwards would reorder the periodic wrap
+    sums and change the rounding).  Memoized per conv geometry, shared by
     every layer that has it, and read-only."""
-    d = len(grid)
-    flat, inside = 0, True
-    for ax, n in enumerate(grid):
+    for n in grid:
         if n % stride:
             raise ShapeError(f"length {n} not divisible by stride {stride}")
-        idx = (stride * np.arange(n // stride)[:, None] + base_offset
-               + np.arange(width)[None, :])
-        # output cells on axes 0..d-1, taps on axes d..2d-1
-        shape = [1] * (2 * d)
-        shape[ax], shape[d + ax] = idx.shape
-        idx = idx.reshape(shape)
-        if padding == PERIODIC:
-            idx = idx % n
-        else:
-            inside = inside & (idx >= 0) & (idx < n)
-            idx = np.clip(idx, 0, n - 1)
-        flat = flat * n + idx
-    flat = flat.reshape(math.prod(flat.shape[:d]), width ** d)
-    outside = None
-    # columns of the tap gradients, tap-major so a stable sort by cell
-    # leaves every row in tap order
-    cols = np.arange(flat.size).reshape(flat.shape).T.reshape(-1)
-    cells = flat.T.reshape(-1)
-    if padding == ZERO:
-        outside = ~inside.reshape(flat.shape)
-        keep = ~outside.T.reshape(-1)
-        cols, cells = cols[keep], cells[keep]
-    order = np.argsort(cells, kind="stable")
-    size = math.prod(grid)
-    scatter = sparse.csr_array(
-        (np.ones(len(order)), cols[order],
-         np.append(0, np.cumsum(np.bincount(cells, minlength=size)))),
-        shape=(size, flat.size))
-    for a in (flat, outside, scatter.data, scatter.indices, scatter.indptr):
-        if a is not None:
-            a.flags.writeable = False
-    return flat, outside, scatter
+    taps = np.indices((width,) * len(grid)).reshape(len(grid), -1).T
+    flat = shift_index(grid, taps, padding, stride, base_offset)
+    flat.setflags(write=False)
+    cols = np.arange(flat.size).reshape(flat.shape)
+    return flat, scatter_matrix(flat.T.reshape(-1), cols.T.reshape(-1),
+                                math.prod(grid))
 
 
 class Conv:
@@ -151,11 +128,12 @@ class Conv:
             raise ShapeError(f"expected (B, {d} grid axes, {cin}), "
                              f"got {x.shape}")
         b, grid = x.shape[0], x.shape[1:-1]
-        flat, outside, _ = _tap_layout(
-            grid, self.width, self.stride, self.base_offset, self.padding)
-        taps = np.take(x.reshape(b, -1, cin), flat, axis=1)
-        if outside is not None:
-            taps[:, outside] = 0.0
+        flat = _tap_layout(grid, self.width, self.stride, self.base_offset,
+                           self.padding)[0]
+        cells = x.reshape(b, -1, cin)
+        if self.padding == ZERO:  # one zero cell past the grid
+            cells = np.concatenate((cells, np.zeros((b, 1, cin))), axis=1)
+        taps = np.take(cells, flat, axis=1)
         z = taps.reshape(-1, flat.shape[1] * cin) \
             @ self.weight.reshape(-1, cout)
         z = z.reshape((b,) + tuple(n // self.stride for n in grid) + (cout,))
@@ -188,7 +166,7 @@ class Conv:
         x_shape = cache[2]
         b, cin = x_shape[0], x_shape[-1]
         scatter = _tap_layout(x_shape[1:-1], self.width, self.stride,
-                              self.base_offset, self.padding)[2]
+                              self.base_offset, self.padding)[1]
         gtaps = (gz @ self.weight.reshape(-1, gz.shape[1]).T).reshape(
             b, -1, cin).transpose(1, 0, 2)  # (N' * w**dim, B, Cin)
         gx = scatter @ gtaps.reshape(len(gtaps), b * cin)

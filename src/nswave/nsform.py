@@ -23,11 +23,19 @@ periodic wrap is replaced by zero extension; this variant exists as the
 oracle for the zero-padded network architecture and is *not* a
 factorization of A.
 
+One shift rule serves every shifted read, here and in the model's conv
+taps (`net`): `shift_index` gives the flat grid cell stride*k + base + o
+that output cell k reads through offset o, wrapped when periodic; under
+zero fill a read that leaves the grid gives the index of one zero cell
+past it.  `scatter_matrix` is the one order-keeping scatter: a 0/1 CSR
+matrix whose rows keep their entries in listed order, so a product with
+it sums in a loop's order.
+
 The model's f path shares this module's periodic-diagonal convention:
 `band_multiply` reads every shift as a view of its input padded once by a
 halo; `band_multiply_adjoint`, its adjoint, gathers every shifted window
 of a term at once and scatters the products into the halo-padded parts
-through one cached sparse matrix per geometry, summing in the loop's
+through one cached `scatter_matrix` per geometry, summing in the loop's
 order; and `transpose_index` is the gather of a block's banded
 transpose.
 `band_matrix` compiles one block into a CSR matrix whose rows hold their
@@ -74,32 +82,53 @@ def band_offsets(n: int, nb: int | None, dim: int) -> np.ndarray:
     return np.array(list(itertools.product(axis, repeat=dim)))
 
 
-def _diagonal_index(n: int, offsets: np.ndarray):
-    """Flat (row, column) in the dense block of each stored entry:
-    data[k.., t] sits at row k.. and column (k + o_t) mod n.."""
-    dim = offsets.shape[1]
-    k = np.indices((n,) * dim)[..., None]               # (dim, n.., 1)
-    o = offsets.T.reshape((dim,) + (1,) * dim + (-1,))  # (dim, 1.., n_off)
-    return (np.ravel_multi_index(tuple(k), (n,) * dim),
-            np.ravel_multi_index(tuple((k + o) % n), (n,) * dim))
+def shift_index(grid: tuple, offsets: np.ndarray, padding: str,
+                stride: int = 1, base: int = 0) -> np.ndarray:
+    """(prod(grid) // stride**dim, n_off) flat row-major index of the cell
+    stride*k + base + o_t that output cell k reads through offset o_t,
+    wrapped onto the grid when periodic; under zero fill a read that
+    leaves the grid gives prod(grid), one zero cell past the grid."""
+    offsets, dim = np.asarray(offsets), len(grid)
+    flat, inside = 0, True
+    for ax, n in enumerate(grid):
+        shape = [1] * (dim + 1)
+        shape[ax] = -1  # output cells on axes 0..dim-1, offsets last
+        idx = (stride * np.arange(n // stride).reshape(shape) + base
+               + offsets[:, ax])
+        inside = inside & (idx >= 0) & (idx < n)
+        flat = flat * n + idx % n
+    if padding != PERIODIC:
+        flat = np.where(inside, flat, math.prod(grid))
+    return flat.reshape(-1, len(offsets))
 
 
-def _inside(n: int, offsets: np.ndarray) -> np.ndarray:
-    """(n.., n_off): whether k + o_t stays on the (n,)*dim grid."""
-    dim = offsets.shape[1]
-    k = np.indices((n,) * dim)[..., None]
-    shifted = k + offsets.T.reshape((dim,) + (1,) * dim + (-1,))
-    return np.all((shifted >= 0) & (shifted < n), axis=0)
+def scatter_matrix(rows: np.ndarray, cols: np.ndarray,
+                   size: int) -> sparse.csr_array:
+    """(size, len(cols)) 0/1 CSR matrix with a one at (rows[e], cols[e])
+    for every listed entry e, the entries with rows[e] >= size (reads of
+    the zero cell past the grid) dropped.  A stable sort keeps every row's
+    entries in the order they are listed, so the product sums each row in
+    that order.  Read-only."""
+    keep = rows < size
+    rows, kept = rows[keep], cols[keep]
+    scatter = sparse.csr_array(
+        (np.ones(len(rows)), kept[np.argsort(rows, kind="stable")],
+         np.append(0, np.cumsum(np.bincount(rows, minlength=size)))),
+        shape=(size, len(cols)))
+    for a in (scatter.data, scatter.indices, scatter.indptr):
+        a.setflags(write=False)
+    return scatter
 
 
 def transpose_index(offsets: np.ndarray, n: int):
     """(cols, neg): diagonal o of B^T is diagonal -o of B shifted by o, so
-    B^T's data[k.., t] is B's at flat grid point cols[k.., t] = (k + o_t)
-    mod n.. and diagonal neg[t], the index of -o_t (canonical) in offsets."""
+    B^T's data[k.., t] is B's at flat grid point cols[k, t] = (k + o_t)
+    mod n.. (`shift_index`, periodic; k flat) and diagonal neg[t], the
+    index of -o_t (canonical) in offsets."""
     index = {tuple(o): t for t, o in enumerate(offsets.tolist())}
     neg = np.array([index[tuple(canonical_offset(-c, n) for c in o)]
                     for o in index])
-    return _diagonal_index(n, offsets)[1], neg
+    return shift_index((n,) * offsets.shape[1], offsets, PERIODIC), neg
 
 
 def _grid_side(a: np.ndarray, dim: int) -> int:
@@ -186,15 +215,9 @@ def band_multiply(terms, parts: list, axes, padding: str) -> list:
 
 @functools.lru_cache(maxsize=64)
 def _shift_index(offsets: tuple, n: int, padding: str) -> np.ndarray:
-    """(n_off, n**dim) flat grid index of the cell k + o_t that shift o_t
-    reads at each cell k (row-major); a zero-fill shift that leaves the
-    grid reads index n**dim, one zero cell past the grid.  Read-only,
-    computed once per geometry and process."""
-    offs = np.array(offsets)
-    index = _diagonal_index(n, offs)[1].reshape(-1, len(offs)).T
-    if padding != PERIODIC:
-        index = np.where(_inside(n, offs).reshape(-1, len(offs)).T, index,
-                         n ** offs.shape[1])
+    """`shift_index` on the (n,)*dim grid as (n_off, n**dim) rows, one per
+    offset.  Read-only, computed once per geometry and process."""
+    index = shift_index((n,) * len(offsets[0]), np.array(offsets), padding).T
     index.setflags(write=False)
     return index
 
@@ -206,9 +229,9 @@ def _adjoint_scatter(terms: tuple, n: int, n_parts: int) -> sparse.csr_array:
     widest offset: column (term, t, k) is the product coef[k.., t] *
     gout[k..] of a term, row (j, cell k + o_t) a padded cell of part j.
     A term's offset reaches a padded cell from exactly one cell, and every
-    row keeps its entries in (term, offset) order, so the product sums
-    each padded cell as the offset loop adds into it.  Read-only,
-    computed once per geometry and process."""
+    row keeps its entries in (term, offset) order (`scatter_matrix`), so
+    the product sums each padded cell as the offset loop adds into it.
+    Read-only, computed once per geometry and process."""
     width = max(abs(c) for _, offs in terms for o in offs for c in o)
     dim = len(terms[0][1][0])
     padded = (n + 2 * width,) * dim
@@ -217,15 +240,8 @@ def _adjoint_scatter(terms: tuple, n: int, n_parts: int) -> sparse.csr_array:
         j * math.prod(padded) + np.ravel_multi_index(
             tuple(k + np.array(offs).T[:, :, None] + width), padded)
         for j, offs in terms], axis=None)
-    order = np.argsort(rows, kind="stable")
-    size = n_parts * math.prod(padded)
-    scatter = sparse.csr_array(
-        (np.ones(len(rows)), order,
-         np.append(0, np.cumsum(np.bincount(rows, minlength=size)))),
-        shape=(size, len(rows)))
-    for a in (scatter.data, scatter.indices, scatter.indptr):
-        a.setflags(write=False)
-    return scatter
+    return scatter_matrix(rows, np.arange(len(rows)),
+                          n_parts * math.prod(padded))
 
 
 def band_multiply_adjoint(terms, parts: list, gouts: list, axes,
@@ -292,19 +308,19 @@ def band_multiply_adjoint(terms, parts: list, gouts: list, axes,
 def _band_pattern(offsets: tuple, n: int, channels: int, padding: str):
     """(indices, indptr, keep) of `band_matrix`'s CSR pattern: row (k..,
     c) holds, in offset order, column ((k + o_t) mod n.., c) of every
-    offset; under zero fill `keep` masks out the entries whose k + o_t
-    leaves the grid (None when periodic).  Read-only, computed once per
-    geometry and process."""
+    offset (`shift_index`); under zero fill `keep` masks out the entries
+    that read the zero cell past the grid (None when periodic).
+    Read-only, computed once per geometry and process."""
     offs = np.array(offsets)
     n_off = len(offs)
-    cols = _diagonal_index(n, offs)[1]                  # (n.., n_off)
-    indices = cols[..., None, :] * channels + np.arange(channels)[:, None]
+    cols = shift_index((n,) * offs.shape[1], offs, padding)
+    indices = cols[:, None, :] * channels + np.arange(channels)[:, None]
     itype = np.int32 if indices.size < 2 ** 31 else np.int64
     keep = None
     if padding == PERIODIC:
         indptr = np.arange(0, indices.size + 1, n_off)
     else:
-        keep = np.broadcast_to(_inside(n, offs)[..., None, :],
+        keep = np.broadcast_to((cols < n ** offs.shape[1])[:, None, :],
                                indices.shape).reshape(-1)
         indptr = np.append(0, np.cumsum(keep.reshape(-1, n_off).sum(axis=1)))
         indices = indices.reshape(-1)[keep]
@@ -348,7 +364,9 @@ class BandedBlock:
     def from_dense(cls, a: np.ndarray, dim: int = 1) -> "BandedBlock":
         n = _grid_side(a, dim)
         offsets = band_offsets(n, None, dim)
-        return cls(offsets=offsets, data=a[_diagonal_index(n, offsets)])
+        cols = shift_index((n,) * dim, offsets, PERIODIC)
+        return cls(offsets=offsets, data=a[np.arange(n ** dim)[:, None],
+                                           cols].reshape((n,) * dim + (-1,)))
 
     def truncated(self, nb: int) -> "BandedBlock":
         # canonical offsets: |o| is the circular distance

@@ -421,16 +421,6 @@ _PASS = 131_072  # far-path nodes per pass: the working set stays in cache
 _NEAR_ORDER = {1: 64, 2: 8}  # Gauss-Legendre order per axis, adjacent cells
 
 
-@lru_cache(maxsize=16)
-def _gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1], computed
-    once per order and process: every kernel build reuses them."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
 def _trap_weights(m: int) -> np.ndarray:
     w = np.full(m + 1, 1.0 / m)
     w[0] = w[-1] = 0.5 / m
@@ -540,7 +530,7 @@ def _near_stencil(dim: int, m: int, order: int, self_cell):
     node's path average from the center is linear in the (5,)*dim window
     of eta around it, so S is `_path_tau` on the unit fields of a 5**dim
     grid.  Read-only, computed once per key and process."""
-    nodes, wts = _gauss_legendre(order)
+    nodes, wts = np.polynomial.legendre.leggauss(order)
     offsets = np.meshgrid(*[0.5 * (nodes + 1.0) - 0.5] * dim, indexing="ij")
     gauss = reduce(np.multiply.outer, [0.5 * wts] * dim).reshape(-1)
     blocks = [([s + o.reshape(-1) for s, o in zip(step, offsets)], gauss)
@@ -639,7 +629,7 @@ def _plane_kernel(r: np.ndarray, tau: np.ndarray) -> np.ndarray:
 def _slab_self_cell():
     """The slab self cell in units of h: the log-singular kernel split at
     the singularity, one 32-node panel per half with a sqrt substitution."""
-    nodes, wts = _gauss_legendre(32)
+    nodes, wts = np.polynomial.legendre.leggauss(32)
     nodes = 0.5 * (nodes + 1.0)
     half, w = 0.5 * nodes ** 2, 0.5 * wts * nodes
     return [np.concatenate([-half, half])], np.concatenate([w, w])
@@ -651,7 +641,7 @@ def _plane_self_cell():
     panel, and the adjacent cells' Gauss-Legendre order in angle and
     radius.  Its weights carry the Jacobian r, which cancels the 1/r
     singularity."""
-    nodes, wts = _gauss_legendre(_NEAR_ORDER[2])
+    nodes, wts = np.polynomial.legendre.leggauss(_NEAR_ORDER[2])
     unit = 0.5 * (nodes + 1.0)
     theta = ((np.arange(8)[:, None] + unit) * (np.pi / 4.0)).reshape(-1)
     cos, sin = np.cos(theta)[:, None], np.sin(theta)[:, None]

@@ -141,11 +141,11 @@ def test_scatters_are_memoized_read_only_and_built_on_first_use(tmp_path):
     scatter = nsf._adjoint_scatter(terms, lay.size, 4)
     index = nsf._shift_index(terms[0][1], lay.size, "zero")
     conv = mdl.convnets[1][0]
-    flat, outside, taps = net._tap_layout((16, 16), conv.width, 1,
-                                          conv.base_offset, "zero")
+    flat, taps = net._tap_layout((16, 16), conv.width, 1, conv.base_offset,
+                                 "zero")
     assert [c.cache_info().misses for c in caches] == built  # all cached
     for a in (scatter.data, scatter.indices, scatter.indptr, index, flat,
-              outside, taps.data, taps.indices, taps.indptr):
+              taps.data, taps.indices, taps.indptr):
         assert not a.flags.writeable
 
 

@@ -170,6 +170,59 @@ def test_band_matrix_product_equals_band_multiply_bytes(dim, n, padding, nb):
         assert np.array_equal(prod.reshape(out.shape), out)
 
 
+def _shift_reference(grid, offsets, padding, stride, base):
+    """`shift_index` written out per offset: the flat cell numbers rolled
+    back by base + o along each axis, the zero-fill mask a ones array
+    padded with zeros and rolled the same way, then every stride-th
+    output cell."""
+    cells = np.arange(np.prod(grid)).reshape(grid)
+    halo = max(abs(base + int(c)) for o in offsets for c in o)
+    cols = []
+    for o in offsets:
+        rolled = cells
+        mask = np.pad(np.ones(grid, bool), halo)
+        for ax, c in enumerate(o):
+            rolled = np.roll(rolled, -(base + int(c)), axis=ax)
+            mask = np.roll(mask, -(base + int(c)), axis=ax)
+        mask = mask[(slice(halo, -halo or None),) * len(grid)]
+        if padding == "zero":
+            rolled = np.where(mask, rolled, cells.size)
+        cols.append(rolled[(slice(None, None, stride),) * len(grid)])
+    return np.stack([c.reshape(-1) for c in cols], axis=1)
+
+
+@pytest.mark.parametrize("grid", [(8,), (4,), (4, 6)])
+@pytest.mark.parametrize("padding", ["periodic", "zero"])
+@pytest.mark.parametrize("stride", [1, 2])
+@pytest.mark.parametrize("base", [0, -3])
+def test_shift_index_equals_a_roll_and_mask_reference(grid, padding, stride,
+                                                      base):
+    """Offsets -2..4 on every axis: a window of 7 cells, wider than the
+    4- and 6-cell axes, so shifts wrap past a whole period or leave the
+    grid by more than its length."""
+    dim = len(grid)
+    offsets = np.indices((7,) * dim).reshape(dim, -1).T - 2
+    index = nsf.shift_index(grid, offsets, padding, stride, base)
+    ref = _shift_reference(grid, offsets, padding, stride, base)
+    assert index.shape == ref.shape and np.array_equal(index, ref)
+
+
+def test_scatter_matrix_keeps_listed_order_and_drops_rows_past_the_grid():
+    rng = np.random.default_rng(15)
+    size = 40
+    rows = rng.integers(0, size + 5, 5000)  # many ties, some past the grid
+    cols = rng.permutation(len(rows))
+    mat = nsf.scatter_matrix(rows, cols, size)
+    assert mat.shape == (size, len(rows))
+    assert np.all(mat.data == 1.0)
+    for r in range(size):
+        row = mat.indices[mat.indptr[r]:mat.indptr[r + 1]]
+        assert np.array_equal(row, cols[rows == r])
+    assert mat.nnz == np.count_nonzero(rows < size)
+    for a in (mat.data, mat.indices, mat.indptr):
+        assert not a.flags.writeable
+
+
 @pytest.mark.parametrize("dim,side,p,l0", [(1, 32, 1, 0), (1, 64, 3, 3),
                                            (2, 16, 1, 1), (2, 16, 2, 2)])
 @pytest.mark.parametrize("nb", [None, 1])
