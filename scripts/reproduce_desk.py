@@ -5,47 +5,42 @@ and print a results table for the 1D elliptic and transfer presets.
 Usage:
     python scripts/reproduce_desk.py [--out runs/] [--presets a,b,...]
 
-Each preset writes data/, ckpt/ and metrics under <out>/<preset>/.
+Each preset runs the CLI's own `gen-data` (skipped when the dataset
+exists) and `train` commands in-process, writing data/ and ckpt/ under
+<out>/<preset>/; a nonzero exit code stops the run with that code.  The
+table reads each row from the checkpoint's metrics.json.
 """
 
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from nswave import pipeline as pl  # noqa: E402
-from nswave.model import MetaModel  # noqa: E402
+from nswave import cli  # noqa: E402
 
 DEFAULT = ["schrodinger1d_desk", "divergence1d_desk", "rte1d_desk"]
 
 
 def run_preset(name: str, out_root: Path) -> dict:
-    cfg = pl.load_config(REPO / "configs" / f"{name}.json")
-    out = out_root / name
-    data_dir = out / "data"
-    t0 = time.time()
-    if not (data_dir / "dataset.json").exists():
-        pl.generate_dataset(cfg, data_dir)
-    t_gen = time.time() - t0
-    train_set = pl.load_sampleset(data_dir, "train")
-    test_set = pl.load_sampleset(data_dir, "test")
-    mdl = MetaModel(cfg.model)
-    metrics = pl.train(mdl, train_set, test_set, cfg.training)
-    if cfg.training.operator_samples > 0:
-        k = min(cfg.training.operator_samples, test_set.n_eta)
-        metrics.operator_error = pl.operator_error(mdl, cfg.problem,
-                                                   test_set.eta[:k])
-    pl.save_checkpoint(mdl, out / "ckpt")
-    metrics.save(out / "ckpt")
-    pl.write_run_json(out / "ckpt", cfg.to_dict(),
-                      {"command": "reproduce_desk", "gen_time": t_gen})
-    return {"preset": name, "epochs": metrics.epochs,
-            "train": metrics.train_error, "test": metrics.test_error,
-            "op": metrics.operator_error, "wall": metrics.wall_time}
+    """`nswave gen-data` (unless the dataset exists) and `nswave train` on
+    one preset; its table row, from the checkpoint's metrics.json."""
+    config = str(REPO / "configs" / f"{name}.json")
+    data, ckpt = out_root / name / "data", out_root / name / "ckpt"
+    steps = [["train", "--config", config, "--data", str(data),
+              "--out", str(ckpt)]]
+    if not (data / "dataset.json").exists():
+        steps.insert(0, ["gen-data", "--config", config, "--out", str(data)])
+    for argv in steps:
+        code = cli.main(argv)
+        if code:
+            raise SystemExit(code)
+    m = json.loads((ckpt / "metrics.json").read_text())
+    return {"preset": name, "epochs": m["epochs"], "train": m["train_error"],
+            "test": m["test_error"], "op": m["operator_error"],
+            "wall": m["wall_time"]}
 
 
 def main() -> int:

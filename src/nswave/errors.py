@@ -1,7 +1,10 @@
-"""Exception types shared across the package, and the declared rules
-config fields are checked against when a config is built."""
+"""Exception types shared across the package, the declared rules config
+fields are checked against, and the per-geometry tables' read-only memo."""
 
 import dataclasses
+import functools
+
+import numpy as np
 
 
 class ConfigError(ValueError):
@@ -84,3 +87,27 @@ def check_fields(cfg, section: str) -> None:
         if not _obeys(value, **f.metadata["rule"]):
             raise ConfigError(f"{section}.{f.name} must be "
                               f"{_need(**f.metadata['rule'])}, got {value!r}")
+
+
+# -- the per-geometry tables --------------------------------------------------
+
+def freeze(obj):
+    """Make every array `obj` reaches read-only and return `obj`: ndarrays,
+    sparse buffers, and the items of tuples, lists, dicts and dataclasses."""
+    if isinstance(obj, np.ndarray):
+        obj.setflags(write=False)
+    elif hasattr(obj, "indptr"):  # a compressed sparse matrix
+        freeze((obj.data, obj.indices, obj.indptr))
+    elif dataclasses.is_dataclass(obj):
+        freeze(vars(obj))
+    elif isinstance(obj, (tuple, list, dict)):
+        for item in obj.values() if isinstance(obj, dict) else obj:
+            freeze(item)
+    return obj
+
+
+def frozen_cache(build):
+    """`build` memoized for its 64 most recently used keys, its result
+    `freeze`d: one table per key, shared by every caller, written by none."""
+    return functools.lru_cache(maxsize=64)(
+        functools.wraps(build)(lambda *args: freeze(build(*args))))

@@ -58,7 +58,8 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from . import nsform
-from .errors import ConfigError, InferenceError, ShapeError, check_fields, rule
+from .errors import (ConfigError, InferenceError, ShapeError, check_fields,
+                     frozen_cache, rule)
 from .net import AvgPool, Conv
 from .wavelets import PARTS, PERIODIC, ZERO, WaveletFilter, daubechies_filter
 
@@ -102,8 +103,8 @@ class LevelLayout:
     rows.  A row reads one raw entry with weight 1, or, for a block forced
     symmetric, its own entry and its banded transpose's with weight 0.5
     each.  `gather_t` is `gather.T` in CSR, the backward, built once (a
-    `.T` per call reruns scipy's format checks).  Shared by every model
-    of the same geometry, and read-only."""
+    `.T` per call reruns scipy's format checks), its rows summing in
+    gather order.  Shared by every model of its geometry; read-only."""
 
     size: int
     offsets: dict       # block slot -> (n_off, dim) offset array
@@ -113,10 +114,10 @@ class LevelLayout:
     gather_t: sparse.csr_array
 
 
-@functools.lru_cache(maxsize=64)
+@frozen_cache
 def _level_layout(dim: int, size: int, alpha: int, nb: int, top: int | None,
                   symmetric: bool, coarsest: bool) -> LevelLayout:
-    """One level's layout, built once per geometry and process."""
+    """One level's layout."""
     last = (1 << dim) - 1
     pairs = [(i, j) for i in range(last + 1) for j in range(last + 1)
              if (i, j) != (last, last)]
@@ -168,13 +169,9 @@ def _level_layout(dim: int, size: int, alpha: int, nb: int, top: int | None,
          np.concatenate([r.reshape(-1) for r in rows]),
          np.append(0, np.cumsum(counts))),
         shape=(len(counts), size ** dim * col))
-    gather_t = gather.T.tocsr()  # a row sums its entries in gather order
-    for a in (band, full, gather.data, gather.indices, gather.indptr,
-              gather_t.data, gather_t.indices, gather_t.indptr):
-        a.flags.writeable = False
     bounds = np.cumsum([0] + [len(r) for r in rows])
     return LevelLayout(size=size, offsets=offsets, n_columns=col,
-                       gather=gather, gather_t=gather_t,
+                       gather=gather, gather_t=gather.T.tocsr(),
                        slices={s: slice(lo, hi) for s, lo, hi
                                in zip(offsets, bounds, bounds[1:])})
 

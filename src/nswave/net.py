@@ -34,7 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError, StateError, TrainingError
+from .errors import (ConfigError, ShapeError, StateError, TrainingError,
+                     frozen_cache)
 from .nsform import scatter_matrix, shift_index
 from .wavelets import PERIODIC, ZERO
 
@@ -56,7 +57,7 @@ def _act_backward(gy: np.ndarray, kind: str, saved) -> np.ndarray:
     return np.where(saved, gy, 0.0)  # relu
 
 
-@functools.lru_cache(maxsize=64)
+@frozen_cache
 def _tap_layout(grid: tuple, width: int, stride: int, base_offset: int,
                 padding: str):
     """(flat, scatter) of one conv geometry.  flat (N', w**dim) is
@@ -70,17 +71,15 @@ def _tap_layout(grid: tuple, width: int, stride: int, base_offset: int,
     tap reaches a cell from at most one output cell, so the product sums
     every cell's terms in tap order, as a loop adding tap after tap would
     (a halo padded and folded afterwards would reorder the periodic wrap
-    sums and change the rounding).  Memoized per conv geometry, shared by
-    every layer that has it, and read-only."""
+    sums and change the rounding).  Shared by every layer of the
+    geometry."""
     for n in grid:
         if n % stride:
             raise ShapeError(f"length {n} not divisible by stride {stride}")
     taps = np.indices((width,) * len(grid)).reshape(len(grid), -1).T
     flat = shift_index(grid, taps, padding, stride, base_offset)
-    flat.setflags(write=False)
-    cols = np.arange(flat.size).reshape(flat.shape)
-    return flat, scatter_matrix(flat.T.reshape(-1), cols.T.reshape(-1),
-                                math.prod(grid))
+    cols = np.arange(flat.size).reshape(flat.shape).T.reshape(-1)
+    return flat, scatter_matrix(flat.T.reshape(-1), cols, math.prod(grid))
 
 
 class Conv:

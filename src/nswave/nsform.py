@@ -53,7 +53,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sparse
 
-from .errors import ShapeError
+from .errors import ShapeError, freeze, frozen_cache
 from .wavelets import (
     PARTS,
     PERIODIC,
@@ -111,13 +111,10 @@ def scatter_matrix(rows: np.ndarray, cols: np.ndarray,
     that order.  Read-only."""
     keep = rows < size
     rows, kept = rows[keep], cols[keep]
-    scatter = sparse.csr_array(
+    return freeze(sparse.csr_array(
         (np.ones(len(rows)), kept[np.argsort(rows, kind="stable")],
          np.append(0, np.cumsum(np.bincount(rows, minlength=size)))),
-        shape=(size, len(cols)))
-    for a in (scatter.data, scatter.indices, scatter.indptr):
-        a.setflags(write=False)
-    return scatter
+        shape=(size, len(cols))))
 
 
 def transpose_index(offsets: np.ndarray, n: int):
@@ -213,16 +210,14 @@ def band_multiply(terms, parts: list, axes, padding: str) -> list:
     return outs
 
 
-@functools.lru_cache(maxsize=64)
+@frozen_cache
 def _shift_index(offsets: tuple, n: int, padding: str) -> np.ndarray:
     """`shift_index` on the (n,)*dim grid as (n_off, n**dim) rows, one per
-    offset.  Read-only, computed once per geometry and process."""
-    index = shift_index((n,) * len(offsets[0]), np.array(offsets), padding).T
-    index.setflags(write=False)
-    return index
+    offset."""
+    return shift_index((n,) * len(offsets[0]), np.array(offsets), padding).T
 
 
-@functools.lru_cache(maxsize=64)
+@frozen_cache
 def _adjoint_scatter(terms: tuple, n: int, n_parts: int) -> sparse.csr_array:
     """The part-gradient scatter of one `band_multiply_adjoint` call with
     the terms ((j, offsets), ..), on (n,)*dim parts halo-padded by the
@@ -230,8 +225,7 @@ def _adjoint_scatter(terms: tuple, n: int, n_parts: int) -> sparse.csr_array:
     gout[k..] of a term, row (j, cell k + o_t) a padded cell of part j.
     A term's offset reaches a padded cell from exactly one cell, and every
     row keeps its entries in (term, offset) order (`scatter_matrix`), so
-    the product sums each padded cell as the offset loop adds into it.
-    Read-only, computed once per geometry and process."""
+    the product sums each padded cell as the offset loop adds into it."""
     width = max(abs(c) for _, offs in terms for o in offs for c in o)
     dim = len(terms[0][1][0])
     padded = (n + 2 * width,) * dim
@@ -304,31 +298,25 @@ def band_multiply_adjoint(terms, parts: list, gouts: list, axes,
         for gp in (scatter @ products).reshape((len(parts), -1) + rest)]
 
 
-@functools.lru_cache(maxsize=64)
+@frozen_cache
 def _band_pattern(offsets: tuple, n: int, channels: int, padding: str):
     """(indices, indptr, keep) of `band_matrix`'s CSR pattern: row (k..,
     c) holds, in offset order, column ((k + o_t) mod n.., c) of every
-    offset (`shift_index`); under zero fill `keep` masks out the entries
-    that read the zero cell past the grid (None when periodic).
-    Read-only, computed once per geometry and process."""
-    offs = np.array(offsets)
-    n_off = len(offs)
-    cols = shift_index((n,) * offs.shape[1], offs, padding)
+    offset (`_shift_index`); under zero fill `keep` masks out the entries
+    that read the zero cell past the grid (None when periodic)."""
+    n_off, dim = len(offsets), len(offsets[0])
+    cols = _shift_index(offsets, n, padding).T
     indices = cols[:, None, :] * channels + np.arange(channels)[:, None]
     itype = np.int32 if indices.size < 2 ** 31 else np.int64
     keep = None
     if padding == PERIODIC:
         indptr = np.arange(0, indices.size + 1, n_off)
     else:
-        keep = np.broadcast_to((cols < n ** offs.shape[1])[:, None, :],
+        keep = np.broadcast_to((cols < n ** dim)[:, None, :],
                                indices.shape).reshape(-1)
         indptr = np.append(0, np.cumsum(keep.reshape(-1, n_off).sum(axis=1)))
         indices = indices.reshape(-1)[keep]
-        keep.setflags(write=False)
-    indices, indptr = indices.reshape(-1).astype(itype), indptr.astype(itype)
-    for a in (indices, indptr):
-        a.setflags(write=False)
-    return indices, indptr, keep
+    return indices.reshape(-1).astype(itype), indptr.astype(itype), keep
 
 
 def band_matrix(offsets: np.ndarray, coef: np.ndarray, n: int,

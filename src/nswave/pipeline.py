@@ -200,10 +200,11 @@ def generate_dataset(cfg: RunConfig, out_dir, threads: int = 1) -> dict:
     Each draw is solved and certified against one operator inside
     `solvers.generate_sample`, so `threads` worker processes (no more
     than there are draws) share both the solves and the certification;
-    nothing is written unless every residual is within RESIDUAL_TOL.  Parameter draws are split
-    half/half into train and test by index, so the splits never share an
-    eta.  Per-sample seeds are a pure function of (dataset.seed, index),
-    making the files bit-reproducible for any thread count.
+    nothing is written unless every residual is within RESIDUAL_TOL.
+    Parameter draws are split half/half into train and test by index, so
+    the splits never share an eta.  Per-sample seeds are a pure function
+    of (dataset.seed, index), making the files bit-reproducible for any
+    thread count.
     """
     if not isinstance(threads, int) or threads < 1:
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")

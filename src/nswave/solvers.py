@@ -41,7 +41,7 @@ eta or f, so any finite value leaves the solution unchanged.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -51,7 +51,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import (ConditioningError, ConfigError, DataError, DomainError,
-                     check_fields, rule)
+                     check_fields, frozen_cache, rule)
 
 
 # -- exponential integral --------------------------------------------------------
@@ -288,7 +288,7 @@ class ProblemSpec:
 
 # -- elliptic operators ---------------------------------------------------------------
 
-@lru_cache(maxsize=16)
+@frozen_cache
 def _stencil_pattern(shape: tuple):
     """The CSC sparsity pattern of `_periodic_stencil` on a grid of
     `shape`, the layout SuperLU reads: (slots, indices, indptr, border).
@@ -296,7 +296,7 @@ def _stencil_pattern(shape: tuple):
     adds into, the entries taken as `_periodic_stencil` lists them.
     `border` is (inner, indices, indptr) of the bordered system in
     `_divergence_factor`, `inner` being the bordered position of each
-    plain one.  Read-only, computed once per shape and process."""
+    plain one."""
     nn = int(np.prod(shape))
     idx = np.arange(nn).reshape(shape)
     cols = np.concatenate([idx.reshape(-1)] + [
@@ -314,10 +314,7 @@ def _stencil_pattern(shape: tuple):
     b_indices[inner] = indices
     b_indices[nnz + nn:] = np.arange(nn)
     b_indptr = np.append(indptr + np.arange(nn + 1), nnz + 2 * nn)
-    border = (inner, b_indices, b_indptr.astype(itype))
-    for a in (slots, indices, indptr, *border):
-        a.setflags(write=False)
-    return slots, indices, indptr, border
+    return slots, indices, indptr, (inner, b_indices, b_indptr.astype(itype))
 
 
 def _periodic_stencil(center: np.ndarray, neighbours: list) -> sp.csc_matrix:
@@ -494,19 +491,15 @@ def _upper_pairs(nn: int, size: int):
         lo = rows[-1] + 1
 
 
-@lru_cache(maxsize=16)
+@frozen_cache
 def _far_distances(axis: tuple, dim: int, size: int) -> tuple:
     """The center distances r of every pass of `_upper_pairs(n**dim,
     size)` on the grid with coordinate axis `axis` on each of `dim` axes.
-    They depend on the grid alone, not on eta.  Read-only, computed once
-    per geometry and process."""
+    They depend on the grid alone, not on eta."""
     cells = np.indices((len(axis),) * dim).reshape(dim, -1)
     centers = np.array(axis)[cells]
-    out = tuple(reduce(np.hypot, centers[:, a] - centers[:, b], 0.0)
-                for a, b in _upper_pairs(cells.shape[1], size))
-    for r in out:
-        r.setflags(write=False)
-    return out
+    return tuple(reduce(np.hypot, centers[:, a] - centers[:, b], 0.0)
+                 for a, b in _upper_pairs(cells.shape[1], size))
 
 
 def _clean_tau(tau: np.ndarray, eta_max: float) -> np.ndarray:
@@ -521,7 +514,7 @@ def _clean_tau(tau: np.ndarray, eta_max: float) -> np.ndarray:
     return tau
 
 
-@lru_cache(maxsize=16)
+@frozen_cache
 def _near_stencil(dim: int, m: int, order: int, self_cell):
     """Adjacent-cell and self-cell quadrature nodes in units of h, the same
     for every cell: offsets from the center (one row per axis), weights W
@@ -529,7 +522,7 @@ def _near_stencil(dim: int, m: int, order: int, self_cell):
     self cell at the zero step) and the stencil S (nodes x 5**dim).  A
     node's path average from the center is linear in the (5,)*dim window
     of eta around it, so S is `_path_tau` on the unit fields of a 5**dim
-    grid.  Read-only, computed once per key and process."""
+    grid."""
     nodes, wts = np.polynomial.legendre.leggauss(order)
     offsets = np.meshgrid(*[0.5 * (nodes + 1.0) - 0.5] * dim, indexing="ij")
     gauss = reduce(np.multiply.outer, [0.5 * wts] * dim).reshape(-1)
@@ -541,8 +534,6 @@ def _near_stencil(dim: int, m: int, order: int, self_cell):
     units = np.eye(5 ** dim).reshape((-1,) + (5,) * dim)
     stencil = np.stack([_path_tau(u, [2.0] * dim, list(2.0 + disp), 1.0, 0.0,
                                   m) for u in units], axis=1)
-    for a in (disp, weights, stencil):
-        a.setflags(write=False)
     return disp, weights, stencil
 
 

@@ -26,12 +26,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, frozen_cache
 
 SQRT2 = math.sqrt(2.0)
 
@@ -131,7 +130,7 @@ def _polish(h: np.ndarray, p: int) -> np.ndarray:
     return h
 
 
-@lru_cache(maxsize=None)
+@frozen_cache
 def daubechies_filter(p: int) -> WaveletFilter:
     """Build the minimum-phase Daubechies filter pair with p vanishing moments.
 
@@ -147,10 +146,7 @@ def daubechies_filter(p: int) -> WaveletFilter:
         h = _polish(_daubechies_start(p), p)
         if h[: p] @ h[: p] < h[p:] @ h[p:]:  # minimum-phase: energy up front
             h = h[::-1].copy()
-    h.setflags(write=False)
-    g = _high_from_low(h)
-    g.setflags(write=False)
-    return WaveletFilter(p=p, h=h, g=g, g_offset=-(2 * p - 2))
+    return WaveletFilter(p=p, h=h, g=_high_from_low(h), g_offset=-(2 * p - 2))
 
 
 def min_coarse_level(p: int) -> int:
