@@ -30,10 +30,12 @@ padding; under zero fill the layout leaves out the one diagonal that has
 no transpose there (offset n/2 of an even block).
 
 `learned_operator` is the one apply of the learned operator at a fixed
-eta: it computes the collection and compiles its blocks once, and
-`export_operator` is its product with unit sources; its transpose is the
-same apply of `MetaModel.transposed`.  The transform convs still run as
-in training.
+eta: it computes the collection and compiles its blocks once; its
+transpose is the same apply of `MetaModel.transposed`.  The transform
+convs still run as in training.  `export_operator` applies the same
+compiled blocks to unit sources; under a periodic wrap it runs the
+forward transform only on the 2**(levels*dim) residue classes of the
+sources and shifts their coefficients.
 
 With the transform convs initialized to the exact Daubechies filters and
 the collection taken from a truncated nonstandard form, the forward pass
@@ -491,7 +493,6 @@ class MetaModel:
         and the pass's working set is one layer's.  `backward` needs the
         eta path and `keep=True`.
         """
-        cfg = self.cfg
         spatial = self._expect_spatial()
         sdim = len(spatial)
         eta = np.asarray(eta, dtype=float)
@@ -521,39 +522,51 @@ class MetaModel:
         else:
             blocks = collection
         tape["blocks"] = blocks
+        tape["parts"], tape["fwt_caches"] = self._analyse(f_b, keep)
+        out, tape["iwt_caches"] = self._synthesise(blocks, tape["parts"], keep)
+        return out, tape
 
-        if self.cfg.symmetric:
-            for fl, il in zip(self.fwt, self.iwt):
-                il.weight[...] = tie(fl.weight)
-
-        x = np.repeat(f_b[..., None], cfg.alpha, axis=-1)
-
-        fwt_caches = [None] * cfg.levels
-        parts = [None] * cfg.levels
-        cur = x
+    def _analyse(self, f_b: np.ndarray, keep: bool):
+        """The f path's analysis: sources (Be, Bf, spatial..) repeated over
+        alpha channels, then the forward-transform convs, finest level
+        first, each reading the next-finer level's scaling part.  Returns
+        every level's parts (coarsest level first) and the convs' caches
+        (None unless `keep`)."""
+        cfg = self.cfg
+        be, bf = f_b.shape[:2]
+        cur = np.repeat(f_b[..., None], cfg.alpha, axis=-1)
+        parts, caches = [None] * cfg.levels, [None] * cfg.levels
         for i in range(cfg.levels - 1, -1, -1):
             y, cache = self.fwt[i].forward(self._flatten_bf(cur))
-            fwt_caches[i] = cache if keep else None
+            caches[i] = cache if keep else None
             parts[i] = _split_parts(self._unflatten_bf(y, be, bf), cfg.alpha)
             cur = parts[i][-1]
-        tape["fwt_caches"] = fwt_caches
-        tape["parts"] = parts
+        return parts, caches
 
-        iwt_caches = [None] * cfg.levels
+    def _synthesise(self, blocks: list, parts: list, keep: bool):
+        """The f path's synthesis from every level's parts: the banded stage,
+        coarsest level first, the next-coarser level's output added into
+        the scaling part, then the inverse-transform conv and the interleave;
+        last the channel mean.  Returns u (Be, Bf, spatial..) and the
+        convs' caches (None unless `keep`)."""
+        cfg = self.cfg
+        if cfg.symmetric:
+            for fl, il in zip(self.fwt, self.iwt):
+                il.weight[...] = tie(fl.weight)
+        be, bf = parts[0][0].shape[:2]
+        caches = [None] * cfg.levels
         u = None
         for i in range(cfg.levels):
             outs = self._band_stage(blocks[i], self.layouts[i], parts[i])
             last = outs[-1] if u is None else outs[-1] + u
             stacked = np.concatenate(outs[:-1] + [last], axis=-1)
             z, cache = self.iwt[i].forward(self._flatten_bf(stacked))
-            iwt_caches[i] = cache if keep else None
+            caches[i] = cache if keep else None
             u = _interleave(self._unflatten_bf(z, be, bf))
-        tape["iwt_caches"] = iwt_caches
-
         out = u.mean(axis=-1)
         if not np.all(np.isfinite(out)):
             raise InferenceError("non-finite values in model output")
-        return out, tape
+        return out, caches
 
     def forward(self, eta: np.ndarray, f: np.ndarray,
                 collection: list | None = None) -> np.ndarray:
@@ -651,27 +664,107 @@ def collection_from_nsform(ns, cfg: ModelConfig) -> list[dict]:
     return out
 
 
-#: unit sources pushed through the f path per export pass; it bounds the
-#: pass's working set, which grows linearly with it, and picks the BLAS
-#: kernel of the transform convs, so it also sets the export's bits
-EXPORT_PASS = 64
+#: bytes one transform conv's tap matrix may take in an export pass: a
+#: pass of w unit sources holds two of them, w * N * p**dim * alpha
+#: floats each, so this sets the pass width (and with it the BLAS kernel
+#: of the convs' matmuls, hence the export's bits); the residue classes'
+#: parts must fit it too, or export analyses every source
+EXPORT_TAP_BYTES = 4 << 20
+
+
+def _export_plan(cfg: ModelConfig) -> tuple:
+    """(w, table): the unit sources per export pass under
+    `EXPORT_TAP_BYTES`, and the bytes of the residue classes' parts."""
+    nn = cfg.n ** cfg.dim
+    tap = 8 * nn * cfg.p ** cfg.dim * cfg.alpha  # per source
+    cells = sum((cfg.n >> cfg.levels - i) ** cfg.dim
+                for i in range(cfg.levels))
+    return (max(1, min(nn, EXPORT_TAP_BYTES // tap)),
+            8 * (1 << cfg.levels * cfg.dim) * cells * (cfg.alpha << cfg.dim))
+
+
+def _unit_sources(ks: np.ndarray, spatial: tuple) -> np.ndarray:
+    """(1, len(ks), spatial..): one unit source at each flat index."""
+    f = np.zeros((len(ks), int(np.prod(spatial))))
+    f[np.arange(len(ks)), ks] = 1.0
+    return f.reshape((1, len(ks)) + spatial)
 
 
 def export_operator(mdl: MetaModel, eta: np.ndarray) -> np.ndarray:
-    """Dense matrix of the learned operator at eta: `learned_operator`
-    applied to unit sources (exact, because the f path is linear), in
-    passes of `EXPORT_PASS` columns written into the preallocated (N, N)
-    result.  Beyond the result, a pass holds the transform convs' tap
-    matrices, which grow with the grid (EXPORT_PASS * N * p**dim * alpha
-    floats each).
+    """Dense matrix of the learned operator at eta: `learned_operator`'s
+    compiled blocks applied to unit sources (exact, because the f path is
+    linear), in passes of `_export_plan`'s width written into the
+    preallocated (N, N) result.
+
+    Under a periodic wrap the forward transform is a strided convolution
+    that commutes with shifts by whole coarsest cells: with q =
+    2**levels, source c + q*a (per axis, c in [0, q)) has at level i the
+    parts of source c shifted by a * 2**i cells.  So the q**dim residue
+    classes are analysed once, and each pass gathers its parts from that
+    table (one `np.take` per level) and runs only the synthesis.  Zero
+    fill, where shifts do not commute with the convs, and a table larger
+    than `EXPORT_TAP_BYTES` analyse every pass's sources instead.
     """
-    op = learned_operator(mdl, eta)
-    nn = op.shape[0]
+    cfg = mdl.cfg
+    spatial = mdl._expect_spatial()
+    nn = int(np.prod(spatial))
+    compiled = _compile(mdl, eta)
+    width, table = _export_plan(cfg)
+
+    def analyse(ks):
+        return mdl._analyse(_unit_sources(ks, spatial), False)[0]
+
+    classes = None
+    if cfg.padding == PERIODIC and table <= EXPORT_TAP_BYTES:
+        # the q**dim class sources, in passes of `width`; per level one
+        # row of all parts' channels per (class, cell)
+        q = 1 << cfg.levels
+        ks = np.ravel_multi_index(np.indices((q,) * cfg.dim).reshape(
+            cfg.dim, -1), spatial)
+        passes = [analyse(ks[lo:lo + width])
+                  for lo in range(0, len(ks), width)]
+        classes = [np.concatenate([np.concatenate(p[i], axis=-1)
+                                   for p in passes], axis=1).reshape(
+                                       -1, cfg.alpha << cfg.dim)
+                   for i in range(cfg.levels)]
     g = np.empty((nn, nn))
-    for lo in range(0, nn, EXPORT_PASS):
-        m = min(EXPORT_PASS, nn - lo)
-        g[:, lo:lo + m] = op.matmat(np.eye(nn, m, -lo))
+    for lo in range(0, nn, width):
+        ks = np.arange(lo, min(lo + width, nn))
+        parts = analyse(ks) if classes is None \
+            else _class_parts(classes, ks, cfg)
+        u = mdl._synthesise(compiled, parts, False)[0]
+        g[:, lo:lo + len(ks)] = u.reshape(len(ks), nn).T
     return g
+
+
+def _class_parts(classes: list, ks: np.ndarray, cfg: ModelConfig) -> list:
+    """Every level's parts of the unit sources at flat indices ks, read
+    from the residue classes' (class, cell) rows: per axis, source c +
+    q*a at level i's cell x is class c at cell (x - a * 2**i) mod m_i."""
+    dim, q = cfg.dim, 1 << cfg.levels
+    idx = np.unravel_index(ks, (cfg.n,) * dim)
+    c = np.ravel_multi_index([x % q for x in idx], (q,) * dim)
+    parts = []
+    for i, table in enumerate(classes):
+        m = cfg.n // q << i  # level i's size
+        rows = c.reshape((-1,) + (1,) * dim) * m ** dim
+        for ax, x in enumerate(idx):
+            cell = (np.arange(m) - (x // q << i)[:, None]) % m
+            rows = rows + cell.reshape((-1,) + (1,) * ax + (m,)
+                                       + (1,) * (dim - 1 - ax)) \
+                * m ** (dim - 1 - ax)
+        parts.append(_split_parts(np.take(table, rows, axis=0)[None],
+                                  cfg.alpha))
+    return parts
+
+
+def _compile(mdl: MetaModel, eta: np.ndarray) -> list:
+    """The collection at eta with each banded block compiled into its CSR
+    matrix (`nsform.band_matrix`)."""
+    return [{slot: nsform.band_matrix(lay.offsets[slot], arr[0], lay.size,
+                                      mdl.cfg.padding)
+             for slot, arr in blocks.items()}
+            for blocks, lay in zip(mdl.collection(eta), mdl.layouts)]
 
 
 def learned_operator(mdl: MetaModel, eta: np.ndarray) -> spla.LinearOperator:
@@ -684,10 +777,7 @@ def learned_operator(mdl: MetaModel, eta: np.ndarray) -> spla.LinearOperator:
     `rmatmat`) is the same product; otherwise it is the forward of
     `mdl.transposed()` with each compiled block transposed (`.T`, exact
     also under zero fill) and moved from slot (i, j) to (j, i)."""
-    compiled = [{slot: nsform.band_matrix(lay.offsets[slot], arr[0],
-                                          lay.size, mdl.cfg.padding)
-                 for slot, arr in blocks.items()}
-                for blocks, lay in zip(mdl.collection(eta), mdl.layouts)]
+    compiled = _compile(mdl, eta)
     spatial = mdl._expect_spatial()
     nn = int(np.prod(spatial))
 
@@ -697,7 +787,7 @@ def learned_operator(mdl: MetaModel, eta: np.ndarray) -> spla.LinearOperator:
                           collection=collection)
         return u.reshape(-1, nn).T.reshape(np.shape(v))
 
-    @functools.cache  # on first use: export and the dense norm need none
+    @functools.cache  # on first use: matvec-only callers need none
     def transpose():
         return mdl.transposed(), [
             {(j, i): mat.T for (i, j), mat in blocks.items()}

@@ -255,9 +255,10 @@ def generate_dataset(cfg: RunConfig, out_dir, threads: int = 1) -> dict:
 
 def load_sampleset(data_dir, split: str, check: bool = False) -> SampleSet:
     """One split of a dataset, checked on load against its dataset.json:
-    the problem block read strictly, a split of at least one draw, every
-    tensor present and shaped by the grid and the split's counts, and eta,
-    f and u finite (else DataError).
+    the problem block read strictly, a split of at least one draw, splits
+    that tile [0, n_eta), a certified `max_residual` within RESIDUAL_TOL,
+    every tensor present and shaped by the grid and the split's counts,
+    and eta, f and u finite (else DataError).
     `check` also re-certifies every residual against its operator."""
     data_dir = Path(data_dir)
     path = data_dir / "dataset.json"
@@ -266,13 +267,23 @@ def load_sampleset(data_dir, split: str, check: bool = False) -> SampleSet:
     try:
         problem = _from_dict(ProblemSpec, summary["problem"])
         lo, hi = summary["splits"][split]
-        n_f = summary["n_f"]
+        (start, cut), (cut_test, end) = (summary["splits"][s]
+                                         for s in ("train", "test"))
+        n_eta, n_f = summary["n_eta"], summary["n_f"]
+        worst = summary["max_residual"]
     except (KeyError, TypeError, ValueError) as exc:  # ValueError: ConfigError
         raise DataError(f"{path}: {exc!r}") from exc
     if not all(type(v) is int for v in (lo, hi, n_f)) or \
             not 0 <= lo < hi or n_f < 1:
         raise DataError(f"{path}: invalid splits.{split} {[lo, hi]} "
                         f"or n_f {n_f!r}")
+    # the splits tile [0, n_eta): train first, test after it
+    if type(n_eta) is not int or (start, cut_test, end) != (0, cut, n_eta):
+        raise DataError(f"{path}: n_eta {n_eta!r} disagrees with splits "
+                        f"{summary['splits']}")
+    if type(worst) not in (int, float) or not 0 <= worst <= RESIDUAL_TOL:
+        raise DataError(f"{path}: max_residual {worst!r} is not within "
+                        f"{RESIDUAL_TOL:.0e}")
     path = data_dir / f"{split}.nstf"
     tensors = read_tensors(path)
     grid = (problem.n,) * problem.dim

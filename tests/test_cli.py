@@ -475,6 +475,17 @@ def _corrupt_dataset(data, case):
         tensors = {name: arr[:0] for name, arr in tensors.items()}
     elif case == "sources":
         tensors["f"] = tensors["f"][:, :1]
+    elif case.startswith("max_residual_"):
+        edit = case[len("max_residual_"):]
+        if edit == "missing":
+            del summary["max_residual"]
+        else:  # a value that claims more than certification allows
+            summary["max_residual"] = {"above": 1.0, "nan": float("nan"),
+                                       "neginf": -float("inf")}[edit]
+    elif case == "no_n_eta":
+        del summary["n_eta"]
+    elif case == "n_eta":
+        summary["n_eta"] += 2
     else:
         name, value = case.split("_")
         tensors[name][-1, ..., 5] = float(value)
@@ -486,7 +497,9 @@ def _corrupt_dataset(data, case):
     "unknown_key", "invalid_kind", "mistyped_scale", "no_kind",
     "no_problem", "not_an_object", "missing_eta", "missing_f", "missing_u",
     "missing_eta_seeds", "missing_retries", "grid", "split", "empty_split",
-    "sources", "eta_nan", "f_inf", "u_nan"])
+    "sources", "eta_nan", "f_inf", "u_nan", "max_residual_missing",
+    "max_residual_above", "max_residual_nan", "max_residual_neginf",
+    "no_n_eta", "n_eta"])
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_malformed_dataset_is_a_data_error(data_and_ckpt, micro_config,
                                            tmp_path, capsys, case, command):

@@ -1,18 +1,18 @@
 import itertools
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import reference
 
-from nswave import net
+from nswave import model, net
 from nswave import nsform as nsf
 from nswave import pipeline as pl
 from nswave import wavelets as wv
 from nswave.container import read_tensors
 from nswave.errors import InferenceError, ShapeError
 from nswave.model import (
-    EXPORT_PASS,
     MetaModel,
     ModelConfig,
     collection_from_nsform,
@@ -336,14 +336,18 @@ def _scrambled_model(cfg, seed):
 @pytest.mark.parametrize("padding", ["periodic", "zero"])
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_export_equals_forward_column_by_column(dim, n, levels, padding,
-                                                symmetric):
+                                                symmetric, monkeypatch):
     """Every column of the pass-wise export is the forward response to its
-    unit source; 80 sources leave a remainder after full passes of 64."""
+    unit source; a budget of 7 sources' tap matrices leaves a remainder
+    pass on every grid, and the periodic ones read the class table."""
     cfg = ModelConfig(n=n, levels=levels, alpha=2, depth=1, nb=1, p=2,
                       padding=padding, symmetric=symmetric, dim=dim, seed=3)
     mdl = _scrambled_model(cfg, 4)
     shape = (n,) * dim
     nn = n ** dim
+    monkeypatch.setattr(model, "EXPORT_TAP_BYTES", 7 * 8 * nn * 2 ** dim * 2)
+    width, table = model._export_plan(cfg)
+    assert width == 7 and table <= model.EXPORT_TAP_BYTES
     eta = np.random.default_rng(5).standard_normal(shape)
     g = export_operator(mdl, eta)
     assert g.shape == (nn, nn)
@@ -351,8 +355,7 @@ def test_export_equals_forward_column_by_column(dim, n, levels, padding,
     u_all = mdl.forward(eta, basis).reshape(nn, nn)  # one batch of sources
     scale = np.max(np.abs(u_all))
     assert np.max(np.abs(g - u_all.T)) <= 1e-13 * scale
-    for k in (0, EXPORT_PASS - 1, nn // 2, nn - 1):
-        k = min(k, nn - 1)
+    for k in (0, 6, 7, nn // 2, nn - 1):
         col = mdl.forward(eta, basis[k]).reshape(nn)
         assert np.max(np.abs(g[:, k] - col)) <= 1e-13 * scale
 
@@ -367,7 +370,9 @@ def test_learned_operator_compiled_blocks_are_bit_identical(
     and its rmatvec is the adjoint of its matvec.  Densely: a
     non-symmetric model's rmatmat of the identity is the transpose of its
     matmat (this covers the zero-fill layouts that keep diagonal n/2 of
-    an even block), and a symmetric model's operator is symmetric."""
+    an even block), and a symmetric model's operator is symmetric.
+    `export_operator`, through the class table or not, is that matmat
+    to 1e-13."""
     n = k << levels
     cfg = ModelConfig(n=n, levels=levels, alpha=alpha, depth=1, nb=nb, p=p,
                       padding=padding, symmetric=symmetric, dim=dim, seed=3)
@@ -395,6 +400,21 @@ def test_learned_operator_compiled_blocks_are_bit_identical(
     g = op.matmat(np.eye(nn))
     gt = g if symmetric else op.rmatmat(np.eye(nn))
     assert np.max(np.abs(gt - g.T)) <= 1e-13 * np.max(np.abs(g))
+    # export at the default budget (periodic: the q**dim class sources
+    # analysed), at one of nn - 1 sources' tap matrices (a remainder pass
+    # of one), and at one float, where no class table fits and each pass
+    # analyses its one source
+    tap = 8 * nn * p ** dim * alpha
+    classes = (1 << levels * dim) if padding == "periodic" else nn
+    for budget, analysed in ((model.EXPORT_TAP_BYTES, classes),
+                             ((nn - 1) * tap, None), (8, nn)):
+        with mock.patch.object(model, "EXPORT_TAP_BYTES", budget), \
+                mock.patch.object(MetaModel, "_analyse", autospec=True,
+                                  side_effect=MetaModel._analyse) as spy:
+            ge = export_operator(mdl, eta)
+        sources = sum(c.args[1].shape[1] for c in spy.call_args_list)
+        assert analysed in (None, sources)
+        assert np.max(np.abs(ge - g)) <= 1e-13 * np.max(np.abs(g))
 
 
 def test_export_and_matvec_run_no_offset_loop(monkeypatch):

@@ -429,9 +429,7 @@ def test_stencil_rows_are_averages_and_cached_read_only(dim, monkeypatch):
     # integrates over one cell of unit area
     assert np.allclose(weights.sum(axis=0), 1.0, rtol=0, atol=1e-10)
     assert sv._near_stencil(*key)[2] is stencil
-    for a in (disp, weights, stencil):
-        with pytest.raises(ValueError):
-            a[0] = 0.0
+    assert not any(a.flags.writeable for a in (disp, weights, stencil))
     monkeypatch.setitem(sv._NEAR_ORDER, dim, 4)
     coarser = sv._near_paths(np.ones((8,) * dim), 16, SELF_CELL[dim])
     assert coarser[0].shape[1] < disp.shape[1]
@@ -642,9 +640,8 @@ def test_stencil_pattern_is_cached_read_only(shape):
     assert np.shares_memory(second.indices, first.indices)
     assert np.shares_memory(second.indptr, first.indptr)
     slots, indices, indptr, border = sv._stencil_pattern(shape)
-    for a in (slots, indices, indptr, *border):
-        with pytest.raises(ValueError):
-            a[0] = 0
+    assert not any(a.flags.writeable
+                   for a in (slots, indices, indptr, *border))
 
 
 def _pair_residual(spec, eta, f, u):
