@@ -53,7 +53,7 @@ from __future__ import annotations
 import copy
 import functools
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sparse
@@ -345,10 +345,8 @@ class MetaModel:
         return sum(p.size for p in self.parameters().values())
 
     def describe(self) -> dict:
-        d = asdict(self.cfg)
-        d["parameter_count"] = self.parameter_count()
-        d["iwt_tied"] = self.cfg.symmetric
-        return d
+        return dict(vars(self.cfg), parameter_count=self.parameter_count(),
+                    iwt_tied=self.cfg.symmetric)
 
     def init_filters(self, filt: WaveletFilter, noise: float = 0.0,
                      rng: np.random.Generator | None = None) -> None:
@@ -672,13 +670,13 @@ def collection_from_nsform(ns, cfg: ModelConfig) -> list[dict]:
 EXPORT_TAP_BYTES = 4 << 20
 
 
-def _export_plan(cfg: ModelConfig) -> tuple:
+def _export_plan(mdl: MetaModel) -> tuple:
     """(w, table): the unit sources per export pass under
     `EXPORT_TAP_BYTES`, and the bytes of the residue classes' parts."""
+    cfg = mdl.cfg
     nn = cfg.n ** cfg.dim
     tap = 8 * nn * cfg.p ** cfg.dim * cfg.alpha  # per source
-    cells = sum((cfg.n >> cfg.levels - i) ** cfg.dim
-                for i in range(cfg.levels))
+    cells = sum(lay.size ** cfg.dim for lay in mdl.layouts)
     return (max(1, min(nn, EXPORT_TAP_BYTES // tap)),
             8 * (1 << cfg.levels * cfg.dim) * cells * (cfg.alpha << cfg.dim))
 
@@ -709,7 +707,7 @@ def export_operator(mdl: MetaModel, eta: np.ndarray) -> np.ndarray:
     spatial = mdl._expect_spatial()
     nn = int(np.prod(spatial))
     compiled = _compile(mdl, eta)
-    width, table = _export_plan(cfg)
+    width, table = _export_plan(mdl)
 
     def analyse(ks):
         return mdl._analyse(_unit_sources(ks, spatial), False)[0]
@@ -731,30 +729,27 @@ def export_operator(mdl: MetaModel, eta: np.ndarray) -> np.ndarray:
     for lo in range(0, nn, width):
         ks = np.arange(lo, min(lo + width, nn))
         parts = analyse(ks) if classes is None \
-            else _class_parts(classes, ks, cfg)
+            else _class_parts(classes, ks, mdl)
         u = mdl._synthesise(compiled, parts, False)[0]
         g[:, lo:lo + len(ks)] = u.reshape(len(ks), nn).T
     return g
 
 
-def _class_parts(classes: list, ks: np.ndarray, cfg: ModelConfig) -> list:
+def _class_parts(classes: list, ks: np.ndarray, mdl: MetaModel) -> list:
     """Every level's parts of the unit sources at flat indices ks, read
     from the residue classes' (class, cell) rows: per axis, source c +
-    q*a at level i's cell x is class c at cell (x - a * 2**i) mod m_i."""
-    dim, q = cfg.dim, 1 << cfg.levels
-    idx = np.unravel_index(ks, (cfg.n,) * dim)
-    c = np.ravel_multi_index([x % q for x in idx], (q,) * dim)
+    q*a at level i's cell x is class c at cell x - a * 2**i, wrapped
+    (`nsform.shift_index`)."""
+    dim, q = mdl.cfg.dim, 1 << mdl.cfg.levels
+    a, r = np.divmod(np.stack(np.unravel_index(ks, (mdl.cfg.n,) * dim)), q)
+    c = np.ravel_multi_index(r, (q,) * dim)
     parts = []
-    for i, table in enumerate(classes):
-        m = cfg.n // q << i  # level i's size
-        rows = c.reshape((-1,) + (1,) * dim) * m ** dim
-        for ax, x in enumerate(idx):
-            cell = (np.arange(m) - (x // q << i)[:, None]) % m
-            rows = rows + cell.reshape((-1,) + (1,) * ax + (m,)
-                                       + (1,) * (dim - 1 - ax)) \
-                * m ** (dim - 1 - ax)
-        parts.append(_split_parts(np.take(table, rows, axis=0)[None],
-                                  cfg.alpha))
+    for i, (table, lay) in enumerate(zip(classes, mdl.layouts)):
+        grid = (lay.size,) * dim
+        rows = c * lay.size ** dim + nsform.shift_index(
+            grid, -(a.T << i), PERIODIC)
+        parts.append(_split_parts(np.take(table, rows.T.reshape(
+            (-1,) + grid), axis=0)[None], mdl.cfg.alpha))
     return parts
 
 

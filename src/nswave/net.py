@@ -91,12 +91,14 @@ class Conv:
     C-contiguous (B, N', w**dim * Cin) tap matrix with the weights; the
     input gradient is that gather's transpose, `_tap_layout`'s scatter
     applied to the tap gradients, the batch folded into its columns.
+    The initial weights are drawn from `rng`, which has no unseeded
+    default.
     """
 
     def __init__(self, dim: int, in_channels: int, out_channels: int,
                  width: int, stride: int = 1, padding: str = PERIODIC,
                  activation: str = "linear", bias: bool = True,
-                 base_offset: int = 0, rng: np.random.Generator | None = None):
+                 base_offset: int = 0, *, rng: np.random.Generator):
         if width < 1 or stride < 1:
             raise ConfigError(f"bad conv geometry w={width}, s={stride}")
         if padding not in (PERIODIC, ZERO):
@@ -108,7 +110,6 @@ class Conv:
         self.padding = padding
         self.activation = activation
         self.base_offset = base_offset
-        rng = rng or np.random.default_rng()
         scale = 1.0 / np.sqrt(width ** dim * in_channels)
         self.weight = rng.normal(
             0.0, scale, (width,) * dim + (in_channels, out_channels))

@@ -23,11 +23,12 @@ periodic wrap is replaced by zero extension; this variant exists as the
 oracle for the zero-padded network architecture and is *not* a
 factorization of A.
 
-One shift rule serves every shifted read, here and in the model's conv
-taps (`net`): `shift_index` gives the flat grid cell stride*k + base + o
-that output cell k reads through offset o, wrapped when periodic; under
-zero fill a read that leaves the grid gives the index of one zero cell
-past it.  `scatter_matrix` is the one order-keeping scatter: a 0/1 CSR
+One shift rule serves every shifted read, here, in the model's conv
+taps (`net`) and in export's gather of the residue classes' parts
+(`model._class_parts`): `shift_index` gives the flat grid cell
+stride*k + base + o that output cell k reads through offset o, wrapped
+when periodic; under zero fill a read that leaves the grid gives the
+index of one zero cell past it.  `scatter_matrix` is the one order-keeping scatter: a 0/1 CSR
 matrix whose rows keep their entries in listed order, so a product with
 it sums in a loop's order.
 

@@ -257,8 +257,9 @@ def load_sampleset(data_dir, split: str, check: bool = False) -> SampleSet:
     """One split of a dataset, checked on load against its dataset.json:
     the problem block read strictly, a split of at least one draw, splits
     that tile [0, n_eta), a certified `max_residual` within RESIDUAL_TOL,
-    every tensor present and shaped by the grid and the split's counts,
-    and eta, f and u finite (else DataError).
+    and the split's tensors as `_read_checked` holds them: exactly eta,
+    f, u, eta_seeds and retries, shaped by the grid and the split's
+    counts, all finite (else DataError).
     `check` also re-certifies every residual against its operator."""
     data_dir = Path(data_dir)
     path = data_dir / "dataset.json"
@@ -284,23 +285,12 @@ def load_sampleset(data_dir, split: str, check: bool = False) -> SampleSet:
     if type(worst) not in (int, float) or not 0 <= worst <= RESIDUAL_TOL:
         raise DataError(f"{path}: max_residual {worst!r} is not within "
                         f"{RESIDUAL_TOL:.0e}")
-    path = data_dir / f"{split}.nstf"
-    tensors = read_tensors(path)
     grid = (problem.n,) * problem.dim
-    want = {"eta": (hi - lo,) + grid, "f": (hi - lo, n_f) + grid,
-            "u": (hi - lo, n_f) + grid, "eta_seeds": (hi - lo,),
-            "retries": (hi - lo,)}
-    for name, shape in want.items():
-        if name not in tensors:
-            raise DataError(f"{path}: no tensor {name!r}")
-        if tensors[name].shape != shape:
-            raise DataError(f"{path}: {name} has shape "
-                            f"{tensors[name].shape}, expected {shape}")
-        if name in ("eta", "f", "u") and \
-                not np.all(np.isfinite(tensors[name])):
-            raise DataError(f"{path}: {name} holds non-finite values")
-    ss = SampleSet(problem=problem, split=split,
-                   **{name: tensors[name] for name in want})
+    tensors = _read_checked(data_dir / f"{split}.nstf", {
+        "eta": (hi - lo,) + grid, "f": (hi - lo, n_f) + grid,
+        "u": (hi - lo, n_f) + grid, "eta_seeds": (hi - lo,),
+        "retries": (hi - lo,)})
+    ss = SampleSet(problem=problem, split=split, **tensors)
     if check:
         worst = ss.max_residual()
         if not worst <= RESIDUAL_TOL:
@@ -500,22 +490,6 @@ def save_checkpoint(mdl: MetaModel, out_dir) -> None:
         json.dump(mdl.describe(), fh, indent=2, sort_keys=True)
 
 
-def _checkpoint_config(desc, path) -> ModelConfig:
-    """The ModelConfig a checkpoint's model.json describes, read strictly:
-    every field present, no unknown key, and every value within its rule."""
-    if not isinstance(desc, dict):
-        raise DataError(f"{path}: expected a JSON object")
-    desc = {k: v for k, v in desc.items()
-            if k not in ("parameter_count", "iwt_tied")}
-    missing = {f.name for f in dataclasses.fields(ModelConfig)} - set(desc)
-    if missing:
-        raise DataError(f"{path}: missing ModelConfig keys {sorted(missing)}")
-    try:
-        return _from_dict(ModelConfig, desc)
-    except ConfigError as exc:
-        raise DataError(f"{path}: {exc}") from exc
-
-
 def check_geometry(mdl: MetaModel, problem: ProblemSpec) -> None:
     """DataError unless the model's grid (n, dim) is the dataset's."""
     have = (mdl.cfg.n, mdl.cfg.dim)
@@ -526,22 +500,48 @@ def check_geometry(mdl: MetaModel, problem: ProblemSpec) -> None:
 
 
 def load_checkpoint(ckpt_dir) -> MetaModel:
-    ckpt_dir = Path(ckpt_dir)
-    with open(ckpt_dir / "model.json") as fh:
+    """The checkpoint's model, checked on load (else DataError): model.json
+    an object holding every ModelConfig field, each within its rule, the
+    built model's parameter_count and iwt_tied, and no other key; and
+    model.nstf's tensors as `_read_checked` holds them: exactly the
+    model's parameters, each of its shape, all finite."""
+    path = Path(ckpt_dir) / "model.json"
+    with open(path) as fh:
         desc = json.load(fh)
-    mdl = MetaModel(_checkpoint_config(desc, ckpt_dir / "model.json"))
-    tensors = read_tensors(ckpt_dir / "model.nstf")
+    try:
+        cfg = ModelConfig(**{f.name: desc[f.name]
+                             for f in dataclasses.fields(ModelConfig)})
+    except (KeyError, TypeError, ConfigError) as exc:  # TypeError: no dict
+        raise DataError(f"{path}: {exc!r}") from exc
+    mdl = MetaModel(cfg)
+    want = mdl.describe()
+    # json.dumps tells 280.0 from 280 and 1 from true
+    if json.dumps(desc, sort_keys=True) != json.dumps(want, sort_keys=True):
+        raise DataError(f"{path}: {desc} does not describe the model it "
+                        f"builds, {want}")
     params = mdl.parameters()
-    if set(tensors) != set(params):
-        raise DataError("checkpoint parameter names do not match the "
-                        "architecture descriptor")
+    tensors = _read_checked(path.with_name("model.nstf"),
+                            {k: v.shape for k, v in params.items()})
     for name, arr in tensors.items():
-        if params[name].shape != arr.shape:
-            raise DataError(f"checkpoint shape mismatch for {name}")
-        if not np.isfinite(arr).all():
-            raise DataError(f"checkpoint parameter {name} is not finite")
         params[name][...] = arr
     return mdl
+
+
+def _read_checked(path, want: dict) -> dict:
+    """The tensors of the NSTF file at `path`, which must be exactly the
+    names of `want`, each of the shape `want` gives it, all finite; any
+    other file is a DataError."""
+    tensors = read_tensors(path)
+    if set(tensors) != set(want):
+        raise DataError(f"{path}: tensors {sorted(tensors)}, expected "
+                        f"{sorted(want)}")
+    for name, shape in want.items():
+        if tensors[name].shape != shape:
+            raise DataError(f"{path}: {name} has shape "
+                            f"{tensors[name].shape}, expected {shape}")
+        if not np.isfinite(tensors[name]).all():
+            raise DataError(f"{path}: {name} holds non-finite values")
+    return tensors
 
 
 # -- run metadata -----------------------------------------------------------------------

@@ -380,7 +380,9 @@ def test_truncated_dataset_is_a_data_error(data_and_ckpt, tmp_path, capsys,
     _assert_data_error(rc, capsys)
 
 
-@pytest.mark.parametrize("edit", ["unknown", "missing", "invalid", "type"])
+@pytest.mark.parametrize("edit", [
+    "unknown", "missing", "invalid", "type", "parameter_count",
+    "parameter_count_float", "no_parameter_count", "iwt_tied", "iwt_tied_int"])
 def test_malformed_model_json_is_a_data_error(data_and_ckpt, tmp_path,
                                               capsys, edit):
     data, ckpt = data_and_ckpt
@@ -391,6 +393,16 @@ def test_malformed_model_json_is_a_data_error(data_and_ckpt, tmp_path,
         del desc["nb"]
     elif edit == "invalid":
         desc["p"] = 9
+    elif edit == "parameter_count":
+        desc["parameter_count"] += 1
+    elif edit == "parameter_count_float":
+        desc["parameter_count"] = float(desc["parameter_count"])
+    elif edit == "no_parameter_count":
+        del desc["parameter_count"]
+    elif edit == "iwt_tied":
+        desc["iwt_tied"] = not desc["iwt_tied"]
+    elif edit == "iwt_tied_int":
+        desc["iwt_tied"] = int(desc["iwt_tied"])
     else:
         desc["levels"] = "2"
     (ckpt / "model.json").write_text(json.dumps(desc))
@@ -486,6 +498,12 @@ def _corrupt_dataset(data, case):
         del summary["n_eta"]
     elif case == "n_eta":
         summary["n_eta"] += 2
+    elif case == "extra_tensor":
+        tensors["bogus"] = tensors["retries"]
+    elif case == "eta_seeds_nan":
+        tensors["eta_seeds"][-1] = np.nan
+    elif case == "retries_inf":
+        tensors["retries"][-1] = np.inf
     else:
         name, value = case.split("_")
         tensors[name][-1, ..., 5] = float(value)
@@ -499,7 +517,7 @@ def _corrupt_dataset(data, case):
     "missing_eta_seeds", "missing_retries", "grid", "split", "empty_split",
     "sources", "eta_nan", "f_inf", "u_nan", "max_residual_missing",
     "max_residual_above", "max_residual_nan", "max_residual_neginf",
-    "no_n_eta", "n_eta"])
+    "no_n_eta", "n_eta", "extra_tensor", "eta_seeds_nan", "retries_inf"])
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_malformed_dataset_is_a_data_error(data_and_ckpt, micro_config,
                                            tmp_path, capsys, case, command):

@@ -346,7 +346,7 @@ def test_export_equals_forward_column_by_column(dim, n, levels, padding,
     shape = (n,) * dim
     nn = n ** dim
     monkeypatch.setattr(model, "EXPORT_TAP_BYTES", 7 * 8 * nn * 2 ** dim * 2)
-    width, table = model._export_plan(cfg)
+    width, table = model._export_plan(mdl)
     assert width == 7 and table <= model.EXPORT_TAP_BYTES
     eta = np.random.default_rng(5).standard_normal(shape)
     g = export_operator(mdl, eta)
@@ -358,6 +358,37 @@ def test_export_equals_forward_column_by_column(dim, n, levels, padding,
     for k in (0, 6, 7, nn // 2, nn - 1):
         col = mdl.forward(eta, basis[k]).reshape(nn)
         assert np.max(np.abs(g[:, k] - col)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("dim,n,levels", [(1, 80, 3), (2, 16, 2)])
+def test_class_parts_are_the_analysed_parts_bytewise(dim, n, levels,
+                                                     monkeypatch):
+    """At every level, the parts export reads from the residue classes'
+    table have the bytes of `_analyse` of the same unit sources, on a
+    perturbed periodic model: passes of 7 cover every source, so every
+    residue class at every shift, and end in a remainder pass."""
+    cfg = ModelConfig(n=n, levels=levels, alpha=2, depth=1, nb=1, p=2,
+                      dim=dim, seed=3)
+    mdl = _scrambled_model(cfg, 4)
+    shape, nn = (n,) * dim, n ** dim
+    monkeypatch.setattr(model, "EXPORT_TAP_BYTES", 7 * 8 * nn * 2 ** dim * 2)
+    width, table = model._export_plan(mdl)
+    assert width == 7 and table <= model.EXPORT_TAP_BYTES
+    class_parts, passes = model._class_parts, []
+
+    def checked(classes, ks, m):
+        parts = class_parts(classes, ks, m)
+        want = mdl._analyse(model._unit_sources(ks, shape), False)[0]
+        for got_level, want_level in zip(parts, want, strict=True):
+            for got, ref in zip(got_level, want_level, strict=True):
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes()
+        passes.append(ks)
+        return parts
+    monkeypatch.setattr(model, "_class_parts", checked)
+    export_operator(mdl, np.random.default_rng(5).standard_normal(shape))
+    assert np.array_equal(np.concatenate(passes), np.arange(nn))
+    assert 0 < len(passes[-1]) < 7
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
