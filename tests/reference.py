@@ -114,17 +114,20 @@ def periodic_stencil(center, neighbours):
 
 
 def sparse_factor(op):
-    """`solvers._sparse_factor` on a copy of `op` in CSC."""
-    lu = spla.splu(op.tocsc())
+    """`solvers._sparse_factor` on a copy of `op` in CSC, its SuperLU
+    options written out here so that a change to them shows."""
+    lu = spla.splu(op.tocsc(), permc_spec="MMD_AT_PLUS_A", relax=1,
+                   panel_size=2)
     return lu.solve, lambda b: lu.solve(b, trans="T")
 
 
 def divergence_factor(op, shape):
     """`solvers._divergence_factor` with the bordered system built by
-    `scipy.sparse.bmat`."""
+    `scipy.sparse.bmat`, under the SuperLU options of `sparse_factor`."""
     nn = op.shape[0]
     one = np.ones((nn, 1))
-    lu = spla.splu(sp.bmat([[op, one], [one.T, None]], format="csc"))
+    lu = spla.splu(sp.bmat([[op, one], [one.T, None]], format="csc"),
+                   permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=2)
 
     def bordered(b, trans):
         rhs = np.concatenate([b, np.zeros((1,) + b.shape[1:])])

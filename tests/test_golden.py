@@ -7,14 +7,16 @@ eta 0 (its float64 bytes, as `export_operator` returns it), and the
 `float.hex` of the operator error over test etas 0-1.  A change that
 moves these bits, knowingly, updates `GOLDEN` and says why.
 
-The pipeline runs in a child process with `OPENBLAS_NUM_THREADS=1` set
-for the child only.  This does not settle whether bits may depend on the
-BLAS thread count: at two threads rte2d_desk generation already gives
-another `train.nstf` (its LU of the 1024 x 1024 transfer system), and
-this test neither fixes that nor checks it.
+The pipeline runs in a child process with `OPENBLAS_NUM_THREADS` set
+for the child only.  The table is taken at one thread.  Elliptic
+generation does not depend on the BLAS thread count, so the two
+Schrodinger presets' `train.nstf` is also checked at two threads.  Transfer
+generation does: at two threads rte2d_desk gives another `train.nstf`
+(its LU of the 1024 x 1024 transfer system), and no test fixes that.
 
-Run as a script, the module is that child: it prints the digests and
-the library versions as JSON.
+Run as a script, the module is that child: it prints the digests of the
+presets named on the command line (all four by default) and the library
+versions as JSON.
 """
 
 import hashlib
@@ -35,13 +37,13 @@ VERSIONS = {"numpy": "2.4.6", "scipy": "1.17.1",
             "scipy-blas": "scipy-openblas 0.3.30"}
 GOLDEN = {
     "schrodinger1d_desk": {
-        "train.nstf": "41b92d09839d630808a3889bca6181c2"
-                      "d64a013f11833867ed05b984d6a2bf22",
-        "model.nstf": "efc5465def920b91c2f212ea5fdb16c5"
-                      "97aff192b579d334bc47daa2d70564ec",
-        "export": "316de2b1509735f2f9410f07ebfd7a1d"
-                  "091d8433986f455d1e037c97359412bf",
-        "operator_error": "0x1.1dc60be2bb51ep+0"},
+        "train.nstf": "eaac689a2c3ba2827a2b92304381286a"
+                      "d6f3df34d51cd7267ff6734bdd8cb532",
+        "model.nstf": "e9c9ab988c2003be440fe1f7e37e79da"
+                      "61083d31694e0880d65966a746981f05",
+        "export": "009d58dec8a6281c20198b782e363d2e"
+                  "21742e851ab15264248a234cb7a69b4e",
+        "operator_error": "0x1.1dc60be2bb52cp+0"},
     "rte1d_desk": {
         "train.nstf": "dbf09b0d9fa809a0b25c090e10dd5476"
                       "c22f5ca300a705709efa09839089a501",
@@ -51,13 +53,13 @@ GOLDEN = {
                   "965e7592fc7a08dbbadbeb87d270d2ee",
         "operator_error": "0x1.218fd424f2196p-2"},
     "schrodinger2d_desk": {
-        "train.nstf": "6505bfc04f1e81f71c7c36de5818fe70"
-                      "aa511ac4032a02558854c61122bd85e8",
-        "model.nstf": "4a5740b227ad9cfcf34a8c16538f602c"
-                      "7bfee88ea071cff20ef541c4b355b2df",
-        "export": "25eec5f7a9967605bda23752bc70ed67"
-                  "ad548882a53d6a7e9e5983cb1a604be5",
-        "operator_error": "0x1.4270f7a419f0cp+1"},
+        "train.nstf": "c4ba2bcfb91297529c08b68f194f0c17"
+                      "af79b4ec59a80e12cd3b0016776b7724",
+        "model.nstf": "bf8f2f6b7e1cc77c2858b70931f6e90c"
+                      "f70911b99a75cae9ff756e211926e1f6",
+        "export": "3327413ab5c151a3e65ef532a2f97ea3"
+                  "35beaae7512e9f471a8e85736d8c8cbb",
+        "operator_error": "0x1.4270f7a419f05p+1"},
     "rte2d_desk": {
         "train.nstf": "6b5202c753475138d7cefdd59cf23223"
                       "9724abca394f16d1e0eb7d0eee21a44a",
@@ -102,29 +104,40 @@ def _digests(preset: str, work: Path) -> dict:
         "operator_error": float(err).hex()}
 
 
-def main() -> None:
+def main(presets) -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        digests = {p: _digests(p, Path(tmp) / p) for p in PRESETS}
+        digests = {p: _digests(p, Path(tmp) / p) for p in presets}
     json.dump({"versions": _versions(), "digests": digests}, sys.stdout)
 
 
-def test_desk_presets_reproduce_the_checked_in_bytes():
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+def _check_child(threads: int, want: dict) -> None:
+    """Run the child on want's presets at `threads` BLAS threads and
+    compare the digests it prints with `want`."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
            "PYTHONPATH": os.pathsep.join(
                filter(None, [str(REPO / "src"),
                              os.environ.get("PYTHONPATH")]))}
-    run = subprocess.run([sys.executable, __file__], env=env,
+    run = subprocess.run([sys.executable, __file__, *want], env=env,
                          capture_output=True, text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     out = json.loads(run.stdout)
-    moved = [f"{preset} {name}: expected {want}, got {got}"
-             for preset, table in GOLDEN.items()
-             for name, want in table.items()
-             if (got := out["digests"][preset][name]) != want]
+    moved = [f"{preset} {name}: expected {value}, got {got}"
+             for preset, table in want.items()
+             for name, value in table.items()
+             if (got := out["digests"][preset][name]) != value]
     assert not moved, (
-        "bytes moved:\n  " + "\n  ".join(moved)
+        f"bytes moved at {threads} BLAS threads:\n  " + "\n  ".join(moved)
         + f"\ntable taken with {VERSIONS}\nthis run with {out['versions']}")
 
 
+def test_desk_presets_reproduce_the_checked_in_bytes():
+    _check_child(1, GOLDEN)
+
+
+def test_elliptic_generation_bytes_do_not_depend_on_blas_threads():
+    _check_child(2, {p: {"train.nstf": GOLDEN[p]["train.nstf"]}
+                     for p in ("schrodinger1d_desk", "schrodinger2d_desk")})
+
+
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:] or PRESETS)

@@ -593,18 +593,18 @@ def test_divergence_matrix_equals_dense_stencil(shape):
 
 
 def _factored_matrices(spec, eta, monkeypatch):
-    """The operator at eta and the CSC matrix SuperLU factors for it
-    (bordered in divergence form)."""
+    """The operator at eta, the CSC matrix SuperLU factors for it
+    (bordered in divergence form) and SuperLU's factor."""
     seen, real_splu = [], sv.spla.splu
 
-    def splu(mat):
-        seen.append(mat)
-        return real_splu(mat)
+    def splu(mat, **options):
+        seen.append((mat, real_splu(mat, **options)))
+        return seen[-1][1]
     with monkeypatch.context() as m:
         m.setattr(sv.spla, "splu", splu)
         op = spec.operator(eta)
         spec._factor(op, eta)
-    return op, seen[0]
+    return op, *seen[0]
 
 
 @pytest.mark.parametrize("kind", ["schrodinger", "divergence"])
@@ -614,12 +614,12 @@ def test_operator_csc_arrays_equal_the_coo_csr_assembly_bit_for_bit(
         kind, dim, n, monkeypatch):
     spec = sv.ProblemSpec(kind=kind, dim=dim, n=n, eta_coarse=1)
     eta = _random_eta((n,) * dim)
-    op, factored = _factored_matrices(spec, eta, monkeypatch)
+    op, factored, _ = _factored_matrices(spec, eta, monkeypatch)
     monkeypatch.setattr(sv, "_periodic_stencil", reference.periodic_stencil)
     monkeypatch.setattr(sv, "_sparse_factor", reference.sparse_factor)
     monkeypatch.setattr(sv, "_divergence_factor",
                         reference.divergence_factor)
-    ref_op, ref_factored = _factored_matrices(spec, eta, monkeypatch)
+    ref_op, ref_factored, _ = _factored_matrices(spec, eta, monkeypatch)
     assert op.format == factored.format == ref_factored.format == "csc"
     if kind == "schrodinger":
         assert factored is op  # factored as built, with no copy
@@ -628,6 +628,17 @@ def test_operator_csc_arrays_equal_the_coo_csr_assembly_bit_for_bit(
         for name in ("data", "indices", "indptr"):
             a, b = getattr(got, name), getattr(want, name)
             assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+@pytest.mark.parametrize("kind", ["schrodinger", "divergence"])
+def test_elliptic_factor_fills_less_than_the_default_order(kind, monkeypatch):
+    # the minimum-degree order is what makes a 2D draw's factor cheap;
+    # without it only the golden digests would notice
+    spec = sv.ProblemSpec(kind=kind, dim=2, n=32, eta_coarse=4,
+                          eta_shift=0.5 if kind == "divergence" else 0.0)
+    _, mat, lu = _factored_matrices(spec, spec.sample_eta(3), monkeypatch)
+    default = sv.spla.splu(mat)
+    assert lu.L.nnz + lu.U.nnz < default.L.nnz + default.U.nnz
 
 
 @pytest.mark.parametrize("shape", [(5,), (4, 4)])
