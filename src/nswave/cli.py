@@ -34,8 +34,7 @@ EXIT_VERIFY = 5
 
 
 def _cmd_gen_data(args) -> int:
-    seed = [] if args.seed is None else [f"dataset.seed={args.seed}"]
-    cfg = pipeline.load_config(args.config, args.set + seed)
+    cfg = pipeline.load_config(args.config, args.set)
     t0 = time.time()
     summary = pipeline.generate_dataset(cfg, args.out, threads=args.threads)
     pipeline.write_run_json(args.out, cfg.to_dict(), {
@@ -146,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="generate and persist a dataset")
     add_common(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="override dataset.seed")
     p.add_argument("--threads", type=int, default=1,
                    help="worker processes (>= 1, at most one per draw) "
                         "that generate and certify the parameter draws")

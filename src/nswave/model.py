@@ -268,9 +268,9 @@ def _interleave_backward(gu: np.ndarray) -> np.ndarray:
 
 # -- the model -----------------------------------------------------------------
 
-def _transform_convs(cfg: ModelConfig, rng: np.random.Generator):
+def _transform_convs(cfg: ModelConfig, rng: np.random.Generator | None):
     """The f path's forward- and inverse-transform convs, one of each per
-    level: linear, no bias, weights drawn from `rng`."""
+    level: linear, no bias, weights drawn from `rng` (zeros if None)."""
     m = cfg.alpha << cfg.dim  # a level's 2**dim parts of alpha channels
     conv = functools.partial(Conv, cfg.dim, padding=cfg.padding, bias=False,
                              rng=rng)
@@ -372,8 +372,7 @@ class MetaModel:
         (j, i)) its forward is this model's adjoint.  Not for symmetric
         models, which are their own transpose and tie `iwt` per forward."""
         t = copy.copy(self)
-        t.fwt, t.iwt = _transform_convs(self.cfg,
-                                        np.random.default_rng(self.cfg.seed))
+        t.fwt, t.iwt = _transform_convs(self.cfg, None)  # no draw
         for fl, il, tf, ti in zip(self.fwt, self.iwt, t.fwt, t.iwt):
             tf.weight[...] = untie(il.weight)
             ti.weight[...] = tie(fl.weight)

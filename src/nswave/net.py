@@ -92,13 +92,13 @@ class Conv:
     input gradient is that gather's transpose, `_tap_layout`'s scatter
     applied to the tap gradients, the batch folded into its columns.
     The initial weights are drawn from `rng`, which has no unseeded
-    default.
+    default; `rng=None` allocates zeros, for weights set by the caller.
     """
 
     def __init__(self, dim: int, in_channels: int, out_channels: int,
                  width: int, stride: int = 1, padding: str = PERIODIC,
                  activation: str = "linear", bias: bool = True,
-                 base_offset: int = 0, *, rng: np.random.Generator):
+                 base_offset: int = 0, *, rng: np.random.Generator | None):
         if width < 1 or stride < 1:
             raise ConfigError(f"bad conv geometry w={width}, s={stride}")
         if padding not in (PERIODIC, ZERO):
@@ -110,9 +110,9 @@ class Conv:
         self.padding = padding
         self.activation = activation
         self.base_offset = base_offset
-        scale = 1.0 / np.sqrt(width ** dim * in_channels)
-        self.weight = rng.normal(
-            0.0, scale, (width,) * dim + (in_channels, out_channels))
+        shape = (width,) * dim + (in_channels, out_channels)
+        self.weight = np.zeros(shape) if rng is None else rng.normal(
+            0.0, 1.0 / np.sqrt(width ** dim * in_channels), shape)
         self.bias = np.zeros(out_channels) if bias else None
         self.gw = np.zeros_like(self.weight)
         self.gb = np.zeros_like(self.bias) if bias else None

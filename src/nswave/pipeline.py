@@ -194,17 +194,43 @@ def _f_seeds(base: int, i: int, n_f: int) -> list[int]:
     return [_eta_seed(base, i) + 300_000 + j for j in range(n_f)]
 
 
+def _summary(problem: ProblemSpec, dataset: DatasetConfig, max_residual,
+             total_retries) -> dict:
+    """dataset.json: what `generate_dataset` writes, and what
+    `load_sampleset` rebuilds from a file's own fields and requires the
+    file to equal.  The train split is the first n_eta // 2 draws, the
+    test split the rest.  Only certified data has a summary: a residual
+    above RESIDUAL_TOL (or NaN), or a negative retry count, is a
+    DataError."""
+    if not 0 <= max_residual <= RESIDUAL_TOL:
+        raise DataError(f"max_residual {max_residual!r} is not within "
+                        f"{RESIDUAL_TOL:.0e}")
+    if total_retries < 0:
+        raise DataError(f"total_retries {total_retries!r} is negative")
+    n_train = dataset.n_eta // 2
+    return {
+        "problem": dataclasses.asdict(problem),
+        **dataclasses.asdict(dataset),  # n_eta, n_f, seed
+        "seed_scheme": "eta: seed + 1000003*(i+1); f: eta_seed + 300000 + j; "
+                       "resampling bumps the eta seed by 1",
+        "splits": {"train": [0, n_train], "test": [n_train, dataset.n_eta]},
+        "max_residual": float(max_residual),
+        "total_retries": int(total_retries),
+    }
+
+
 def generate_dataset(cfg: RunConfig, out_dir, threads: int = 1) -> dict:
-    """Generate, certify and persist both splits; returns a summary dict.
+    """Generate, certify and persist both splits; returns the summary
+    written to dataset.json, `_summary`'s, which `load_sampleset` rebuilds.
 
     Each draw is solved and certified against one operator inside
     `solvers.generate_sample`, so `threads` worker processes (no more
     than there are draws) share both the solves and the certification;
     nothing is written unless every residual is within RESIDUAL_TOL.
-    Parameter draws are split half/half into train and test by index, so
-    the splits never share an eta.  Per-sample seeds are a pure function
-    of (dataset.seed, index), making the files bit-reproducible for any
-    thread count.
+    Parameter draws are split into train and test by index at the
+    summary's split, so the splits never share an eta.  Per-sample seeds
+    are a pure function of (dataset.seed, index), making the files
+    bit-reproducible for any thread count.
     """
     if not isinstance(threads, int) or threads < 1:
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
@@ -221,75 +247,55 @@ def generate_dataset(cfg: RunConfig, out_dir, threads: int = 1) -> dict:
     else:
         results = [solvers.generate_sample(*job) for job in jobs]
 
-    etas = np.stack([r[0] for r in results])
-    fs = np.stack([r[1] for r in results])
-    us = np.stack([r[2] for r in results])
+    etas, fs, us = (np.stack([r[k] for r in results]) for k in range(3))
     seeds = np.array([r[3]["eta_seed"] for r in results], dtype=float)
     retries = np.array([r[3]["retries"] for r in results], dtype=float)
     worst = float(np.max([r[3]["max_residual"] for r in results]))
-    if not worst <= RESIDUAL_TOL:
-        raise DataError(f"generation residual {worst:.3e} above tolerance")
-
-    n_train = n_eta // 2
-    for name, sl in (("train", slice(0, n_train)),
-                     ("test", slice(n_train, n_eta))):
+    summary = _summary(cfg.problem, cfg.dataset, worst, retries.sum())
+    for name, (lo, hi) in summary["splits"].items():
         write_tensors(out / f"{name}.nstf", {
-            "eta": etas[sl], "f": fs[sl], "u": us[sl],
-            "eta_seeds": seeds[sl], "retries": retries[sl]})
-
-    summary = {
-        "problem": dataclasses.asdict(cfg.problem),
-        "n_eta": n_eta,
-        "n_f": n_f,
-        "seed": base,
-        "seed_scheme": "eta: seed + 1000003*(i+1); f: eta_seed + 300000 + j; "
-                       "resampling bumps the eta seed by 1",
-        "splits": {"train": [0, n_train], "test": [n_train, n_eta]},
-        "max_residual": worst,
-        "total_retries": int(retries.sum()),
-    }
+            "eta": etas[lo:hi], "f": fs[lo:hi], "u": us[lo:hi],
+            "eta_seeds": seeds[lo:hi], "retries": retries[lo:hi]})
     with open(out / "dataset.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
     return summary
 
 
 def load_sampleset(data_dir, split: str, check: bool = False) -> SampleSet:
-    """One split of a dataset, checked on load against its dataset.json:
-    the problem block read strictly, a split of at least one draw, splits
-    that tile [0, n_eta), a certified `max_residual` within RESIDUAL_TOL,
-    and the split's tensors as `_read_checked` holds them: exactly eta,
-    f, u, eta_seeds and retries, shaped by the grid and the split's
-    counts, all finite (else DataError).
-    `check` also re-certifies every residual against its operator."""
+    """One split of a dataset, checked on load (else DataError).
+
+    dataset.json must equal the summary `_summary` rebuilds from its own
+    fields: the problem block read strictly, n_eta, n_f and seed within
+    `DatasetConfig`'s rules, the seed scheme and the splits as the writer
+    derives them, no other key.  Its `max_residual` must be within
+    RESIDUAL_TOL and its `total_retries` non-negative.  The split's
+    tensors are as `_read_checked` holds them (exactly eta, f, u,
+    eta_seeds and retries, shaped by the grid and the split's counts, all
+    finite), and each draw's eta seed is the seed scheme's for its index
+    plus its retries.  `check` also re-certifies every residual against
+    its operator."""
     data_dir = Path(data_dir)
     path = data_dir / "dataset.json"
-    with open(path) as fh:
-        summary = json.load(fh)
-    try:
-        problem = _from_dict(ProblemSpec, summary["problem"])
-        lo, hi = summary["splits"][split]
-        (start, cut), (cut_test, end) = (summary["splits"][s]
-                                         for s in ("train", "test"))
-        n_eta, n_f = summary["n_eta"], summary["n_f"]
-        worst = summary["max_residual"]
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError: ConfigError
-        raise DataError(f"{path}: {exc!r}") from exc
-    if not all(type(v) is int for v in (lo, hi, n_f)) or \
-            not 0 <= lo < hi or n_f < 1:
-        raise DataError(f"{path}: invalid splits.{split} {[lo, hi]} "
-                        f"or n_f {n_f!r}")
-    # the splits tile [0, n_eta): train first, test after it
-    if type(n_eta) is not int or (start, cut_test, end) != (0, cut, n_eta):
-        raise DataError(f"{path}: n_eta {n_eta!r} disagrees with splits "
-                        f"{summary['splits']}")
-    if type(worst) not in (int, float) or not 0 <= worst <= RESIDUAL_TOL:
-        raise DataError(f"{path}: max_residual {worst!r} is not within "
-                        f"{RESIDUAL_TOL:.0e}")
+
+    def build(d):
+        problem = _from_dict(ProblemSpec, d["problem"])
+        dataset = DatasetConfig(**{
+            f.name: d[f.name] for f in dataclasses.fields(DatasetConfig)})
+        return _summary(problem, dataset, d["max_residual"],
+                        d["total_retries"]), problem
+    summary, problem = _read_described(path, build)
+    (lo, hi), n_f = summary["splits"][split], summary["n_f"]
     grid = (problem.n,) * problem.dim
     tensors = _read_checked(data_dir / f"{split}.nstf", {
         "eta": (hi - lo,) + grid, "f": (hi - lo, n_f) + grid,
         "u": (hi - lo, n_f) + grid, "eta_seeds": (hi - lo,),
         "retries": (hi - lo,)})
+    # each retry bumps the draw's seed by one; stored as the writer does
+    seeds = np.array([_eta_seed(summary["seed"], i) + int(r) for i, r
+                      in zip(range(lo, hi), tensors["retries"])], dtype=float)
+    if not np.array_equal(tensors["eta_seeds"], seeds):
+        raise DataError(f"{data_dir / split}.nstf: eta_seeds do not follow "
+                        f"the seed scheme from seed {summary['seed']}")
     ss = SampleSet(problem=problem, split=split, **tensors)
     if check:
         worst = ss.max_residual()
@@ -501,30 +507,47 @@ def check_geometry(mdl: MetaModel, problem: ProblemSpec) -> None:
 
 def load_checkpoint(ckpt_dir) -> MetaModel:
     """The checkpoint's model, checked on load (else DataError): model.json
-    an object holding every ModelConfig field, each within its rule, the
-    built model's parameter_count and iwt_tied, and no other key; and
-    model.nstf's tensors as `_read_checked` holds them: exactly the
-    model's parameters, each of its shape, all finite."""
+    must equal the description of the model its ModelConfig fields build
+    (every field present and within its rule, the built model's
+    parameter_count and iwt_tied, no other key), and model.nstf's tensors
+    are as `_read_checked` holds them: exactly the model's parameters,
+    each of its shape, all finite."""
+    def build(desc):
+        mdl = MetaModel(ModelConfig(**{
+            f.name: desc[f.name] for f in dataclasses.fields(ModelConfig)}))
+        return mdl.describe(), mdl
     path = Path(ckpt_dir) / "model.json"
-    with open(path) as fh:
-        desc = json.load(fh)
-    try:
-        cfg = ModelConfig(**{f.name: desc[f.name]
-                             for f in dataclasses.fields(ModelConfig)})
-    except (KeyError, TypeError, ConfigError) as exc:  # TypeError: no dict
-        raise DataError(f"{path}: {exc!r}") from exc
-    mdl = MetaModel(cfg)
-    want = mdl.describe()
-    # json.dumps tells 280.0 from 280 and 1 from true
-    if json.dumps(desc, sort_keys=True) != json.dumps(want, sort_keys=True):
-        raise DataError(f"{path}: {desc} does not describe the model it "
-                        f"builds, {want}")
+    _, mdl = _read_described(path, build)
     params = mdl.parameters()
     tensors = _read_checked(path.with_name("model.nstf"),
                             {k: v.shape for k, v in params.items()})
     for name, arr in tensors.items():
         params[name][...] = arr
     return mdl
+
+
+def _read_described(path, build) -> tuple:
+    """`build(raw)` of the JSON file at `path`: a (description, value)
+    pair, returned once the file equals the description key for key as
+    JSON text, which tells 280.0 from 280 and 1 from true.  A file that
+    `build` cannot read, or that differs from its description, is a
+    DataError naming the keys that differ."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    # a field no rule admits raises ConfigError, a ValueError
+    try:
+        desc, value = build(raw)
+    except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
+        raise DataError(f"{path}: {exc!r}") from exc
+    # one encoder for every key: json.dumps(sort_keys=True) builds one a call
+    text = json.JSONEncoder(sort_keys=True).encode
+    have, want = ({(k, text(v)) for k, v in d.items()} for d in (raw, desc))
+    if have != want:
+        keys = sorted({k for k, _ in have ^ want})
+        raise DataError(f"{path}: {keys} differ from what its own fields "
+                        "build: the file was edited, or predates this "
+                        "format and should be regenerated")
+    return desc, value
 
 
 def _read_checked(path, want: dict) -> dict:

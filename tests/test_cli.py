@@ -32,10 +32,10 @@ def micro_config(tmp_path):
 
 def test_gen_data_deterministic_across_invocations(micro_config, tmp_path):
     rc = cli.main(["gen-data", "--config", str(micro_config),
-                   "--out", str(tmp_path / "d1"), "--seed", "7"])
+                   "--out", str(tmp_path / "d1"), "--set", "dataset.seed=7"])
     assert rc == 0
     rc = cli.main(["gen-data", "--config", str(micro_config),
-                   "--out", str(tmp_path / "d2"), "--seed", "7"])
+                   "--out", str(tmp_path / "d2"), "--set", "dataset.seed=7"])
     assert rc == 0
     for split in ("train", "test"):
         assert sha(tmp_path / "d1" / f"{split}.nstf") \
@@ -125,7 +125,7 @@ def test_seed_override_through_a_non_object_is_a_config_error(
         micro_config, tmp_path, capsys):
     rc = cli.main(["gen-data", "--config", str(micro_config),
                    "--out", str(tmp_path / "d"), "--set", "dataset=3",
-                   "--seed", "7"])
+                   "--set", "dataset.seed=7"])
     _assert_config_error(rc, capsys)
 
 
@@ -382,7 +382,8 @@ def test_truncated_dataset_is_a_data_error(data_and_ckpt, tmp_path, capsys,
 
 @pytest.mark.parametrize("edit", [
     "unknown", "missing", "invalid", "type", "parameter_count",
-    "parameter_count_float", "no_parameter_count", "iwt_tied", "iwt_tied_int"])
+    "parameter_count_float", "no_parameter_count", "iwt_tied", "iwt_tied_int",
+    "alpha_too_large_to_index"])
 def test_malformed_model_json_is_a_data_error(data_and_ckpt, tmp_path,
                                               capsys, edit):
     data, ckpt = data_and_ckpt
@@ -403,6 +404,8 @@ def test_malformed_model_json_is_a_data_error(data_and_ckpt, tmp_path,
         desc["iwt_tied"] = not desc["iwt_tied"]
     elif edit == "iwt_tied_int":
         desc["iwt_tied"] = int(desc["iwt_tied"])
+    elif edit == "alpha_too_large_to_index":  # the model raises OverflowError
+        desc["alpha"] = 10 ** 20
     else:
         desc["levels"] = "2"
     (ckpt / "model.json").write_text(json.dumps(desc))
@@ -459,6 +462,19 @@ def test_training_on_a_dataset_of_another_grid_is_a_data_error(
     _assert_data_error(rc, capsys)
 
 
+def test_dataset_json_predating_its_format_asks_for_regeneration(
+        data_and_ckpt, tmp_path, capsys):
+    data, ckpt = data_and_ckpt
+    summary = json.loads((data / "dataset.json").read_text())
+    del summary["problem"]["path_samples"]  # a field with a default
+    (data / "dataset.json").write_text(json.dumps(summary))
+    rc = cli.main(["eval", "--model", str(ckpt), "--data", str(data),
+                   "--out", str(tmp_path / "ev")])
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert "['problem'] differ" in err and "should be regenerated" in err
+
+
 def _corrupt_dataset(data, case):
     """Break one thing in a generated dataset's sidecar or test split."""
     summary = json.loads((data / "dataset.json").read_text())
@@ -504,6 +520,22 @@ def _corrupt_dataset(data, case):
         tensors["eta_seeds"][-1] = np.nan
     elif case == "retries_inf":
         tensors["retries"][-1] = np.inf
+    elif case == "seed_negative":
+        summary["seed"] = -1
+    elif case == "seed_string":
+        summary["seed"] = str(summary["seed"])
+    elif case == "seed_scheme":
+        summary["seed_scheme"] = summary["seed_scheme"].replace("+ 1", "+ 2")
+    elif case == "extra_key":
+        summary["bogus"] = 1
+    elif case == "total_retries_string":
+        summary["total_retries"] = str(summary["total_retries"])
+    elif case == "total_retries_negative":
+        summary["total_retries"] = -1
+    elif case == "total_retries_float":  # equal as numbers, not as JSON
+        summary["total_retries"] = float(summary["total_retries"])
+    elif case == "seed_edited":  # valid under the rules: only eta_seeds tell
+        summary["seed"] += 1
     else:
         name, value = case.split("_")
         tensors[name][-1, ..., 5] = float(value)
@@ -517,7 +549,10 @@ def _corrupt_dataset(data, case):
     "missing_eta_seeds", "missing_retries", "grid", "split", "empty_split",
     "sources", "eta_nan", "f_inf", "u_nan", "max_residual_missing",
     "max_residual_above", "max_residual_nan", "max_residual_neginf",
-    "no_n_eta", "n_eta", "extra_tensor", "eta_seeds_nan", "retries_inf"])
+    "no_n_eta", "n_eta", "extra_tensor", "eta_seeds_nan", "retries_inf",
+    "seed_negative", "seed_string", "seed_scheme", "extra_key",
+    "total_retries_string", "total_retries_negative", "total_retries_float",
+    "seed_edited"])
 @pytest.mark.parametrize("command", ["train", "eval"])
 def test_malformed_dataset_is_a_data_error(data_and_ckpt, micro_config,
                                            tmp_path, capsys, case, command):

@@ -475,6 +475,22 @@ def test_export_and_matvec_run_no_offset_loop(monkeypatch):
     assert np.max(np.abs(op.rmatmat(np.eye(64)) - g.T)) <= 1e-13 * scale
 
 
+def test_transposed_draws_nothing(monkeypatch):
+    """The transposed model's transform convs are allocated without a
+    random draw and hold `untie(iwt)` and `tie(fwt)` of this model."""
+    cfg = ModelConfig(n=16, levels=2, alpha=2, depth=1, nb=1, p=2,
+                      padding="zero", seed=3)
+    mdl = _scrambled_model(cfg, 4)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("transposed() drew random numbers")
+    monkeypatch.setattr("nswave.model.np.random.default_rng", no_draw)
+    t = mdl.transposed()
+    for fl, il, tf, ti in zip(mdl.fwt, mdl.iwt, t.fwt, t.iwt):
+        assert np.array_equal(tf.weight, untie(il.weight))
+        assert np.array_equal(ti.weight, tie(fl.weight))
+
+
 def test_collection_from_nsform_rejects_a_band_wider_than_the_layout():
     rng = np.random.default_rng(6)
     filt = wv.daubechies_filter(1)

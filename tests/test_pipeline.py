@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -262,6 +263,19 @@ def test_dataset_splits_disjoint_and_certified(tmp_path):
     te = pl.load_sampleset(tmp_path, "test", check=True)
     assert tr.n_eta + te.n_eta == cfg.dataset.n_eta
     assert not set(tr.eta_seeds) & set(te.eta_seeds)
+
+
+def test_dataset_from_an_earlier_release_loads_and_recertifies():
+    """A transfer dataset written by an earlier release, two of whose
+    draws were redrawn once: both splits load as written, each eta seed
+    is the seed scheme's plus its retries, and every residual
+    re-certifies against its operator."""
+    data = Path(__file__).resolve().parent / "data" / "dataset_rte1d"
+    summary = json.loads((data / "dataset.json").read_text())
+    splits = [pl.load_sampleset(data, s, check=True)
+              for s in ("train", "test")]
+    assert [list(ss.retries) for ss in splits] == [[0, 1], [1, 0]]
+    assert summary["total_retries"] == 2
 
 
 def test_reload_residual_check_catches_corruption(tmp_path):
